@@ -12,13 +12,12 @@ start families.
 from __future__ import annotations
 
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .exact import BinaryFraction
-from .harness import _orbit_extents, derive_seed, sample_fraction
+from .harness import _orbit_extents, derive_seed, fan_out, sample_fraction, worker_count
 from .maps import (
     Branch,
     Family,
@@ -328,25 +327,48 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     """Find the first k where the error bound can reach past the critical point.
 
     For each k the scan compares 1/2 + epsilon_bound(k, ell) against the
-    critical point c_k exactly.  While the sum stays at or below c_k, no
-    orbit of a length-ell start can close up in k steps; the first strict
-    reversal is k*, returned with its critical point and bound.  If no
-    reversal occurs by k_max the report says every k was excluded.
+    critical point c_k = 2**mu / 3**k exactly.  While the sum stays at or
+    below c_k, no orbit of a length-ell start can close up in k steps; the
+    first strict reversal is k*, returned with its critical point and bound.
+    If no reversal occurs by k_max the report says every k was excluded.
+
+    The comparison is done in integers.  With n = k // 2 and s = 3n + ell,
+    multiplying the margin c_k - 1/2 - epsilon_bound(k, ell) by
+    3**k * 2**(s+1) turns ``margin < 0`` into
+
+        (2**(mu+1) - 3**k) * 2**s < E,
+        E = 14 * 9**n * (9**n - 8**n)              for even k,
+        E = 3**k * (15 * (9**n - 8**n) + 8**n)      for odd k,
+
+    and 3**k, 9**n and 8**n are running products updated by small factors.
+    Where the left side has more bits than E can have, the margin is
+    positive and E is never multiplied out.  ``collect_margins`` returns
+    each margin as the integer difference of the two sides over
+    3**k * 2**(s+1), equal to the Fraction expression above.
     """
     if ell < 1:
         raise ValueError("kstar_scan needs ell >= 1")
     if k_max < 1:
         raise ValueError("kstar_scan needs k_max >= 1")
-    half = Fraction(1, 2)
     margins: list[Fraction] | None = [] if collect_margins else None
+    p3 = p9 = p8 = 1
     for k in range(1, k_max + 1):
-        c = critical_point(k)
-        eps = epsilon_bound(k, ell)
-        margin = c - half - eps
+        p3 *= 3
+        n, odd = divmod(k, 2)
+        if not odd:
+            p9 *= 9
+            p8 *= 8
+        s = 3 * n + ell
+        gap = (2 << (p3.bit_length() - 1)) - p3
+        factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
+        # a product of i-bit and j-bit numbers has at most i + j bits
+        if margins is None and gap.bit_length() + s > factor.bit_length() + cofactor.bit_length():
+            continue
+        numerator = (gap << s) - factor * cofactor
         if margins is not None:
-            margins.append(margin)
-        if margin < 0:
-            return KStarReport(ell, k_max, k, c, eps, margins)
+            margins.append(Fraction(numerator, p3 << (s + 1)))
+        if numerator < 0:
+            return KStarReport(ell, k_max, k, critical_point(k), epsilon_bound(k, ell), margins)
     return KStarReport(ell, k_max, None, None, None, margins)
 
 
@@ -400,21 +422,18 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = 10**6) -> RangeVeri
     Reduced-map stopping times are computed with path memoization; the
     worst start is the smallest one attaining the maximum.  An orbit that
     exceeds the step cap raises :class:`DivergenceError` with its start as
-    witness.  Worker count affects speed only, never the summary.
+    witness.  Worker count affects speed only, never the summary; it must
+    be >= 1 and is clamped to the CPU count.
     """
     if not 1 <= ell <= 34:
         raise ValueError("verify_range supports 1 <= ell <= 34")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
     odd_count = 1 << (ell - 1)
-    n_chunks = max(1, min(workers, odd_count))
+    n_chunks = min(worker_count(workers), odd_count)
     edges = [1 + 2 * (odd_count * i // n_chunks) for i in range(n_chunks + 1)]
     jobs = [(edges[i], edges[i + 1], ell, step_cap) for i in range(n_chunks)]
-    if n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            results = list(pool.map(_verify_chunk, jobs))
-    else:
-        results = [_verify_chunk(jobs[0])]
+    results = fan_out(_verify_chunk, jobs, n_chunks)
     total = 0
     best = -1
     worst = 0

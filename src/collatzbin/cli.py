@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .analysis import (
     DivergenceError,
     MapKind,
     TrajectoryRecord,
     audit_length_deltas,
+    epsilon_bound,
     family_orbit_probe,
     kstar_scan,
     run_trajectory,
@@ -28,7 +30,7 @@ from .analysis import (
 )
 from .exact import BinaryFraction, to_decimal
 from .harness import ExperimentConfig, run_table, write_csv
-from .maps import Family
+from .maps import Family, critical_point
 from .raster import orbit_rows, render_pbm
 
 __all__ = ["main"]
@@ -120,18 +122,32 @@ def cmd_raster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fraction_margin(k: int, ell: int) -> Fraction:
+    """c_k - 1/2 - epsilon_bound(k, ell) by the Fraction route, not the scan's."""
+    return critical_point(k) - Fraction(1, 2) - epsilon_bound(k, ell)
+
+
 def cmd_kstar(args: argparse.Namespace) -> int:
-    report = kstar_scan(args.ell, args.k_max, collect_margins=True)
+    report = kstar_scan(args.ell, args.k_max)
     print(f"ell = {report.ell}")
     if report.k_star is None:
         print(f"no reversal up to k = {report.k_max}: every horizon excluded")
         return EXIT_OK
-    print(f"k* = {report.k_star}")
+    k_star = report.k_star
+    print(f"k* = {k_star}")
     print(f"c = {to_decimal(report.critical, 6)}")
     print(f"eps = {to_decimal(report.epsilon, 6)}")
-    safe = all(m >= 0 for m in report.margins[:-1])
-    print(f"exact margin check for k < {report.k_star}: {'pass' if safe else 'FAIL'}")
-    return EXIT_OK if safe else EXIT_VIOLATION
+    # k* must be a reversal and k* - 1 (if any) must not be
+    witness = None
+    if k_star > 1 and _fraction_margin(k_star - 1, args.ell) < 0:
+        witness = f"k = {k_star - 1} already has a negative margin"
+    elif _fraction_margin(k_star, args.ell) >= 0:
+        witness = f"k = {k_star} has a nonnegative margin"
+    print(f"exact margin check for k < {k_star}: {'pass' if witness is None else 'FAIL'}")
+    if witness is not None:
+        print(f"margin check failed: {witness}", file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

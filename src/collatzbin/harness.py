@@ -10,6 +10,7 @@ any order.
 from __future__ import annotations
 
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -129,6 +130,25 @@ def _run_one(args: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
     return max_delta, max_stop, capped
 
 
+def worker_count(workers: int) -> int:
+    """A requested worker count, checked to be >= 1 and clamped to the CPU count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def fan_out(fn, jobs: list, workers: int) -> list:
+    """fn applied to each job, in order; in a process pool when workers > 1.
+
+    The pool gets at most one process per job and per CPU.
+    """
+    workers = min(worker_count(workers), len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def run_cell(
     ell: int,
     samples: int,
@@ -140,18 +160,15 @@ def run_cell(
     """Worst case over `runs` independent runs of `samples` random orbits each.
 
     Orbits that hit the step cap are counted in ``capped_count`` and excluded
-    from the maxima.  Results do not depend on ``workers``.
+    from the maxima.  Results do not depend on ``workers``, which must be
+    >= 1 and is clamped to the CPU count.
     """
     if ell < 3:
         raise ValueError("run_cell needs ell >= 3")
     if samples < 1 or runs < 1 or step_cap < 1:
         raise ValueError("samples, runs, and step_cap must be >= 1")
     jobs = [(ell, samples, master_seed, run, step_cap) for run in range(runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
-    else:
-        results = [_run_one(job) for job in jobs]
+    results = fan_out(_run_one, jobs, workers)
     max_delta = max(r[0] for r in results)
     max_stop = max(r[1] for r in results)
     capped = sum(r[2] for r in results)

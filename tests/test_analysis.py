@@ -33,6 +33,10 @@ def bf(bits: str) -> BinaryFraction:
     return BinaryFraction.from_bits(bits)
 
 
+def fraction_margin(k: int, ell: int) -> Fraction:
+    return critical_point(k) - Fraction(1, 2) - epsilon_bound(k, ell)
+
+
 def brute_stopping_time(x: int) -> int:
     steps = 0
     while x != 1:
@@ -242,9 +246,22 @@ class TestKStarScan:
         assert kstar_scan(4).k_star == 5
 
     def test_margins_follow_the_definition(self):
-        report = kstar_scan(10, 50, collect_margins=True)
-        for k, margin in enumerate(report.margins, start=1):
-            assert margin == critical_point(k) - Fraction(1, 2) - epsilon_bound(k, 10)
+        for ell, k_max in ((10, 50), (1, 5), (4, 20), (7, 100), (33, 400), (60, 1000)):
+            report = kstar_scan(ell, k_max, collect_margins=True)
+            assert len(report.margins) == (report.k_star or k_max)
+            for k, margin in enumerate(report.margins, start=1):
+                assert margin == fraction_margin(k, ell), (ell, k)
+
+    @pytest.mark.parametrize("ell", [*range(1, 41), 60])
+    def test_integer_scan_matches_the_fraction_loop(self, ell):
+        k_star = next(k for k in range(1, 1001) if fraction_margin(k, ell) < 0)
+        if k_star > 1:
+            assert kstar_scan(ell, k_star - 1).k_star is None
+        for k_max in (k_star, k_star + 1, 2 * k_star + 10):
+            report = kstar_scan(ell, k_max)
+            assert report.k_star == k_star
+            assert report.critical == critical_point(k_star)
+            assert report.epsilon == epsilon_bound(k_star, ell)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -292,6 +309,9 @@ class TestVerifyRange:
             verify_range(40)
         with pytest.raises(ValueError):
             verify_range(10, step_cap=0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                verify_range(10, workers=workers)
 
 
 class TestFamilyProbe:

@@ -119,6 +119,29 @@ class TestScansAndAudits:
         assert "k* = 5" in out
         assert "exact margin check for k < 5: pass" in out
 
+    def test_kstar_margin_check_fails_on_a_wrong_k_star(self, capsys, monkeypatch):
+        from collatzbin import cli
+
+        true_scan = cli.kstar_scan
+        for shift, witness in ((1, "k = 5 already has a negative margin"),
+                               (-1, "k = 4 has a nonnegative margin")):
+            def shifted_scan(ell, k_max, shift=shift):
+                report = true_scan(ell, k_max)
+                report.k_star += shift
+                return report
+
+            monkeypatch.setattr(cli, "kstar_scan", shifted_scan)
+            code, out, err = run_cli(capsys, "kstar", "--ell", "4")
+            assert code == 1
+            assert f"exact margin check for k < {5 + shift}: FAIL" in out
+            assert witness in err
+
+    def test_kstar_at_k_one_checks_only_k_one(self, capsys):
+        code, out, _ = run_cli(capsys, "kstar", "--ell", "1")
+        assert code == 0
+        assert "k* = 1" in out
+        assert "exact margin check for k < 1: pass" in out
+
     def test_kstar_without_reversal(self, capsys):
         code, out, _ = run_cli(capsys, "kstar", "--ell", "60", "--k-max", "50")
         assert code == 0
@@ -129,6 +152,16 @@ class TestScansAndAudits:
         assert code == 0
         assert "verified 512 odd starts below 2^10" in out
         assert "max stopping time 65 at start 871" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_counts_below_one_are_usage_errors(self, capsys, workers):
+        code, _, err = run_cli(capsys, "verify", "--ell", "10", "--workers", workers)
+        assert code == 2
+        assert "workers must be >= 1" in err
+        code, _, err = run_cli(capsys, "table1", "--lengths", "8", "--samples", "5",
+                               "--runs", "1", "--workers", workers)
+        assert code == 2
+        assert "workers must be >= 1" in err
 
     def test_verify_counterexample_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--ell", "5", "--step-cap", "5")

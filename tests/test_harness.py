@@ -89,6 +89,11 @@ class TestRunCell:
         c = run_cell(12, 30, 2, master_seed=99, workers=2)
         assert a == b == c
 
+    def test_rejects_worker_counts_below_one(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                run_cell(12, 30, 2, master_seed=99, workers=workers)
+
     def test_capped_orbits_are_counted_not_folded_in(self):
         capped = run_cell(40, 10, 1, master_seed=5, step_cap=10)
         assert capped.capped_count > 0
@@ -149,3 +154,38 @@ class TestTable:
         assert data.decode("utf-8").startswith(CSV_HEADER)
         assert str(4) in data.decode("utf-8")
         assert RNG_ID in data.decode("utf-8")
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs in-process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_worker_counts_are_clamped_to_the_cpu_count(monkeypatch):
+    from collatzbin import analysis, harness
+
+    serial_cell = run_cell(12, 30, 5, master_seed=99)
+    serial_range = analysis.verify_range(12)
+    monkeypatch.setattr(RecordingPool, "requested", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert run_cell(12, 30, 5, master_seed=99, workers=1000) == serial_cell
+    assert run_cell(12, 30, 2, master_seed=99, workers=1000).runs == 2
+    assert analysis.verify_range(12, workers=10**6) == serial_range
+    assert RecordingPool.requested == [3, 2, 3]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert analysis.verify_range(12, workers=64) == serial_range
+    assert RecordingPool.requested == [3, 2, 3]
