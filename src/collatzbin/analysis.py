@@ -17,16 +17,17 @@ from enum import Enum
 from fractions import Fraction
 
 from .exact import BinaryFraction
-from .harness import _orbit_extents, derive_seed, fan_out, sample_fraction, worker_count
+from .harness import derive_seed, fan_out, sample_fraction, worker_count
 from .maps import (
     Branch,
     Family,
-    _binary_step_raw,
+    binary_step,
     classify_branch,
     collatz_step,
     critical_point,
     embed,
     family_member,
+    orbit_extents,
     reduced_step,
 )
 
@@ -115,42 +116,29 @@ def run_trajectory(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if map_kind is MapKind.BINARY:
-        y0 = embed(start) if isinstance(start, int) else start
-        state = (y0.numerator, y0.length)
-        step = lambda s: _binary_step_raw(*s)
-        grounded = lambda s: s == (1, 1)
-        wrap = lambda s: BinaryFraction(*s)
-        length_of = lambda s: s[1]
+        state = (embed(start) if isinstance(start, int) else start).numerator
     else:
         if not isinstance(start, int) or start < 1:
             raise ValueError(f"integer maps need a positive integer start, got {start!r}")
         if map_kind is MapKind.REDUCED and start % 2 == 0:
             raise ValueError(f"the reduced map needs an odd start, got {start}")
         state = start
-        step = reduced_step if map_kind is MapKind.REDUCED else collatz_step
-        grounded = lambda s: s == 1
-        wrap = lambda s: s
-        length_of = lambda s: s.bit_length()
+    # the interval map is the reduced step on numerators (see binary_step)
+    step = collatz_step if map_kind is MapKind.COLLATZ else reduced_step
 
-    iterates = [wrap(state)]
-    lengths = [length_of(state)]
-    if grounded(state):
-        # already at the ground state: follow anyway to expose cycles
-        stopping_time = 0
-        for _ in range(max_steps):
-            state = step(state)
-            iterates.append(wrap(state))
-            lengths.append(length_of(state))
-    else:
-        stopping_time = None
-        for n in range(1, max_steps + 1):
-            state = step(state)
-            iterates.append(wrap(state))
-            lengths.append(length_of(state))
-            if grounded(state):
-                stopping_time = n
-                break
+    states = [state]
+    stopping_time = 0 if state == 1 else None
+    for n in range(1, max_steps + 1):
+        state = step(state)
+        states.append(state)
+        if stopping_time is None and state == 1:
+            stopping_time = n
+            break
 
+    lengths = [s.bit_length() for s in states]
+    iterates = states
+    if map_kind is MapKind.BINARY:
+        iterates = [BinaryFraction(s, ell) for s, ell in zip(states, lengths)]
     max_length = max(lengths)
     return TrajectoryRecord(
         map_kind=map_kind,
@@ -222,7 +210,7 @@ def head_tail_classify(y: BinaryFraction) -> HeadTailReport:
     head = _HEAD_LABELS[bits[:3]]
     tail = _TAIL_LABELS[bits[-3:]]
     lo, hi = DELTA_TABLE[(head, tail)]
-    stepped = BinaryFraction(*_binary_step_raw(y.numerator, y.length))
+    stepped = binary_step(y)
     return HeadTailReport(
         y=y,
         head=head,
@@ -473,14 +461,16 @@ def family_orbit_probe(kind: Family, k_max: int, step_cap: int = 10**6) -> Famil
     """Stopping times of the 111000-block family members for 1 <= k <= k_max.
 
     Members whose orbits outlast the step cap are flagged as unresolved
-    rather than treated as failures.
+    rather than treated as failures.  ``step_cap`` must be >= 1.
     """
     if k_max < 1:
         raise ValueError("family_orbit_probe needs k_max >= 1")
+    if step_cap < 1:
+        raise ValueError("step_cap must be >= 1")
     probe = FamilyProbe(kind=kind, k_max=k_max, step_cap=step_cap)
     for k in range(1, k_max + 1):
         y = family_member(kind, k)
-        _, steps, capped = _orbit_extents(y.numerator, y.length, step_cap)
+        _, steps, capped = orbit_extents(y.numerator, step_cap)
         if capped:
             probe.unresolved.append(k)
         else:

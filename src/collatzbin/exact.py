@@ -12,17 +12,11 @@ from fractions import Fraction
 
 __all__ = [
     "BinaryFraction",
-    "ExactRational",
     "GROUND_STATE",
     "compare",
     "to_decimal",
     "two_adic_valuation",
 ]
-
-# Exact rational scalar type used across the package for non-dyadic values
-# (critical points, error bounds, circle-map iterates).
-ExactRational = Fraction
-
 
 def two_adic_valuation(n: int) -> int:
     """Return the largest v such that 2**v divides n.

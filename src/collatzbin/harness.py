@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .exact import BinaryFraction
-from .maps import _binary_step_raw
+from .maps import orbit_extents
 
 __all__ = [
     "CSV_HEADER",
@@ -77,20 +77,6 @@ def sample_fraction(ell: int, seed: int) -> BinaryFraction:
     return BinaryFraction(num, ell)
 
 
-def _orbit_extents(num: int, ell: int, step_cap: int) -> tuple[int, int, bool]:
-    """(max length seen, steps to ground, capped?) for one interval-map orbit."""
-    max_len = ell
-    steps = 0
-    while not (num == 1 and ell == 1):
-        if steps >= step_cap:
-            return max_len, steps, True
-        num, ell = _binary_step_raw(num, ell)
-        steps += 1
-        if ell > max_len:
-            max_len = ell
-    return max_len, steps, False
-
-
 @dataclass
 class CellSummary:
     """Worst-case orbit statistics for one (length, samples, runs) cell."""
@@ -119,7 +105,7 @@ def _run_one(args: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
     capped = 0
     for idx in range(samples):
         y = sample_fraction(ell, derive_seed(master_seed, run, idx))
-        max_len, steps, hit_cap = _orbit_extents(y.numerator, ell, step_cap)
+        max_len, steps, hit_cap = orbit_extents(y.numerator, step_cap)
         if hit_cap:
             capped += 1
             continue

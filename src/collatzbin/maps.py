@@ -5,7 +5,10 @@ Three layers, all exact:
 * integer maps: the classic step ``collatz_step`` and the reduced step
   ``reduced_step`` that jumps odd-to-odd by stripping every factor of 2;
 * the interval map ``binary_step`` acting on :class:`BinaryFraction`,
-  conjugate to the reduced map under the embedding ``embed``;
+  conjugate to the reduced map under the embedding ``embed``: the
+  numerator of the image of n / 2**ell is the reduced step m of n, and its
+  length is the bit length of m.  So one integer kernel, ``orbit_extents``,
+  follows orbits of both maps;
 * the piecewise-linear circle map ``circle_step`` (slopes 3/2 and 3/4)
   that the interval map tracks up to an explicit error, together with its
   closed-form iterates, critical points, and inverse.
@@ -32,6 +35,7 @@ __all__ = [
     "family_member",
     "is_predecessor",
     "mu",
+    "orbit_extents",
     "reduced_step",
 ]
 
@@ -61,12 +65,38 @@ def collatz_step(x: int) -> int:
     return 3 * x + 1 if x % 2 else x // 2
 
 
+def _reduce(n: int) -> int:
+    """3n+1 with every factor of 2 stripped; n is not checked."""
+    t = 3 * n + 1
+    return t >> ((t & -t).bit_length() - 1)
+
+
 def reduced_step(x: int) -> int:
     """Odd-to-odd step: form 3x+1 and strip every factor of 2."""
     if x < 1 or x % 2 == 0:
         raise ValueError(f"reduced_step needs a positive odd integer, got {x}")
-    t = 3 * x + 1
-    return t >> two_adic_valuation(t)
+    return _reduce(x)
+
+
+def orbit_extents(n: int, step_cap: int) -> tuple[int, int, bool]:
+    """(max bit length, steps to 1, capped?) for the reduced orbit of odd n.
+
+    Through :func:`embed` this is also the interval-map orbit of
+    n / 2**len(n): each iterate's length is its numerator's bit length, and
+    1 is the ground state 1/2.  The orbit is capped when it has not reached
+    1 after ``step_cap`` steps.
+    """
+    max_len = n.bit_length()
+    steps = 0
+    while n != 1:
+        if steps >= step_cap:
+            return max_len, steps, True
+        n = _reduce(n)
+        steps += 1
+        ell = n.bit_length()
+        if ell > max_len:
+            max_len = ell
+    return max_len, steps, False
 
 
 def embed(x: int) -> BinaryFraction:
@@ -109,29 +139,20 @@ def classify_branch(y: BinaryFraction) -> Branch:
     return Branch.LOW if 3 * num < (1 << (ell + 1)) else Branch.HIGH
 
 
-def _binary_step_raw(num: int, ell: int) -> tuple[int, int]:
-    """binary_step on the raw (numerator, length) pair; hot-loop form."""
-    if ell % 2 == 1 and 3 * num == (1 << (ell + 1)) - 1:
-        return 1, 1
-    t = 3 * num + 1
-    v = (t & -t).bit_length() - 1
-    if 3 * num < (1 << (ell + 1)):
-        # low arm: (3y + 2**-ell) / 2
-        return t >> v, ell + 1 - v
-    # high arm: (3y + 2**-ell) / 4
-    return t >> v, ell + 2 - v
-
-
 def binary_step(y: BinaryFraction) -> BinaryFraction:
     """One step of the interval map on [1/2, 1).
 
-    Predecessors of the ground state map to 1/2.  Otherwise the map adds the
-    last-place unit to 3y and renormalizes back into [1/2, 1), dividing by 2
-    on the low arm (y < 2/3) and by 4 on the high arm (y > 2/3).  On
-    numerators this is exactly "3n+1, strip factors of 2", so the map is the
-    reduced Collatz step seen through :func:`embed`.
+    The image of n / 2**ell is m / 2**len(m) with m the reduced step of n:
+    form 3n+1 and strip every factor of 2.  So the map is the reduced
+    Collatz step seen through :func:`embed`.  In the paper's form,
+    predecessors of the ground state map to 1/2, and other points map to
+    3y plus the last-place unit, divided by 2 on the low arm (y < 2/3) and
+    by 4 on the high arm (y > 2/3); ``test_matches_the_arm_formula`` checks
+    that the two forms agree.  They do because 3n+1 has ell+1 bits on the
+    low arm, ell+2 on the high arm, and is 2**(ell+1) at a predecessor.
     """
-    return BinaryFraction(*_binary_step_raw(y.numerator, y.length))
+    m = _reduce(y.numerator)
+    return BinaryFraction(m, m.bit_length())
 
 
 def circle_step(y: Fraction | int) -> Fraction:

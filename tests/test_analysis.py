@@ -176,6 +176,21 @@ class TestHeadTailTable:
         again = audit_length_deltas(10**4, 64, seed=1)
         assert again.cell_counts == summary.cell_counts
 
+    def test_audit_reports_a_wrong_step(self, monkeypatch):
+        # the identity is a self-map of [1/2, 1) but not the interval map;
+        # its zero deltas break the arm-minus-valuation decomposition
+        from collatzbin import analysis
+
+        monkeypatch.setattr(analysis, "binary_step", lambda y: y)
+        summary = audit_length_deltas(500, 16, seed=2)
+        monkeypatch.undo()
+        assert any("decomposition" in w for w in summary.violations)
+        for witness in summary.violations:
+            bits = witness.split(":")[0]
+            assert len(bits) == 16
+            # the witness reproduces: the true step changes its length
+            assert head_tail_classify(bf(bits)).observed_delta != 0
+
     def test_audit_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             audit_length_deltas(100, 5)
@@ -339,3 +354,6 @@ class TestFamilyProbe:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             family_orbit_probe(Family.ALPHA, 0)
+        for step_cap in (0, -1):
+            with pytest.raises(ValueError):
+                family_orbit_probe(Family.ALPHA, 3, step_cap=step_cap)

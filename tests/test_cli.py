@@ -188,6 +188,23 @@ class TestScansAndAudits:
         assert code == 0
         assert "unresolved at step cap 3" in out
 
+    def test_audit_with_a_wrong_step_exits_one(self, capsys, monkeypatch):
+        from collatzbin import analysis
+
+        monkeypatch.setattr(analysis, "binary_step", lambda y: y)
+        code, out, err = run_cli(capsys, "audit", "--ell", "16", "--samples", "200")
+        assert code == 1
+        assert "ell=16: 200 samples, 0 violations" not in out
+        assert "violation: 1" in err
+
+    @pytest.mark.parametrize("kind,step_cap", [("alpha", "-1"), ("gamma", "0")])
+    def test_families_step_cap_below_one_is_a_usage_error(self, capsys, kind, step_cap):
+        code, out, err = run_cli(capsys, "families", "--kind", kind, "--k-max", "3",
+                                 "--step-cap", step_cap)
+        assert code == 2
+        assert out == ""
+        assert "step_cap must be >= 1" in err
+
     def test_families_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "families", "--kind", "gamma", "--k-max", "20")
         assert code == 0

@@ -25,6 +25,7 @@ from collatzbin.maps import (
     family_member,
     is_predecessor,
     mu,
+    orbit_extents,
     reduced_step,
 )
 
@@ -164,6 +165,41 @@ class TestBinaryStep:
             z = bf("1010" + "1" * (tail - 4))
             gap = abs(binary_step(z).value - target)
             assert gap > Fraction(1, 64)
+
+
+def binary_walk(y: BinaryFraction, cap: int) -> tuple[int, int, bool]:
+    """Independent route for orbit_extents: step BinaryFractions one by one."""
+    max_len, steps = y.length, 0
+    while y != GROUND_STATE:
+        if steps == cap:
+            return max_len, steps, True
+        y = binary_step(y)
+        steps += 1
+        max_len = max(max_len, y.length)
+    return max_len, steps, False
+
+
+class TestOrbitExtents:
+    def test_ground_state(self):
+        for cap in (1, 2, 10**6):
+            assert orbit_extents(1, cap) == (1, 0, False)
+
+    def test_examples(self):
+        assert orbit_extents(31, 10**6) == (12, 39, False)
+        assert orbit_extents(31, 39) == (12, 39, False)
+        assert orbit_extents(31, 38) == (12, 38, True)
+        assert orbit_extents(5, 1) == (3, 1, False)
+
+    @given(odd_integers, st.integers(min_value=1, max_value=3))
+    def test_matches_a_walk_of_the_interval_map(self, n, gap):
+        y = BinaryFraction(n, n.bit_length())
+        stop = binary_walk(y, 10**6)[1]
+        # caps below, exactly at and above the stopping time
+        for cap in (stop - gap, stop, stop + gap):
+            if cap >= 1:
+                extents = orbit_extents(n, cap)
+                assert extents == binary_walk(y, cap)
+                assert extents[2] == (cap < stop)
 
 
 class TestCircleMap:
