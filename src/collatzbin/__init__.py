@@ -6,110 +6,13 @@ companion, per-step length accounting, periodic-orbit exclusion scans,
 exhaustive and randomized orbit experiments, and PBM orbit rasters.
 """
 
-from .analysis import (
-    DELTA_TABLE,
-    AuditSummary,
-    DivergenceError,
-    FamilyProbe,
-    HeadTailReport,
-    KStarReport,
-    MapKind,
-    RangeVerification,
-    TrajectoryRecord,
-    audit_length_deltas,
-    epsilon_bound,
-    family_orbit_probe,
-    head_tail_classify,
-    kstar_scan,
-    run_trajectory,
-    verify_range,
-)
-from .exact import (
-    GROUND_STATE,
-    BinaryFraction,
-    compare,
-    to_decimal,
-    two_adic_valuation,
-)
-from .harness import (
-    CSV_HEADER,
-    RNG_ID,
-    CellSummary,
-    ExperimentConfig,
-    ExperimentSummary,
-    derive_seed,
-    run_cell,
-    run_table,
-    sample_fraction,
-    write_csv,
-)
-from .maps import (
-    Branch,
-    Family,
-    binary_step,
-    circle_iterate,
-    circle_preimage,
-    circle_step,
-    classify_branch,
-    collatz_step,
-    critical_point,
-    embed,
-    family_member,
-    is_predecessor,
-    mu,
-    reduced_step,
-)
-from .raster import orbit_rows, parse_pbm, render_pbm
+from . import analysis, exact, harness, maps, raster
+from .analysis import *  # noqa: F403
+from .exact import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .raster import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditSummary",
-    "BinaryFraction",
-    "Branch",
-    "CSV_HEADER",
-    "CellSummary",
-    "DELTA_TABLE",
-    "DivergenceError",
-    "ExperimentConfig",
-    "ExperimentSummary",
-    "Family",
-    "FamilyProbe",
-    "GROUND_STATE",
-    "HeadTailReport",
-    "KStarReport",
-    "MapKind",
-    "RNG_ID",
-    "RangeVerification",
-    "TrajectoryRecord",
-    "audit_length_deltas",
-    "binary_step",
-    "circle_iterate",
-    "circle_preimage",
-    "circle_step",
-    "classify_branch",
-    "collatz_step",
-    "compare",
-    "critical_point",
-    "derive_seed",
-    "embed",
-    "epsilon_bound",
-    "family_member",
-    "family_orbit_probe",
-    "head_tail_classify",
-    "is_predecessor",
-    "kstar_scan",
-    "mu",
-    "orbit_rows",
-    "parse_pbm",
-    "reduced_step",
-    "render_pbm",
-    "run_cell",
-    "run_table",
-    "run_trajectory",
-    "sample_fraction",
-    "to_decimal",
-    "two_adic_valuation",
-    "verify_range",
-    "write_csv",
-]
+__all__ = sorted({name for m in (analysis, exact, harness, maps, raster) for name in m.__all__})

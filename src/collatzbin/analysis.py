@@ -109,9 +109,9 @@ def run_trajectory(
     """Follow one orbit until the ground state or the step budget.
 
     Integer starts for the interval map are embedded first.  A start that
-    already sits at the ground state gets stopping time 0 but is still
-    followed for the full budget, which makes the classic map's terminal
-    cycle visible instead of producing an empty record.
+    already sits at the ground state gets stopping time 0 and is followed
+    once around its cycle, within the budget: 1, 4, 2, 1 on the classic
+    map, and the one step from the fixed point to itself on the others.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -131,8 +131,9 @@ def run_trajectory(
     for n in range(1, max_steps + 1):
         state = step(state)
         states.append(state)
-        if stopping_time is None and state == 1:
-            stopping_time = n
+        if state == 1:
+            if stopping_time is None:
+                stopping_time = n
             break
 
     lengths = [s.bit_length() for s in states]
@@ -398,7 +399,7 @@ def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
             if u < bound:
                 memo[(u - 1) >> 1] = s
         count += 1
-        if s > best or (s == best and x < worst):
+        if s > best:
             best = s
             worst = x
     return count, best, worst
@@ -422,14 +423,9 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = 10**6) -> RangeVeri
     edges = [1 + 2 * (odd_count * i // n_chunks) for i in range(n_chunks + 1)]
     jobs = [(edges[i], edges[i + 1], ell, step_cap) for i in range(n_chunks)]
     results = fan_out(_verify_chunk, jobs, n_chunks)
-    total = 0
-    best = -1
-    worst = 0
-    for count, chunk_best, chunk_worst in results:
-        total += count
-        if chunk_best > best or (chunk_best == best and chunk_worst < worst):
-            best = chunk_best
-            worst = chunk_worst
+    # starts ascend within and across chunks, so the first maximum is the smallest start
+    _, best, worst = max(results, key=lambda r: r[1])
+    total = sum(r[0] for r in results)
     return RangeVerification(
         ell=ell,
         verified_count=total,

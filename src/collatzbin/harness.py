@@ -9,10 +9,9 @@ any order.
 
 from __future__ import annotations
 
-import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .exact import BinaryFraction
 from .maps import orbit_extents
@@ -27,11 +26,10 @@ __all__ = [
     "run_cell",
     "run_table",
     "sample_fraction",
+    "write_csv",
 ]
 
 RNG_ID = "splitmix64"
-
-CSV_HEADER = "length,samples,runs,max_length_delta,max_stop_time,seed,rng_id,capped_count"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -79,7 +77,10 @@ def sample_fraction(ell: int, seed: int) -> BinaryFraction:
 
 @dataclass
 class CellSummary:
-    """Worst-case orbit statistics for one (length, samples, runs) cell."""
+    """Worst-case orbit statistics for one (length, samples, runs) cell.
+
+    The field order is the CSV column order.
+    """
 
     length: int
     samples: int
@@ -91,10 +92,10 @@ class CellSummary:
     capped_count: int
 
     def csv_row(self) -> str:
-        return (
-            f"{self.length},{self.samples},{self.runs},{self.max_length_delta},"
-            f"{self.max_stop_time},{self.seed},{self.rng_id},{self.capped_count}"
-        )
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CellSummary))
 
 
 def _run_one(args: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
@@ -135,44 +136,9 @@ def fan_out(fn, jobs: list, workers: int) -> list:
     return [fn(job) for job in jobs]
 
 
-def run_cell(
-    ell: int,
-    samples: int,
-    runs: int,
-    master_seed: int,
-    step_cap: int = 10**6,
-    workers: int = 1,
-) -> CellSummary:
-    """Worst case over `runs` independent runs of `samples` random orbits each.
-
-    Orbits that hit the step cap are counted in ``capped_count`` and excluded
-    from the maxima.  Results do not depend on ``workers``, which must be
-    >= 1 and is clamped to the CPU count.
-    """
-    if ell < 3:
-        raise ValueError("run_cell needs ell >= 3")
-    if samples < 1 or runs < 1 or step_cap < 1:
-        raise ValueError("samples, runs, and step_cap must be >= 1")
-    jobs = [(ell, samples, master_seed, run, step_cap) for run in range(runs)]
-    results = fan_out(_run_one, jobs, workers)
-    max_delta = max(r[0] for r in results)
-    max_stop = max(r[1] for r in results)
-    capped = sum(r[2] for r in results)
-    return CellSummary(
-        length=ell,
-        samples=samples,
-        runs=runs,
-        max_length_delta=max_delta,
-        max_stop_time=max_stop,
-        seed=master_seed,
-        rng_id=RNG_ID,
-        capped_count=capped,
-    )
-
-
 @dataclass
 class ExperimentConfig:
-    """Configuration for a multi-length experiment table."""
+    """Configuration for a multi-length experiment table, checked on construction."""
 
     lengths: tuple[int, ...] = (50, 100)
     samples: int = 500
@@ -195,28 +161,58 @@ class ExperimentSummary:
     cells: list[CellSummary] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for cell in self.cells:
-            buf.write(cell.csv_row() + "\n")
-        return buf.getvalue()
+        rows = [CSV_HEADER] + [cell.csv_row() for cell in self.cells]
+        return "\n".join(rows) + "\n"
 
 
 def run_table(config: ExperimentConfig, workers: int = 1) -> ExperimentSummary:
-    """Run every cell of the configured table; deterministic given the config."""
+    """Run every cell of the configured table; deterministic given the config.
+
+    Every (length, run) pair is one job, and all of them go through one
+    :func:`fan_out`.  Orbits that hit the step cap are counted in
+    ``capped_count`` and excluded from the maxima.  Results do not depend on
+    ``workers``, which must be >= 1 and is clamped to the CPU count.
+    """
+    runs = config.runs
+    jobs = [
+        (ell, config.samples, config.master_seed, run, config.step_cap)
+        for ell in config.lengths
+        for run in range(runs)
+    ]
+    results = fan_out(_run_one, jobs, workers)
     summary = ExperimentSummary(config=config)
-    for ell in config.lengths:
+    for i, ell in enumerate(config.lengths):
+        cell = results[i * runs : (i + 1) * runs]
         summary.cells.append(
-            run_cell(
-                ell,
-                config.samples,
-                config.runs,
-                config.master_seed,
-                step_cap=config.step_cap,
-                workers=workers,
+            CellSummary(
+                length=ell,
+                samples=config.samples,
+                runs=runs,
+                max_length_delta=max(r[0] for r in cell),
+                max_stop_time=max(r[1] for r in cell),
+                seed=config.master_seed,
+                rng_id=RNG_ID,
+                capped_count=sum(r[2] for r in cell),
             )
         )
     return summary
+
+
+def run_cell(
+    ell: int,
+    samples: int,
+    runs: int,
+    master_seed: int,
+    step_cap: int = 10**6,
+    workers: int = 1,
+) -> CellSummary:
+    """Worst case over `runs` independent runs of `samples` random orbits each.
+
+    The one-length table of :func:`run_table`; :class:`ExperimentConfig`
+    checks the arguments.
+    """
+    config = ExperimentConfig((ell,), samples, runs, master_seed, step_cap)
+    return run_table(config, workers).cells[0]
 
 
 def write_csv(summary: ExperimentSummary, path: str) -> None:

@@ -111,11 +111,6 @@ def embed(x: int) -> BinaryFraction:
     return BinaryFraction(n, n.bit_length())
 
 
-def _is_predecessor_raw(num: int, ell: int) -> bool:
-    # digits "1" + "01"*k  <=>  odd length and 3*num == 2**(ell+1) - 1
-    return ell % 2 == 1 and 3 * num == (1 << (ell + 1)) - 1
-
-
 def is_predecessor(y: BinaryFraction) -> bool:
     """True when y's digits are "1" followed by copies of "01".
 
@@ -123,7 +118,8 @@ def is_predecessor(y: BinaryFraction) -> bool:
     (including the ground state itself); the interval map sends them
     straight to 1/2.
     """
-    return _is_predecessor_raw(y.numerator, y.length)
+    # digits "1" + "01"*k  <=>  odd length and 3*num == 2**(ell+1) - 1
+    return y.length % 2 == 1 and 3 * y.numerator == (1 << (y.length + 1)) - 1
 
 
 def classify_branch(y: BinaryFraction) -> Branch:
@@ -132,11 +128,10 @@ def classify_branch(y: BinaryFraction) -> Branch:
     A dyadic can never equal 2/3, so the low/high split is a strict
     dichotomy once predecessors are carved out.
     """
-    num, ell = y.numerator, y.length
-    if _is_predecessor_raw(num, ell):
+    if is_predecessor(y):
         return Branch.PREDECESSOR
     # y < 2/3  <=>  3*num < 2**(ell+1)
-    return Branch.LOW if 3 * num < (1 << (ell + 1)) else Branch.HIGH
+    return Branch.LOW if 3 * y.numerator < (1 << (y.length + 1)) else Branch.HIGH
 
 
 def binary_step(y: BinaryFraction) -> BinaryFraction:

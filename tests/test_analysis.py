@@ -25,6 +25,7 @@ from collatzbin.analysis import (
 )
 from collatzbin.exact import GROUND_STATE, BinaryFraction, to_decimal, two_adic_valuation
 from collatzbin.maps import Family, binary_step, critical_point, embed, reduced_step
+from test_harness import RecordingPool
 
 odd_integers = st.integers(min_value=0, max_value=2**40).map(lambda m: 2 * m + 1)
 
@@ -91,11 +92,17 @@ class TestRunTrajectory:
 
     def test_ground_start_is_followed_to_expose_cycles(self):
         record = run_trajectory(1, MapKind.COLLATZ, max_steps=4)
-        assert record.iterates == [1, 4, 2, 1, 4]
+        assert record.iterates == [1, 4, 2, 1]
         assert record.stopping_time == 0
+        short = run_trajectory(1, MapKind.COLLATZ, max_steps=2)
+        assert short.iterates == [1, 4, 2]
+        assert short.stopping_time == 0
         fixed = run_trajectory(1, MapKind.BINARY, max_steps=3)
-        assert fixed.iterates == [GROUND_STATE] * 4
+        assert fixed.iterates == [GROUND_STATE] * 2
         assert fixed.stopping_time == 0
+        reduced = run_trajectory(1, MapKind.REDUCED)
+        assert reduced.iterates == [1, 1]
+        assert reduced.stopping_time == 0
 
     def test_binary_start_accepts_digit_points(self):
         record = run_trajectory(bf("1011"))
@@ -292,14 +299,21 @@ class TestVerifyRange:
         two = verify_range(2)
         assert (two.verified_count, two.max_stopping_time, two.worst_start) == (2, 2, 3)
 
-    def test_matches_brute_force_at_small_lengths(self):
-        for ell in (5, 10):
-            result = verify_range(ell)
+    def test_matches_brute_force_at_small_lengths(self, monkeypatch):
+        # two chunks even on a one-CPU machine; ell 6 ties 27 and 55 across
+        # the chunks, ell 8 ties 231 and 235 inside one
+        from collatzbin import harness
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for ell in (5, 6, 8, 10):
             stops = {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
             best = max(stops.values())
-            assert result.verified_count == len(stops)
-            assert result.max_stopping_time == best
-            assert result.worst_start == min(x for x, s in stops.items() if s == best)
+            for workers in (1, 2):
+                result = verify_range(ell, workers=workers)
+                assert result.verified_count == len(stops)
+                assert result.max_stopping_time == best
+                assert result.worst_start == min(x for x, s in stops.items() if s == best)
 
     def test_known_worst_cases(self):
         five = verify_range(5)

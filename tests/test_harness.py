@@ -189,3 +189,15 @@ def test_worker_counts_are_clamped_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert analysis.verify_range(12, workers=64) == serial_range
     assert RecordingPool.requested == [3, 2, 3]
+
+
+def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch):
+    from collatzbin import harness
+
+    cfg = ExperimentConfig(lengths=(8, 12), samples=50, runs=2)
+    serial = run_table(cfg)
+    monkeypatch.setattr(RecordingPool, "requested", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert run_table(cfg, workers=2) == serial
+    assert RecordingPool.requested == [2]
