@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .exact import BinaryFraction
-from .harness import derive_seed, fan_out, sample_fraction, worker_count
+from .harness import fan_out, sample_numerators, worker_count
 from .maps import (
     Branch,
     Family,
@@ -245,6 +245,11 @@ def audit_length_deltas(samples: int, ell: int, seed: int = 0) -> AuditSummary:
     cell, and away from the ground-state predecessors it must decompose as
     the arm's contribution (+1 low, +2 high) minus the 2-adic valuation of
     3n+1.  Violations are collected with their digit-string witnesses.
+
+    Each sampled numerator n is classified by bit masks: its head is
+    n >> (ell - 3), its tail n & 7, and 3n+1 against 2**(ell+1) picks the
+    predecessor (equal) or the low arm (below).  :func:`head_tail_classify`
+    is the digit-string route for one point, and the tests' oracle here.
     """
     if ell < 6:
         raise ValueError("audit needs ell >= 6")
@@ -252,23 +257,28 @@ def audit_length_deltas(samples: int, ell: int, seed: int = 0) -> AuditSummary:
         raise ValueError("samples must be >= 1")
     summary = AuditSummary(ell=ell, samples=samples, seed=seed)
     counts = summary.cell_counts
-    for idx in range(samples):
-        y = sample_fraction(ell, derive_seed(seed, 0, idx))
-        report = head_tail_classify(y)
-        cell = (report.head, report.tail)
+    cells = {
+        (int(h, 2), int(t, 2)): ((head, tail), *DELTA_TABLE[(head, tail)])
+        for h, head in _HEAD_LABELS.items()
+        for t, tail in _TAIL_LABELS.items()
+    }
+    shift = ell - 3
+    ground = 1 << (ell + 1)
+    for n in sample_numerators(ell, seed, 0, samples):
+        cell, lo, hi = cells[(n >> shift, n & 7)]
         counts[cell] = counts.get(cell, 0) + 1
-        if not report.within_bounds():
+        delta = binary_step(BinaryFraction(n, ell)).length - ell
+        if delta > hi or (lo is not None and delta < lo):
             summary.violations.append(
-                f"{y.to_bits()}: delta {report.observed_delta} outside "
-                f"{cell} bounds ({report.predicted_min}, {report.predicted_max})"
+                f"{n:b}: delta {delta} outside {cell} bounds ({lo}, {hi})"
             )
-        if report.branch is not Branch.PREDECESSOR:
-            t = 3 * y.numerator + 1
-            arm = 1 if report.branch is Branch.LOW else 2
+        t = 3 * n + 1
+        if t != ground:
+            arm = 1 if t < ground else 2
             expected = arm - ((t & -t).bit_length() - 1)
-            if report.observed_delta != expected:
+            if delta != expected:
                 summary.violations.append(
-                    f"{y.to_bits()}: delta {report.observed_delta} != "
+                    f"{n:b}: delta {delta} != "
                     f"arm {arm} minus valuation decomposition {expected}"
                 )
     return summary
@@ -371,12 +381,21 @@ class RangeVerification:
     worst_start: int
 
 
+# stop times are memoized for odd values below 2**_MEMO_BITS only: an int16
+# memo of at most 2**24 entries, 32 MiB per worker
+_MEMO_BITS = 25
+
+
 def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
-    """Walk odd starts in [lo, hi); returns (count, max stop time, worst start)."""
+    """Walk odd starts in [lo, hi); returns (count, max stop time, worst start).
+
+    Values at or above the memo bound are walked and not stored.  A stop
+    time past the int16 range raises OverflowError rather than wrapping.
+    """
     lo, hi, ell, step_cap = args
-    bound = 1 << ell
+    bound = 1 << min(ell, _MEMO_BITS)
     # memoized stop times for odd values below the bound, indexed by (v-1)/2
-    memo = array("q", [-1]) * (1 << (ell - 1))
+    memo = array("h", [-1]) * (bound >> 1)
     memo[0] = 0
     best = -1
     worst = 0
@@ -408,10 +427,10 @@ def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
 def verify_range(ell: int, workers: int = 1, step_cap: int = 10**6) -> RangeVerification:
     """Prove every odd start below 2**ell reaches the ground state.
 
-    Reduced-map stopping times are computed with path memoization; the
-    worst start is the smallest one attaining the maximum.  An orbit that
-    exceeds the step cap raises :class:`DivergenceError` with its start as
-    witness.  Worker count affects speed only, never the summary; it must
+    Reduced-map stopping times are computed with path memoization below
+    2**25 (an int16 memo, at most 32 MiB per worker); the worst start is
+    the smallest one attaining the maximum.  An orbit that exceeds the step
+    cap raises :class:`DivergenceError` with its start as witness.  Worker count affects speed only, never the summary; it must
     be >= 1 and is clamped to the CPU count.
     """
     if not 1 <= ell <= 34:

@@ -10,6 +10,7 @@ any order.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -26,6 +27,7 @@ __all__ = [
     "run_cell",
     "run_table",
     "sample_fraction",
+    "sample_numerators",
     "write_csv",
 ]
 
@@ -42,12 +44,14 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _run_state(master: int, run: int) -> int:
+    """The first splitmix64 round of every seed in one run."""
+    return _mix64(((master & _MASK64) + (run + 1) * _GOLDEN) & _MASK64)
+
+
 def derive_seed(master: int, run: int, index: int) -> int:
     """Seed for one sample, a pure function of its (run, index) coordinates."""
-    z = master & _MASK64
-    z = _mix64((z + (run + 1) * _GOLDEN) & _MASK64)
-    z = _mix64((z + (index + 1) * _GOLDEN) & _MASK64)
-    return z
+    return _mix64((_run_state(master, run) + (index + 1) * _GOLDEN) & _MASK64)
 
 
 def _bit_stream(seed: int, nbits: int) -> int:
@@ -62,6 +66,11 @@ def _bit_stream(seed: int, nbits: int) -> int:
     return out >> (got - nbits)
 
 
+def _sample_numerator(ell: int, seed: int) -> int:
+    """Numerator of a length-ell sample: first and last digits 1, the rest random."""
+    return (1 << (ell - 1)) | (_bit_stream(seed, ell - 2) << 1) | 1
+
+
 def sample_fraction(ell: int, seed: int) -> BinaryFraction:
     """A uniform random length-ell binary fraction.
 
@@ -70,9 +79,19 @@ def sample_fraction(ell: int, seed: int) -> BinaryFraction:
     """
     if ell < 3:
         raise ValueError("sample_fraction needs ell >= 3")
-    middle = _bit_stream(seed, ell - 2)
-    num = (1 << (ell - 1)) | (middle << 1) | 1
-    return BinaryFraction(num, ell)
+    return BinaryFraction(_sample_numerator(ell, seed), ell)
+
+
+def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Iterator[int]:
+    """Numerators of ``sample_fraction(ell, derive_seed(master_seed, run, i))``, i < count.
+
+    The run's first splitmix64 round is computed once, not once per sample.
+    """
+    if ell < 3:
+        raise ValueError("sample_numerators needs ell >= 3")
+    state = _run_state(master_seed, run)
+    for i in range(count):
+        yield _sample_numerator(ell, _mix64((state + (i + 1) * _GOLDEN) & _MASK64))
 
 
 @dataclass
@@ -104,9 +123,8 @@ def _run_one(args: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
     max_delta = 0
     max_stop = 0
     capped = 0
-    for idx in range(samples):
-        y = sample_fraction(ell, derive_seed(master_seed, run, idx))
-        max_len, steps, hit_cap = orbit_extents(y.numerator, step_cap)
+    for n in sample_numerators(ell, master_seed, run, samples):
+        max_len, steps, hit_cap = orbit_extents(n, step_cap)
         if hit_cap:
             capped += 1
             continue

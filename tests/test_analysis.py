@@ -24,7 +24,8 @@ from collatzbin.analysis import (
     verify_range,
 )
 from collatzbin.exact import GROUND_STATE, BinaryFraction, to_decimal, two_adic_valuation
-from collatzbin.maps import Family, binary_step, critical_point, embed, reduced_step
+from collatzbin.harness import derive_seed, sample_fraction
+from collatzbin.maps import Family, binary_step, critical_point, embed, is_predecessor, reduced_step
 from test_harness import RecordingPool
 
 odd_integers = st.integers(min_value=0, max_value=2**40).map(lambda m: 2 * m + 1)
@@ -198,6 +199,45 @@ class TestHeadTailTable:
             # the witness reproduces: the true step changes its length
             assert head_tail_classify(bf(bits)).observed_delta != 0
 
+    @pytest.mark.parametrize("ell", [6, 7, 9, 16, 64])
+    @pytest.mark.parametrize("seed", [1, 20250815])
+    def test_audit_counts_match_the_digit_string_route(self, ell, seed):
+        samples = 2000
+        expected: dict[tuple[str, str], int] = {}
+        for i in range(samples):
+            rep = head_tail_classify(sample_fraction(ell, derive_seed(seed, 0, i)))
+            assert rep.within_bounds()
+            cell = (rep.head, rep.tail)
+            expected[cell] = expected.get(cell, 0) + 1
+        summary = audit_length_deltas(samples, ell, seed=seed)
+        assert list(summary.cell_counts.items()) == list(expected.items())
+        assert summary.ok
+
+    def test_audit_passes_sampled_predecessors(self):
+        # "1010101" is drawn about 1 time in 32 at length 7
+        samples = 2000
+        points = [sample_fraction(7, derive_seed(5, 0, i)) for i in range(samples)]
+        predecessors = [y for y in points if is_predecessor(y)]
+        assert len(predecessors) > 20
+        for y in predecessors:
+            rep = head_tail_classify(y)
+            assert (rep.head, rep.tail) == ("h2", "t3")
+        summary = audit_length_deltas(samples, 7, seed=5)
+        assert summary.ok
+
+    def test_audit_reports_a_cell_outside_its_table_bounds(self, monkeypatch):
+        # h1/t2 points keep their length, so (1, 1) excludes every one of them;
+        # the audit must read the table as it is now, not a copy from import
+        from collatzbin import analysis
+
+        monkeypatch.setitem(analysis.DELTA_TABLE, ("h1", "t2"), (1, 1))
+        summary = audit_length_deltas(2000, 16, seed=2)
+        assert len(summary.violations) == summary.cell_counts[("h1", "t2")] > 0
+        for witness in summary.violations:
+            bits, message = witness.split(": ", 1)
+            assert message.startswith("delta 0 outside ('h1', 't2') bounds (1, 1)")
+            assert bits.startswith("100") and bits.endswith("011")
+
     def test_audit_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             audit_length_deltas(100, 5)
@@ -314,6 +354,39 @@ class TestVerifyRange:
                 assert result.verified_count == len(stops)
                 assert result.max_stopping_time == best
                 assert result.worst_start == min(x for x, s in stops.items() if s == best)
+
+    @pytest.mark.parametrize("memo_bits", [1, 6])
+    def test_capped_memo_matches_brute_force(self, monkeypatch, memo_bits):
+        # starts and path values at or above 2**memo_bits are walked, not stored
+        from collatzbin import analysis, harness
+
+        monkeypatch.setattr(analysis, "_MEMO_BITS", memo_bits)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for ell in (8, 10, 12):
+            stops = {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
+            best = max(stops.values())
+            for workers in (1, 2):
+                result = verify_range(ell, workers=workers)
+                assert result.verified_count == len(stops)
+                assert result.max_stopping_time == best
+                assert result.worst_start == min(x for x, s in stops.items() if s == best)
+
+    def test_memo_stays_bounded_at_the_largest_length(self):
+        import tracemalloc
+
+        from collatzbin.analysis import _verify_chunk
+
+        x = 2**33 + 1
+        tracemalloc.start()
+        try:
+            result = _verify_chunk((x, x + 2, 34, 10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (1, brute_stopping_time(x), x)
+        # the 2**24-entry int16 memo is 32 MiB; 2**33 entries would be 16 GiB
+        assert peak < 40 * 2**20
 
     def test_known_worst_cases(self):
         five = verify_range(5)

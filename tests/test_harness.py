@@ -13,6 +13,7 @@ from collatzbin.harness import (
     run_cell,
     run_table,
     sample_fraction,
+    sample_numerators,
     write_csv,
 )
 from collatzbin.maps import Branch, binary_step, classify_branch
@@ -60,6 +61,23 @@ class TestSampleFraction:
     def test_rejects_short_lengths(self):
         with pytest.raises(ValueError):
             sample_fraction(2, 0)
+        with pytest.raises(ValueError):
+            list(sample_numerators(2, 0, 0, 1))
+
+
+class TestSampleNumerators:
+    # 65..67 and 130 put the digits drawn past a 64-bit draw on both sides
+    # of a draw boundary
+    @pytest.mark.parametrize("ell", [3, 6, 65, 66, 67, 130])
+    def test_match_the_per_sample_route(self, ell):
+        for master, run in ((0, 0), (12345, 3), (2**64 + 9, 7)):
+            expected = [
+                sample_fraction(ell, derive_seed(master, run, i)).numerator for i in range(60)
+            ]
+            assert list(sample_numerators(ell, master, run, 60)) == expected
+
+    def test_zero_count_yields_nothing(self):
+        assert list(sample_numerators(16, 1, 0, 0)) == []
 
 
 class TestRunCell:
