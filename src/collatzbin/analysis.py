@@ -73,24 +73,37 @@ class DivergenceError(Exception):
 
 @dataclass
 class TrajectoryRecord:
-    """A finite orbit with its length profile and landmark statistics.
+    """A finite orbit as the integers it visits; the rest is derived from them.
 
+    ``states`` are the numerators n of the iterates n / 2**len(n) for map b,
+    and the integers themselves for maps r and c; a length is a bit length.
     ``stopping_time`` is the number of steps to first reach the ground state
-    (1/2 for the interval map, 1 for the integer maps); None means the step
-    budget ran out first.  The hailstone is the first iterate of maximal
-    length.
+    (1/2 or 1); None means the step budget ran out first.  The hailstone is
+    the first iterate of maximal length.
     """
 
     map_kind: MapKind
-    iterates: list
-    lengths: list[int]
+    states: list[int]
     stopping_time: int | None
-    hailstone_index: int
-    max_length: int
 
     @property
-    def start(self):
-        return self.iterates[0]
+    def iterates(self) -> list:
+        """The orbit's points: BinaryFractions for map b, the states otherwise."""
+        if self.map_kind is MapKind.BINARY:
+            return [BinaryFraction(s, s.bit_length()) for s in self.states]
+        return self.states
+
+    @property
+    def lengths(self) -> list[int]:
+        return [s.bit_length() for s in self.states]
+
+    @property
+    def max_length(self) -> int:
+        return max(self.states).bit_length()
+
+    @property
+    def hailstone_index(self) -> int:
+        return self.lengths.index(self.max_length)
 
     @property
     def hailstone(self):
@@ -127,28 +140,13 @@ def run_trajectory(
     step = collatz_step if map_kind is MapKind.COLLATZ else reduced_step
 
     states = [state]
-    stopping_time = 0 if state == 1 else None
-    for n in range(1, max_steps + 1):
+    for _ in range(max_steps):
         state = step(state)
         states.append(state)
         if state == 1:
-            if stopping_time is None:
-                stopping_time = n
             break
-
-    lengths = [s.bit_length() for s in states]
-    iterates = states
-    if map_kind is MapKind.BINARY:
-        iterates = [BinaryFraction(s, ell) for s, ell in zip(states, lengths)]
-    max_length = max(lengths)
-    return TrajectoryRecord(
-        map_kind=map_kind,
-        iterates=iterates,
-        lengths=lengths,
-        stopping_time=stopping_time,
-        hailstone_index=lengths.index(max_length),
-        max_length=max_length,
-    )
+    stopping_time = 0 if states[0] == 1 else (len(states) - 1 if state == 1 else None)
+    return TrajectoryRecord(map_kind, states, stopping_time)
 
 
 _HEAD_LABELS = {"100": "h1", "101": "h2", "110": "h3", "111": "h4"}
@@ -225,13 +223,22 @@ def head_tail_classify(y: BinaryFraction) -> HeadTailReport:
 
 @dataclass
 class AuditSummary:
-    """Result of a randomized audit of the head/tail table at one length."""
+    """Result of a randomized audit of the head/tail table at one length.
+
+    Construction checks the arguments: ell >= 6 and samples >= 1.
+    """
 
     ell: int
     samples: int
     seed: int
     cell_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.ell < 6:
+            raise ValueError("audit needs ell >= 6")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
 
     @property
     def ok(self) -> bool:
@@ -242,19 +249,17 @@ def audit_length_deltas(samples: int, ell: int, seed: int = 0) -> AuditSummary:
     """Check random length-ell points against the head/tail table.
 
     For every sample the observed length change must fall inside its table
-    cell, and away from the ground-state predecessors it must decompose as
-    the arm's contribution (+1 low, +2 high) minus the 2-adic valuation of
-    3n+1.  Violations are collected with their digit-string witnesses.
+    cell, and it must decompose as the arm's contribution (+1 low, +2 high)
+    minus the 2-adic valuation of 3n+1.  This holds at a ground-state
+    predecessor too: there 3n+1 = 2**(ell+1), and the high-arm form
+    2 - (ell+1) is the step to 1/2.  Violations are collected with their
+    digit-string witnesses.
 
     Each sampled numerator n is classified by bit masks: its head is
-    n >> (ell - 3), its tail n & 7, and 3n+1 against 2**(ell+1) picks the
-    predecessor (equal) or the low arm (below).  :func:`head_tail_classify`
-    is the digit-string route for one point, and the tests' oracle here.
+    n >> (ell - 3), its tail n & 7, and 3n+1 below 2**(ell+1) picks the low
+    arm.  :func:`head_tail_classify` is the digit-string route for one
+    point, and the tests' oracle here.
     """
-    if ell < 6:
-        raise ValueError("audit needs ell >= 6")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     summary = AuditSummary(ell=ell, samples=samples, seed=seed)
     counts = summary.cell_counts
     cells = {
@@ -273,14 +278,13 @@ def audit_length_deltas(samples: int, ell: int, seed: int = 0) -> AuditSummary:
                 f"{n:b}: delta {delta} outside {cell} bounds ({lo}, {hi})"
             )
         t = 3 * n + 1
-        if t != ground:
-            arm = 1 if t < ground else 2
-            expected = arm - ((t & -t).bit_length() - 1)
-            if delta != expected:
-                summary.violations.append(
-                    f"{n:b}: delta {delta} != "
-                    f"arm {arm} minus valuation decomposition {expected}"
-                )
+        arm = 1 if t < ground else 2
+        expected = arm - ((t & -t).bit_length() - 1)
+        if delta != expected:
+            summary.violations.append(
+                f"{n:b}: delta {delta} != "
+                f"arm {arm} minus valuation decomposition {expected}"
+            )
     return summary
 
 
@@ -389,8 +393,9 @@ _MEMO_BITS = 25
 def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """Walk odd starts in [lo, hi); returns (count, max stop time, worst start).
 
-    Values at or above the memo bound are walked and not stored.  A stop
-    time past the int16 range raises OverflowError rather than wrapping.
+    A start whose stopping time exceeds ``step_cap`` raises
+    :class:`DivergenceError`.  Values at or above the memo bound are walked
+    and not stored.  A stop time past the int16 range raises OverflowError.
     """
     lo, hi, ell, step_cap = args
     bound = 1 << min(ell, _MEMO_BITS)
@@ -409,10 +414,12 @@ def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
                 if s >= 0:
                     break
             path.append(v)
-            if len(path) > step_cap:
+            if len(path) > step_cap:  # a runaway orbit
                 raise DivergenceError(x, step_cap)
             t = 3 * v + 1
             v = t >> ((t & -t).bit_length() - 1)
+        if s + len(path) > step_cap:  # however much of it the memo held
+            raise DivergenceError(x, step_cap)
         for u in reversed(path):
             s += 1
             if u < bound:
@@ -429,9 +436,10 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = 10**6) -> RangeVeri
 
     Reduced-map stopping times are computed with path memoization below
     2**25 (an int16 memo, at most 32 MiB per worker); the worst start is
-    the smallest one attaining the maximum.  An orbit that exceeds the step
-    cap raises :class:`DivergenceError` with its start as witness.  Worker count affects speed only, never the summary; it must
-    be >= 1 and is clamped to the CPU count.
+    the smallest one attaining the maximum.  A start whose stopping time
+    exceeds the step cap raises :class:`DivergenceError`, with the smallest
+    such start as witness.  Worker count affects speed only, never the
+    summary or the witness; it must be >= 1 and is clamped to the CPU count.
     """
     if not 1 <= ell <= 34:
         raise ValueError("verify_range supports 1 <= ell <= 34")

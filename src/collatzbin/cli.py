@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
+    AuditSummary,
     DivergenceError,
     MapKind,
     TrajectoryRecord,
@@ -58,25 +59,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def _row_fields(record: TrajectoryRecord, i: int) -> tuple[int, str, int]:
-    it = record.iterates[i]
-    if record.map_kind is MapKind.BINARY:
-        return it.numerator, it.to_bits(), it.length
-    return it, format(it, "b"), it.bit_length()
-
-
 def _step_parity_split(record: TrajectoryRecord) -> tuple[int, int]:
     """(odd steps, halving steps) taken along a classic-map trajectory."""
-    odd = sum(1 for v in record.iterates[:-1] if v % 2)
-    return odd, len(record.iterates) - 1 - odd
+    odd = sum(v & 1 for v in record.states[:-1])
+    return odd, len(record.states) - 1 - odd
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
     kind = MapKind(args.map)
-    start = _parse_start(args.start)
-    if kind is not MapKind.BINARY and not isinstance(start, int):
-        raise ValueError("digit-string starts apply to the binary map only")
-    record = run_trajectory(start, kind, args.max_steps)
+    record = run_trajectory(_parse_start(args.start), kind, args.max_steps)
     summary: dict[str, object] = {
         "stopping_time": record.stopping_time,
         "hailstone_index": record.hailstone_index,
@@ -91,32 +82,26 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
             "map": kind.value,
             **summary,
             "steps": [
-                {"step": i, "value": v, "bits": b, "length": n}
-                for i, (v, b, n) in (
-                    (i, _row_fields(record, i)) for i in range(len(record.iterates))
-                )
+                {"step": i, "value": v, "bits": f"{v:b}", "length": v.bit_length()}
+                for i, v in enumerate(record.states)
             ],
         }
         print(json.dumps(payload))
     else:
         print("step,value,bits,length")
-        for i in range(len(record.iterates)):
-            value, bits, length = _row_fields(record, i)
-            print(f"{i},{value},{bits},{length}")
+        for i, v in enumerate(record.states):
+            print(f"{i},{v},{v:b},{v.bit_length()}")
         for key, val in summary.items():
             print(f"# {key}={'none' if val is None else val}")
     return EXIT_OK
 
 
 def cmd_raster(args: argparse.Namespace) -> int:
-    start = _parse_start(args.start)
-    record = run_trajectory(start, MapKind.BINARY, args.max_steps)
-    rows = orbit_rows(record.iterates)
-    text = render_pbm(rows)
+    record = run_trajectory(_parse_start(args.start), MapKind.BINARY, args.max_steps)
+    text = render_pbm(orbit_rows(record.iterates))
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
-    width = max(len(r) for r in rows)
-    print(f"wrote {width}x{len(rows)} raster to {args.out}")
+    print(f"wrote {record.max_length}x{len(record.states)} raster to {args.out}")
     if record.capped:
         print(f"note: orbit capped after {args.max_steps} steps")
     return EXIT_OK
@@ -179,8 +164,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    lengths = _parse_int_list(args.ell)
+    for ell in lengths:
+        AuditSummary(ell, args.samples, args.seed)  # checks every length before any audit
     failed = False
-    for ell in _parse_int_list(args.ell):
+    for ell in lengths:
         summary = audit_length_deltas(args.samples, ell, seed=args.seed)
         print(f"ell={ell}: {summary.samples} samples, {len(summary.violations)} violations")
         for witness in summary.violations:

@@ -399,10 +399,32 @@ class TestVerifyRange:
         assert verify_range(9, workers=8) == verify_range(9)
 
     def test_step_cap_raises_with_witness(self):
+        # 9 -> 7 -> 11 -> 17 -> 13 -> 5 -> 1 is the first orbit longer than 5
         with pytest.raises(DivergenceError) as exc_info:
             verify_range(5, step_cap=5)
-        assert exc_info.value.start == 27
-        assert "27" in str(exc_info.value)
+        assert exc_info.value.start == 9
+        assert str(exc_info.value) == "orbit of 9 exceeded the step cap of 5"
+
+    def test_step_cap_bounds_the_stopping_time_at_any_worker_count(self, monkeypatch):
+        # the cap applies to each start's stopping time, not to the part of
+        # its walk that a chunk's memo has not seen yet
+        from collatzbin import harness
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for ell in (8, 10):
+            stops = {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
+            for step_cap in range(1, max(stops.values()) + 1):
+                over = [x for x, s in stops.items() if s > step_cap]
+                for workers in (1, 2):
+                    if not over:
+                        result = verify_range(ell, workers=workers, step_cap=step_cap)
+                        assert result.max_stopping_time == step_cap
+                        continue
+                    with pytest.raises(DivergenceError) as exc_info:
+                        verify_range(ell, workers=workers, step_cap=step_cap)
+                    assert exc_info.value.start == min(over)
+                    assert exc_info.value.step_cap == step_cap
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
