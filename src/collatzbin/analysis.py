@@ -19,6 +19,7 @@ from fractions import Fraction
 from .exact import BinaryFraction
 from .harness import fan_out, sample_numerators, worker_count
 from .maps import (
+    STEP_CAP,
     Branch,
     Family,
     binary_step,
@@ -114,10 +115,15 @@ class TrajectoryRecord:
         return self.stopping_time is None
 
 
+# a stored orbit may hold at most this many cells (states times the largest
+# bit length), which bounds its listing and its raster, at about 7 bytes a cell
+_MAX_CELLS = 2**24
+
+
 def run_trajectory(
     start: int | BinaryFraction,
     map_kind: MapKind = MapKind.BINARY,
-    max_steps: int = 10**6,
+    max_steps: int = STEP_CAP,
 ) -> TrajectoryRecord:
     """Follow one orbit until the ground state or the step budget.
 
@@ -125,6 +131,8 @@ def run_trajectory(
     already sits at the ground state gets stopping time 0 and is followed
     once around its cycle, within the budget: 1, 4, 2, 1 on the classic
     map, and the one step from the fixed point to itself on the others.
+    An orbit whose stored states times their largest bit length would pass
+    2**24 cells raises ValueError.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -140,9 +148,17 @@ def run_trajectory(
     step = collatz_step if map_kind is MapKind.COLLATZ else reduced_step
 
     states = [state]
+    width = state.bit_length()
     for _ in range(max_steps):
         state = step(state)
         states.append(state)
+        if state.bit_length() > width:
+            width = state.bit_length()
+        if len(states) * width > _MAX_CELLS:
+            raise ValueError(
+                f"orbit listing passes {_MAX_CELLS} cells (states x largest bit length) "
+                f"at step {len(states) - 1}, {width} bits wide"
+            )
         if state == 1:
             break
     stopping_time = 0 if states[0] == 1 else (len(states) - 1 if state == 1 else None)
@@ -431,7 +447,7 @@ def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
     return count, best, worst
 
 
-def verify_range(ell: int, workers: int = 1, step_cap: int = 10**6) -> RangeVerification:
+def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeVerification:
     """Prove every odd start below 2**ell reaches the ground state.
 
     Reduced-map stopping times are computed with path memoization below
@@ -480,7 +496,7 @@ class FamilyProbe:
         return max(self.stopping_times.values()) if self.stopping_times else None
 
 
-def family_orbit_probe(kind: Family, k_max: int, step_cap: int = 10**6) -> FamilyProbe:
+def family_orbit_probe(kind: Family, k_max: int, step_cap: int = STEP_CAP) -> FamilyProbe:
     """Stopping times of the 111000-block family members for 1 <= k <= k_max.
 
     Members whose orbits outlast the step cap are flagged as unresolved

@@ -21,7 +21,6 @@ from .analysis import (
     AuditSummary,
     DivergenceError,
     MapKind,
-    TrajectoryRecord,
     audit_length_deltas,
     epsilon_bound,
     family_orbit_probe,
@@ -31,7 +30,7 @@ from .analysis import (
 )
 from .exact import BinaryFraction, to_decimal
 from .harness import ExperimentConfig, run_table, write_csv
-from .maps import Family, critical_point
+from .maps import STEP_CAP, Family, critical_point
 from .raster import orbit_rows, render_pbm
 
 __all__ = ["main"]
@@ -59,10 +58,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def _step_parity_split(record: TrajectoryRecord) -> tuple[int, int]:
-    """(odd steps, halving steps) taken along a classic-map trajectory."""
-    odd = sum(v & 1 for v in record.states[:-1])
-    return odd, len(record.states) - 1 - odd
+_COLUMNS = ("step", "value", "bits", "length")
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
@@ -73,26 +69,21 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "hailstone_index": record.hailstone_index,
         "max_length": record.max_length,
     }
-    if kind is MapKind.COLLATZ:
-        odd, halving = _step_parity_split(record)
-        summary["odd_steps"] = odd
-        summary["halving_steps"] = halving
+    if kind is MapKind.COLLATZ:  # each classic step either triples (odd) or halves
+        summary["odd_steps"] = odd = sum(v & 1 for v in record.states[:-1])
+        summary["halving_steps"] = len(record.states) - 1 - odd
+    rows = [(i, v, f"{v:b}", v.bit_length()) for i, v in enumerate(record.states)]
+    # rendered whole before printing, so a row that cannot be formatted prints nothing
     if args.format == "json":
-        payload = {
-            "map": kind.value,
-            **summary,
-            "steps": [
-                {"step": i, "value": v, "bits": f"{v:b}", "length": v.bit_length()}
-                for i, v in enumerate(record.states)
-            ],
-        }
-        print(json.dumps(payload))
+        steps = [dict(zip(_COLUMNS, row)) for row in rows]
+        text = json.dumps({"map": kind.value, **summary, "steps": steps})
     else:
-        print("step,value,bits,length")
-        for i, v in enumerate(record.states):
-            print(f"{i},{v},{v:b},{v.bit_length()}")
-        for key, val in summary.items():
-            print(f"# {key}={'none' if val is None else val}")
+        text = "\n".join([
+            ",".join(_COLUMNS),
+            *(",".join(map(str, row)) for row in rows),
+            *(f"# {key}={'none' if val is None else val}" for key, val in summary.items()),
+        ])
+    print(text)
     return EXIT_OK
 
 
@@ -209,16 +200,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="list one orbit with its length profile")
     p.add_argument("--start", required=True, help="integer, or bits:<digits> for the binary map")
-    p.add_argument("--map", choices=["b", "r", "c"], default="b",
+    p.add_argument("--map", choices=[m.value for m in MapKind], default=MapKind.BINARY.value,
                    help="binary interval map, reduced integer map, or classic map")
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=int, default=STEP_CAP)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("raster", help="render a binary-map orbit as a PBM bit image")
     p.add_argument("--start", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=int, default=STEP_CAP)
     p.set_defaults(func=cmd_raster)
 
     p = sub.add_parser("kstar", help="scan for the first non-excluded period horizon")
@@ -229,15 +220,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify all odd starts below 2^ell")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--step-cap", type=int, default=10**6)
+    p.add_argument("--step-cap", type=int, default=STEP_CAP)
     p.set_defaults(func=cmd_verify)
 
+    table = ExperimentConfig()
     p = sub.add_parser("table1", help="random-orbit worst-case table, CSV output")
-    p.add_argument("--lengths", default="50,100")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=20250815)
-    p.add_argument("--step-cap", type=int, default=10**6)
+    p.add_argument("--lengths", default=",".join(map(str, table.lengths)))
+    p.add_argument("--samples", type=int, default=table.samples)
+    p.add_argument("--runs", type=int, default=table.runs)
+    p.add_argument("--seed", type=int, default=table.master_seed)
+    p.add_argument("--step-cap", type=int, default=table.step_cap)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table1)
@@ -249,9 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("families", help="probe the 111000-block start families")
-    p.add_argument("--kind", choices=["alpha", "beta", "gamma"], required=True)
+    p.add_argument("--kind", choices=[f.name.lower() for f in Family], required=True)
     p.add_argument("--k-max", type=int, default=100)
-    p.add_argument("--step-cap", type=int, default=10**6)
+    p.add_argument("--step-cap", type=int, default=STEP_CAP)
     p.set_defaults(func=cmd_families)
 
     return parser

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .exact import BinaryFraction
-from .maps import orbit_extents
+from .maps import STEP_CAP, orbit_extents
 
 __all__ = [
     "CSV_HEADER",
@@ -162,7 +162,7 @@ class ExperimentConfig:
     samples: int = 500
     runs: int = 10
     master_seed: int = 20250815
-    step_cap: int = 10**6
+    step_cap: int = STEP_CAP
 
     def __post_init__(self) -> None:
         if not self.lengths or any(ell < 3 for ell in self.lengths):
@@ -221,7 +221,7 @@ def run_cell(
     samples: int,
     runs: int,
     master_seed: int,
-    step_cap: int = 10**6,
+    step_cap: int = STEP_CAP,
     workers: int = 1,
 ) -> CellSummary:
     """Worst case over `runs` independent runs of `samples` random orbits each.

@@ -24,6 +24,7 @@ from .exact import BinaryFraction, two_adic_valuation
 __all__ = [
     "Branch",
     "Family",
+    "STEP_CAP",
     "binary_step",
     "circle_iterate",
     "circle_preimage",
@@ -39,6 +40,8 @@ __all__ = [
     "reduced_step",
 ]
 
+# the default step budget of every orbit walk, in the library and the CLI
+STEP_CAP = 10**6
 _TWO_THIRDS = Fraction(2, 3)
 
 

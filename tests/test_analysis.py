@@ -4,6 +4,7 @@ exclusion scan, exhaustive range verification, and the family probes.
 Wherever a closed form or a memoized computation is under test, a plain
 brute-force route computes the same quantity independently."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,20 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(31, max_steps=0)
 
+    def test_stored_orbit_is_bounded_in_cells(self, monkeypatch):
+        from collatzbin import analysis
+
+        # 2**2000 - 1 climbs to 3170 bits over 9827 states, about 31M cells
+        with pytest.raises(ValueError, match="16777216 cells"):
+            run_trajectory(bf("1" * 2000))
+        assert run_trajectory(bf("1" * 200)).max_length == 317  # 980 states
+        # the orbit of 31 is 40 states, at most 12 bits wide: 480 cells
+        monkeypatch.setattr(analysis, "_MAX_CELLS", 480)
+        assert run_trajectory(31).stopping_time == 39
+        monkeypatch.setattr(analysis, "_MAX_CELLS", 479)
+        with pytest.raises(ValueError, match="479 cells"):
+            run_trajectory(31)
+
 
 class TestHeadTailTable:
     def test_classification_examples(self):
@@ -133,6 +148,8 @@ class TestHeadTailTable:
         assert (rep.head, rep.tail) == ("h4", "t4")
         assert (rep.predicted_min, rep.predicted_max) == (1, 1)
         assert rep.observed_delta == 1
+        assert not replace(rep, observed_delta=0).within_bounds()
+        assert not replace(rep, observed_delta=2).within_bounds()
 
         rep = head_tail_classify(bf("100001"))
         assert (rep.head, rep.tail) == ("h1", "t1")

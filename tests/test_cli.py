@@ -85,6 +85,20 @@ class TestTrajectory:
         assert code == 0
         assert summary_value(out, "stopping_time") == "none"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_partial_listing(self, capsys, tmp_path, fmt):
+        # a 14301-bit ground-state predecessor: its first value has 4305
+        # decimal digits, past Python's integer string conversion limit
+        start = "bits:1" + "01" * 7150
+        code, out, err = run_cli(capsys, "trajectory", "--start", start, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+        code, out, _ = run_cli(capsys, "raster", "--start", start,
+                               "--out", str(tmp_path / "pred.pbm"))
+        assert code == 0
+        assert out.startswith("wrote 14301x2 raster")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -113,6 +127,24 @@ class TestRaster:
         assert len(rows) == 358
         assert rows[0] == format(63728127, "b")
         assert rows[-1] == "1"
+        code, out, _ = run_cli(
+            capsys, "raster", "--start", "27", "--max-steps", "5", "--out", str(out_path)
+        )
+        assert code == 0
+        assert out == (f"wrote 7x6 raster to {out_path}\n"
+                       "note: orbit capped after 5 steps\n")
+
+    def test_huge_start_is_refused_before_any_output(self, capsys, tmp_path):
+        # 2**2000 - 1 would store about 31M cells, past the 2**24 bound
+        start = "bits:" + "1" * 2000
+        out_path = tmp_path / "huge.pbm"
+        code, out, err = run_cli(capsys, "raster", "--start", start, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "16777216 cells" in err
+        assert not out_path.exists()
+        code, out, err = run_cli(capsys, "trajectory", "--start", start)
+        assert (code, out) == (2, "")
+        assert "16777216 cells" in err
 
     def test_unwritable_path_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -197,6 +229,27 @@ class TestScansAndAudits:
         code, out, _ = run_cli(capsys, "families", "--kind", "alpha", "--k-max", "50")
         assert code == 0
         assert "all 50 members stop in exactly 2 steps" in out
+
+    def test_families_alpha_violations_exit_one(self, capsys, monkeypatch):
+        from collatzbin import cli
+
+        code, out, err = run_cli(capsys, "families", "--kind", "alpha", "--k-max", "3",
+                                 "--step-cap", "1")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"violation: alpha k={k} unresolved at step cap" for k in (1, 2, 3)
+        ]
+        true_probe = cli.family_orbit_probe
+
+        def slow_probe(kind, k_max, step_cap):
+            probe = true_probe(kind, k_max, step_cap)
+            probe.stopping_times[2] = 3
+            return probe
+
+        monkeypatch.setattr(cli, "family_orbit_probe", slow_probe)
+        code, out, err = run_cli(capsys, "families", "--kind", "beta", "--k-max", "3")
+        assert (code, out) == (1, "")
+        assert err == "violation: beta k=2 stopped in 3 steps, expected 2\n"
 
     def test_families_gamma_with_cap(self, capsys):
         code, out, _ = run_cli(

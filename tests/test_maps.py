@@ -223,6 +223,8 @@ class TestCircleMap:
         assert circle_preimage(Fraction(3, 4)) == Fraction(1, 2)
         assert circle_preimage(Fraction(1, 2)) == Fraction(2, 3)
         assert circle_preimage(Fraction(9, 16)) == Fraction(3, 4)
+        with pytest.raises(ValueError):
+            circle_preimage(Fraction(1, 4))
 
     def test_mu_examples_and_bracketing(self):
         assert mu(1) == 1
@@ -241,6 +243,8 @@ class TestCircleMap:
         assert to_decimal(critical_point(600), 6) == "0.507858"
         for k in range(1, 301):
             assert Fraction(1, 2) < critical_point(k) < 1
+        with pytest.raises(ValueError):
+            critical_point(0)
 
     def test_iterate_examples(self):
         assert circle_iterate(Fraction(1, 2), 2) == Fraction(9, 16)
