@@ -8,7 +8,12 @@ Three layers, all exact:
   conjugate to the reduced map under the embedding ``embed``: the
   numerator of the image of n / 2**ell is the reduced step m of n, and its
   length is the bit length of m.  So one integer kernel, ``orbit_extents``,
-  follows orbits of both maps;
+  follows orbits of both maps.  It jumps by Terras's block identity: with
+  T(n) = (3n+1)/2 for odd n and n/2 for even n, and c(b) the number of odd
+  steps among the first K steps of T from b < 2**K,
+  T^K(2**K a + b) = 3**c(b) a + T^K(b), and for odd n = 2**K a + b the
+  odd part of T^K(n) is c(b) reduced steps on from n (Terras, Acta Arith.
+  30, 1976; Lagarias, Amer. Math. Monthly 92, 1985);
 * the piecewise-linear circle map ``circle_step`` (slopes 3/2 and 3/4)
   that the interval map tracks up to an explicit error, together with its
   closed-form iterates, critical points, and inverse.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .exact import BinaryFraction, two_adic_valuation
 
@@ -42,6 +48,9 @@ __all__ = [
 
 # the default step budget of every orbit walk, in the library and the CLI
 STEP_CAP = 10**6
+# orbit_extents jumps this many steps of T at a time through a 2**K-entry table
+_JUMP_BITS = 10
+_JUMP_MASK = (1 << _JUMP_BITS) - 1
 _TWO_THIRDS = Fraction(2, 3)
 
 
@@ -81,6 +90,36 @@ def reduced_step(x: int) -> int:
     return _reduce(x)
 
 
+@cache
+def _jump_table() -> list[tuple[int, int, int, int, tuple[tuple[int, int], ...]] | None]:
+    """For each residue b mod 2**K, the jump over K steps of T from 2**K a + b.
+
+    Entry b, for odd b (the even entries are None, as every state is odd),
+    is ``(c, 3**c, T^K(b), bound, candidates)``: c is the number of
+    odd steps among the first K, ``candidates`` the pairs
+    ``(3**c_j * 2**(K-j), T^j(b))`` of the odd T^j(b) with 0 < j < K whose
+    multiplier has the largest bit length among them, and ``bound`` is that
+    bit length minus K (0 when there are none).  Built on the first call of
+    :func:`orbit_extents`, not at import.
+    """
+    powers = [3**c for c in range(_JUMP_BITS + 1)]
+    table: list = [None] * (1 << _JUMP_BITS)
+    for b in range(1, 1 << _JUMP_BITS, 2):
+        x, c, odd = b, 0, []
+        for j in range(_JUMP_BITS):
+            if x & 1:
+                if j:
+                    odd.append((powers[c] << (_JUMP_BITS - j), x))
+                x = (3 * x + 1) >> 1
+                c += 1
+            else:
+                x >>= 1
+        top = max((m.bit_length() for m, _ in odd), default=_JUMP_BITS)
+        candidates = tuple((m, r) for m, r in odd if m.bit_length() == top)
+        table[b] = (c, powers[c], x, top - _JUMP_BITS, candidates)
+    return table
+
+
 def orbit_extents(n: int, step_cap: int) -> tuple[int, int, bool]:
     """(max bit length, steps to 1, capped?) for the reduced orbit of odd n.
 
@@ -88,14 +127,53 @@ def orbit_extents(n: int, step_cap: int) -> tuple[int, int, bool]:
     n / 2**len(n): each iterate's length is its numerator's bit length, and
     1 is the ground state 1/2.  The orbit is capped when it has not reached
     1 after ``step_cap`` steps.
+
+    The orbit moves K = ``_JUMP_BITS`` steps of T at a time by the block
+    identity (see the module docstring): with a = n >> K and b = n mod 2**K,
+    ``y = 3**c a + T^K(b)`` takes c reduced steps, and the odd part of y is
+    the next state.  Single steps are taken only below 2**K and where a jump
+    could pass the step cap, so every result is the single-step loop's:
+
+    * No iterate inside a jump is 1.  For j < K,
+      T^j(n) = 3**c_j 2**(K-j) a + T^j(b) >= 2**(K-j) a >= 2, so the first
+      state equal to 1 can only be the odd part of y, and the step count c
+      is exact.
+    * Only the candidates can hold the block's largest length.  By induction
+      on j, T^j(b) < A_j = 3**c_j 2**(K-j) (b < 2**K = A_0; an even step
+      halves both sides, and an odd step maps x <= A_j - 1 to
+      (3x+1)/2 <= 3 A_j / 2 - 1).  So an odd iterate
+      v = A_j a + T^j(b) has A_j a <= v < A_j (a+1) <= A_j 2**len(a), and
+      len(v) lies in [len(A_j) + len(a) - 1, len(A_j) + len(a)].  With L
+      the largest len(A_j), a candidate (len(A_j) = L) has length at least
+      L + len(a) - 1, which no other odd iterate exceeds, and no iterate in
+      the block is longer than L + len(a).  So the candidates are evaluated
+      only when that bound passes the maximum so far.
     """
-    max_len = n.bit_length()
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"orbit_extents needs a positive odd integer, got {n}")
+    if step_cap < 1:
+        raise ValueError(f"orbit_extents needs step_cap >= 1, got {step_cap}")
+    table = _jump_table()
+    last_jump = step_cap - _JUMP_BITS  # a jump from here still ends within the cap
+    ell = max_len = n.bit_length()
     steps = 0
     while n != 1:
-        if steps >= step_cap:
+        a = n >> _JUMP_BITS
+        if a and steps <= last_jump:
+            c, power, tail, bound, candidates = table[n & _JUMP_MASK]
+            if ell + bound > max_len:
+                for m, r in candidates:
+                    inner = (m * a + r).bit_length()
+                    if inner > max_len:
+                        max_len = inner
+            y = power * a + tail
+            n = y >> ((y & -y).bit_length() - 1)
+            steps += c
+        elif steps >= step_cap:
             return max_len, steps, True
-        n = _reduce(n)
-        steps += 1
+        else:
+            n = _reduce(n)
+            steps += 1
         ell = n.bit_length()
         if ell > max_len:
             max_len = ell

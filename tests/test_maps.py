@@ -4,12 +4,15 @@ ways: against the explicit rational formula for each arm, and against the
 reduced integer map through the embedding."""
 
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collatzbin import maps
 from collatzbin.exact import GROUND_STATE, BinaryFraction, compare, to_decimal
 from collatzbin.maps import (
     Branch,
@@ -179,7 +182,107 @@ def binary_walk(y: BinaryFraction, cap: int) -> tuple[int, int, bool]:
     return max_len, steps, False
 
 
+def single_step_lengths(n: int) -> list[int]:
+    """Bit lengths along the reduced orbit of odd n down to 1, one reduced
+    step per pass: the reference for orbit_extents' jumps."""
+    lengths = [n.bit_length()]
+    while n != 1:
+        n = reduced_step(n)
+        lengths.append(n.bit_length())
+    return lengths
+
+
+def assert_matches_single_steps(n: int) -> None:
+    """orbit_extents(n, cap) against the reference at every cap from
+    stop - 2K - 2 to stop, where a jump can meet the cap, and at 10**6."""
+    lengths = single_step_lengths(n)
+    stop = len(lengths) - 1
+    caps = range(max(1, stop - 2 * maps._JUMP_BITS - 2), stop + 1)
+    for cap in (*caps, 10**6):
+        steps = min(cap, stop)
+        assert orbit_extents(n, cap) == (max(lengths[: steps + 1]), steps, cap < stop), cap
+
+
+def t_block(x: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """K direct steps of T from x: the number of odd steps, T^K(x), and the
+    pairs (3**c_j * 2**(K-j), T^j(x)) of the odd T^j(x) with 0 < j < K."""
+    K = maps._JUMP_BITS
+    odd_steps, inner = 0, []
+    for j in range(K):
+        if j and x % 2:
+            inner.append((3**odd_steps * 2 ** (K - j), x))
+        odd_steps += x % 2
+        x = (3 * x + 1) // 2 if x % 2 else x // 2
+    return odd_steps, x, inner
+
+
 class TestOrbitExtents:
+    def test_rejects_bad_input(self):
+        # each of these returned an answer for some other orbit, or none
+        for n, cap in ((0, 5), (-1, 10), (6, 10**6), (7, 0)):
+            with pytest.raises(ValueError):
+                orbit_extents(n, cap)
+
+    @given(st.integers(min_value=0, max_value=2**1299).map(lambda m: 2 * m + 1))
+    def test_matches_single_steps(self, n):
+        assert_matches_single_steps(n)
+
+    def test_matches_single_steps_on_structured_starts(self):
+        # small starts cross between single steps and jumps; all-ones starts
+        # climb for their whole length, so the maximum often falls strictly
+        # inside a jump
+        for n in range(1, 1 << (maps._JUMP_BITS + 2), 2):
+            assert_matches_single_steps(n)
+        for k in range(1, 201):
+            assert_matches_single_steps(family_member(Family.GAMMA, k).numerator)
+        for b in range(1, 401):
+            assert_matches_single_steps((1 << b) - 1)
+
+    def test_jump_table_against_direct_steps(self):
+        K = maps._JUMP_BITS
+        table = maps._jump_table()
+        assert len(table) == 1 << K
+        assert table[::2] == [None] * (1 << (K - 1))
+        for b in range(1, 1 << K, 2):
+            c, power, tail, bound, candidates = table[b]
+            odd_steps, end, inner = t_block(b)
+            assert (c, power, tail) == (odd_steps, 3**c, end)
+            top = max((m.bit_length() for m, _ in inner), default=K)
+            assert bound == top - K
+            assert candidates == tuple(p for p in inner if p[0].bit_length() == top)
+
+    @given(
+        st.integers(min_value=1, max_value=2**300),
+        st.integers(min_value=0, max_value=(1 << (maps._JUMP_BITS - 1)) - 1).map(lambda m: 2 * m + 1),
+    )
+    def test_block_identity(self, a, b):
+        K = maps._JUMP_BITS
+        c, power, tail, bound, candidates = maps._jump_table()[b]
+        n = (a << K) + b
+        odd_steps, end, pairs = t_block(n)
+        assert (odd_steps, end) == (c, power * a + tail)
+        # the candidates are inner odd iterates and hold the longest of them,
+        # and none is longer than the bound
+        inner = [v for _, v in pairs]
+        values = [m * a + r for m, r in candidates]
+        assert set(values) <= set(inner)
+        if inner:
+            longest = max(v.bit_length() for v in inner)
+            assert max(v.bit_length() for v in values) == longest
+            assert longest <= n.bit_length() + bound
+
+    def test_jump_table_is_built_on_first_use(self):
+        code = (
+            "import collatzbin, collatzbin.cli\n"
+            "from collatzbin import maps\n"
+            "assert maps._jump_table.cache_info().currsize == 0\n"
+            "maps.orbit_extents(27, 10**6)\n"
+            "maps.orbit_extents(2**100 - 1, 10**6)\n"
+            "assert maps._jump_table.cache_info().misses == 1\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_ground_state(self):
         for cap in (1, 2, 10**6):
             assert orbit_extents(1, cap) == (1, 0, False)
