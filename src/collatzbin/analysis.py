@@ -15,9 +15,10 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .exact import BinaryFraction
-from .harness import fan_out, sample_numerators, worker_count
+from .harness import fan_out, sample_numerators
 from .maps import (
     STEP_CAP,
     Branch,
@@ -406,14 +407,13 @@ class RangeVerification:
 _MEMO_BITS = 25
 
 
-def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
-    """Walk odd starts in [lo, hi); returns (count, max stop time, worst start).
+def _verify_chunk(starts: range, ell: int, step_cap: int) -> tuple[int, int, int]:
+    """Walk a range of ascending odd starts; returns (count, max stop time, worst start).
 
     A start whose stopping time exceeds ``step_cap`` raises
     :class:`DivergenceError`.  Values at or above the memo bound are walked
     and not stored.  A stop time past the int16 range raises OverflowError.
     """
-    lo, hi, ell, step_cap = args
     bound = 1 << min(ell, _MEMO_BITS)
     # memoized stop times for odd values below the bound, indexed by (v-1)/2
     memo = array("h", [-1]) * (bound >> 1)
@@ -421,7 +421,7 @@ def _verify_chunk(args: tuple[int, int, int, int]) -> tuple[int, int, int]:
     best = -1
     worst = 0
     count = 0
-    for x in range(lo, hi, 2):
+    for x in starts:
         path = []
         v = x
         while True:
@@ -461,12 +461,9 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
         raise ValueError("verify_range supports 1 <= ell <= 34")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
-    odd_count = 1 << (ell - 1)
-    n_chunks = min(worker_count(workers), odd_count)
-    edges = [1 + 2 * (odd_count * i // n_chunks) for i in range(n_chunks + 1)]
-    jobs = [(edges[i], edges[i + 1], ell, step_cap) for i in range(n_chunks)]
-    results = fan_out(_verify_chunk, jobs, n_chunks)
-    # starts ascend within and across chunks, so the first maximum is the smallest start
+    starts = range(1, 1 << ell, 2)
+    results = fan_out(partial(_verify_chunk, ell=ell, step_cap=step_cap), starts, workers)
+    # starts ascend within and across slices, so the first maximum is the smallest start
     _, best, worst = max(results, key=lambda r: r[1])
     total = sum(r[0] for r in results)
     return RangeVerification(

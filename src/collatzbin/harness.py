@@ -3,8 +3,8 @@
 Randomness comes from a small splitmix64 generator with per-sample seeds
 derived from (master seed, run index, sample index), so results are
 identical across platforms and across worker counts: every sample is a pure
-function of its coordinates, and cell statistics are maxima, which merge in
-any order.
+function of its coordinates, and cell statistics are maxima and sums, which
+merge in any order.  :func:`fan_out` gives each worker one contiguous slice.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .exact import BinaryFraction
 from .maps import STEP_CAP, orbit_extents
@@ -117,41 +118,21 @@ class CellSummary:
 CSV_HEADER = ",".join(f.name for f in fields(CellSummary))
 
 
-def _run_one(args: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
-    """One run of `samples` orbits; returns (max length delta, max stop, capped)."""
-    ell, samples, master_seed, run, step_cap = args
-    max_delta = 0
-    max_stop = 0
-    capped = 0
-    for n in sample_numerators(ell, master_seed, run, samples):
-        max_len, steps, hit_cap = orbit_extents(n, step_cap)
-        if hit_cap:
-            capped += 1
-            continue
-        if max_len - ell > max_delta:
-            max_delta = max_len - ell
-        if steps > max_stop:
-            max_stop = steps
-    return max_delta, max_stop, capped
+def fan_out(fn, items: range, workers: int) -> list:
+    """fn of each of n contiguous slices of ``items``, in order.
 
-
-def worker_count(workers: int) -> int:
-    """A requested worker count, checked to be >= 1 and clamped to the CPU count."""
+    n is ``workers`` (>= 1) clamped to the CPU count and to ``len(items)``.
+    With n > 1 each slice is one pool task, so ``fn`` must pickle: a
+    module-level function or a :func:`functools.partial` of one.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
-
-
-def fan_out(fn, jobs: list, workers: int) -> list:
-    """fn applied to each job, in order; in a process pool when workers > 1.
-
-    The pool gets at most one process per job and per CPU.
-    """
-    workers = min(worker_count(workers), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+    n = min(workers, os.cpu_count() or 1, len(items))
+    slices = [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            return list(pool.map(fn, slices))
+    return [fn(part) for part in slices]
 
 
 @dataclass
@@ -183,34 +164,54 @@ class ExperimentSummary:
         return "\n".join(rows) + "\n"
 
 
+def _run_slice(pairs: range, config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """(max length delta, max stop time, capped count) per length over some pairs.
+
+    Pair i is run ``i // L`` of length ``config.lengths[i % L]``.  A length
+    no pair reaches keeps (0, 0, 0), where every run's maxima start.
+    """
+    lengths, step_cap = config.lengths, config.step_cap
+    cells = [(0, 0, 0)] * len(lengths)
+    for i in pairs:
+        run, j = divmod(i, len(lengths))
+        ell = lengths[j]
+        max_delta, max_stop, capped = cells[j]
+        for n in sample_numerators(ell, config.master_seed, run, config.samples):
+            max_len, steps, hit_cap = orbit_extents(n, step_cap)
+            if hit_cap:
+                capped += 1
+                continue
+            if max_len - ell > max_delta:
+                max_delta = max_len - ell
+            if steps > max_stop:
+                max_stop = steps
+        cells[j] = (max_delta, max_stop, capped)
+    return cells
+
+
 def run_table(config: ExperimentConfig, workers: int = 1) -> ExperimentSummary:
     """Run every cell of the configured table; deterministic given the config.
 
-    Every (length, run) pair is one job, and all of them go through one
-    :func:`fan_out`.  Orbits that hit the step cap are counted in
-    ``capped_count`` and excluded from the maxima.  Results do not depend on
-    ``workers``, which must be >= 1 and is clamped to the CPU count.
+    One :func:`fan_out` over the (length, run) pairs, numbered run by run,
+    gives each worker about runs/workers runs of every length; their
+    per-length triples merge by max, max and sum, so memory does not grow
+    with ``runs``.  Capped orbits are counted in ``capped_count`` and kept
+    out of the maxima.  Results do not depend on ``workers`` (>= 1).
     """
-    runs = config.runs
-    jobs = [
-        (ell, config.samples, config.master_seed, run, config.step_cap)
-        for ell in config.lengths
-        for run in range(runs)
-    ]
-    results = fan_out(_run_one, jobs, workers)
+    pairs = range(config.runs * len(config.lengths))
+    results = fan_out(partial(_run_slice, config=config), pairs, workers)
     summary = ExperimentSummary(config=config)
-    for i, ell in enumerate(config.lengths):
-        cell = results[i * runs : (i + 1) * runs]
+    for ell, parts in zip(config.lengths, zip(*results)):
         summary.cells.append(
             CellSummary(
                 length=ell,
                 samples=config.samples,
-                runs=runs,
-                max_length_delta=max(r[0] for r in cell),
-                max_stop_time=max(r[1] for r in cell),
+                runs=config.runs,
+                max_length_delta=max(p[0] for p in parts),
+                max_stop_time=max(p[1] for p in parts),
                 seed=config.master_seed,
                 rng_id=RNG_ID,
-                capped_count=sum(r[2] for r in cell),
+                capped_count=sum(p[2] for p in parts),
             )
         )
     return summary

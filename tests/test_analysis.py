@@ -397,7 +397,7 @@ class TestVerifyRange:
         x = 2**33 + 1
         tracemalloc.start()
         try:
-            result = _verify_chunk((x, x + 2, 34, 10**6))
+            result = _verify_chunk(range(x, x + 2, 2), 34, 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -175,9 +175,10 @@ class TestTable:
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and job counts, runs jobs in-process."""
 
     requested: list[int] = []
+    mapped: list[int] = []
 
     def __init__(self, max_workers):
         self.requested.append(max_workers)
@@ -189,6 +190,7 @@ class RecordingPool:
         return False
 
     def map(self, fn, jobs):
+        self.mapped.append(len(jobs))
         return [fn(job) for job in jobs]
 
 
@@ -210,12 +212,63 @@ def test_worker_counts_are_clamped_to_the_cpu_count(monkeypatch):
 
 
 def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch):
-    from collatzbin import harness
+    from collatzbin import analysis, harness
 
-    cfg = ExperimentConfig(lengths=(8, 12), samples=50, runs=2)
-    serial = run_table(cfg)
-    monkeypatch.setattr(RecordingPool, "requested", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    assert run_table(cfg, workers=2) == serial
-    assert RecordingPool.requested == [2]
+    # one pool task per worker, however many (length, run) pairs there are
+    for cfg in (
+        ExperimentConfig(lengths=(8, 12), samples=50, runs=2),
+        ExperimentConfig(lengths=(8, 12), samples=1, runs=1000),
+    ):
+        serial = run_table(cfg)
+        monkeypatch.setattr(RecordingPool, "requested", [])
+        monkeypatch.setattr(RecordingPool, "mapped", [])
+        assert run_table(cfg, workers=2) == serial
+        assert RecordingPool.requested == [2]
+        assert RecordingPool.mapped == [2]
+    serial_range = analysis.verify_range(12)
+    monkeypatch.setattr(RecordingPool, "mapped", [])
+    assert analysis.verify_range(12, workers=2) == serial_range
+    assert RecordingPool.mapped == [2]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # 9 pairs: two workers split the second run
+        ExperimentConfig(lengths=(8, 12, 16), samples=20, runs=3),
+        # one run: each slice holds a single length
+        ExperimentConfig(lengths=(8, 12), samples=20, runs=1),
+        # capped counts sum across slices
+        ExperimentConfig(lengths=(40,), samples=10, runs=2, step_cap=10),
+    ],
+    ids=["mid-run", "one-length-a-slice", "capped"],
+)
+def test_uneven_slices_merge_to_the_serial_table(monkeypatch, cfg, cpus):
+    from collatzbin import harness
+
+    serial = run_table(cfg)
+    monkeypatch.setattr(RecordingPool, "mapped", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    assert run_table(cfg, workers=cpus) == serial
+    assert RecordingPool.mapped == [min(cpus, cfg.runs * len(cfg.lengths))]
+    if cfg.step_cap == 10:
+        assert serial.cells[0].capped_count > 0
+
+
+def test_a_serial_tables_memory_does_not_grow_with_its_runs():
+    import tracemalloc
+
+    cfg = ExperimentConfig(lengths=(3,), samples=1, runs=10_000)
+    tracemalloc.start()
+    try:
+        cell = run_table(cfg).cells[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cell.max_length_delta, cell.max_stop_time, cell.capped_count) == (2, 5, 0)
+    # a job and a result per run would take about 2.1 MiB here
+    assert peak < 2**20
