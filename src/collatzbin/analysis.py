@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from .exact import BinaryFraction
-from .harness import fan_out, sample_numerators
+from .harness import MAX_SAMPLE_LENGTH, fan_out, sample_numerators
 from .maps import (
     STEP_CAP,
     Branch,
@@ -242,7 +242,8 @@ def head_tail_classify(y: BinaryFraction) -> HeadTailReport:
 class AuditSummary:
     """Result of a randomized audit of the head/tail table at one length.
 
-    Construction checks the arguments: ell >= 6 and samples >= 1.
+    Construction checks the arguments: 6 <= ell <= ``MAX_SAMPLE_LENGTH`` and
+    samples >= 1.
     """
 
     ell: int
@@ -254,6 +255,8 @@ class AuditSummary:
     def __post_init__(self) -> None:
         if self.ell < 6:
             raise ValueError("audit needs ell >= 6")
+        if self.ell > MAX_SAMPLE_LENGTH:
+            raise ValueError(f"audit needs ell <= MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
@@ -506,9 +509,9 @@ def family_orbit_probe(kind: Family, k_max: int, step_cap: int = STEP_CAP) -> Fa
     probe = FamilyProbe(kind=kind, k_max=k_max, step_cap=step_cap)
     for k in range(1, k_max + 1):
         y = family_member(kind, k)
-        _, steps, capped = orbit_extents(y.numerator, step_cap)
-        if capped:
+        extents = orbit_extents(y.numerator, step_cap)
+        if extents is None:
             probe.unresolved.append(k)
         else:
-            probe.stopping_times[k] = steps
+            probe.stopping_times[k] = extents[1]
     return probe

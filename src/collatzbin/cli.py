@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -48,7 +49,13 @@ def _parse_start(text: str) -> int | BinaryFraction:
     try:
         return int(text, 10)
     except ValueError:
-        raise ValueError(f"start must be an integer or bits:<digits>, got {text!r}") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):  # only the digit limit refuses these
+            raise ValueError(
+                f"start {shown} passes Python's limit of {sys.get_int_max_str_digits()}"
+                " digits for integer strings; give it in binary as bits:<digits>"
+            ) from None
+        raise ValueError(f"start must be an integer or bits:<digits>, got {shown}") from None
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

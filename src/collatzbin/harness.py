@@ -23,6 +23,7 @@ __all__ = [
     "CellSummary",
     "ExperimentConfig",
     "ExperimentSummary",
+    "MAX_SAMPLE_LENGTH",
     "RNG_ID",
     "derive_seed",
     "run_cell",
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 RNG_ID = "splitmix64"
+# the longest sampled length: drawing its digits takes time quadratic in it
+# (0.2 s at 2**20, 6 s at 2**22), and a length in the billions is gigabytes
+MAX_SAMPLE_LENGTH = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,8 +82,10 @@ def sample_fraction(ell: int, seed: int) -> BinaryFraction:
     First and last digits are pinned to 1 (normal form), the ell-2 middle
     digits are independent fair bits.
     """
-    if ell < 3:
-        raise ValueError("sample_fraction needs ell >= 3")
+    if not 3 <= ell <= MAX_SAMPLE_LENGTH:
+        raise ValueError(
+            f"sample_fraction needs 3 <= ell <= MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}"
+        )
     return BinaryFraction(_sample_numerator(ell, seed), ell)
 
 
@@ -88,8 +94,10 @@ def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Itera
 
     The run's first splitmix64 round is computed once, not once per sample.
     """
-    if ell < 3:
-        raise ValueError("sample_numerators needs ell >= 3")
+    if not 3 <= ell <= MAX_SAMPLE_LENGTH:
+        raise ValueError(
+            f"sample_numerators needs 3 <= ell <= MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}"
+        )
     state = _run_state(master_seed, run)
     for i in range(count):
         yield _sample_numerator(ell, _mix64((state + (i + 1) * _GOLDEN) & _MASK64))
@@ -146,8 +154,11 @@ class ExperimentConfig:
     step_cap: int = STEP_CAP
 
     def __post_init__(self) -> None:
-        if not self.lengths or any(ell < 3 for ell in self.lengths):
-            raise ValueError("lengths must be nonempty with every entry >= 3")
+        if not self.lengths or not all(3 <= ell <= MAX_SAMPLE_LENGTH for ell in self.lengths):
+            raise ValueError(
+                "lengths must be nonempty with every entry from 3 to"
+                f" MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}"
+            )
         if self.samples < 1 or self.runs < 1 or self.step_cap < 1:
             raise ValueError("samples, runs, and step_cap must be >= 1")
 
@@ -177,10 +188,11 @@ def _run_slice(pairs: range, config: ExperimentConfig) -> list[tuple[int, int, i
         ell = lengths[j]
         max_delta, max_stop, capped = cells[j]
         for n in sample_numerators(ell, config.master_seed, run, config.samples):
-            max_len, steps, hit_cap = orbit_extents(n, step_cap)
-            if hit_cap:
+            extents = orbit_extents(n, step_cap)
+            if extents is None:
                 capped += 1
                 continue
+            max_len, steps = extents
             if max_len - ell > max_delta:
                 max_delta = max_len - ell
             if steps > max_stop:

@@ -8,9 +8,10 @@ Three layers, all exact:
   conjugate to the reduced map under the embedding ``embed``: the
   numerator of the image of n / 2**ell is the reduced step m of n, and its
   length is the bit length of m.  So one integer kernel, ``orbit_extents``,
-  follows orbits of both maps.  It jumps by Terras's block identity: with
-  T(n) = (3n+1)/2 for odd n and n/2 for even n, and c(b) the number of odd
-  steps among the first K steps of T from b < 2**K,
+  follows orbits of both maps: it gives an orbit's maximum length and
+  stopping time, or None past its step cap.  It jumps by Terras's block
+  identity: with T(n) = (3n+1)/2 for odd n and n/2 for even n, and c(b)
+  the number of odd steps among the first K steps of T from b < 2**K,
   T^K(2**K a + b) = 3**c(b) a + T^K(b), and for odd n = 2**K a + b the
   odd part of T^K(n) is c(b) reduced steps on from n (Terras, Acta Arith.
   30, 1976; Lagarias, Amer. Math. Monthly 92, 1985);
@@ -120,24 +121,25 @@ def _jump_table() -> list[tuple[int, int, int, int, tuple[tuple[int, int], ...]]
     return table
 
 
-def orbit_extents(n: int, step_cap: int) -> tuple[int, int, bool]:
-    """(max bit length, steps to 1, capped?) for the reduced orbit of odd n.
+def orbit_extents(n: int, step_cap: int) -> tuple[int, int] | None:
+    """(max bit length, steps to 1) for the reduced orbit of odd n.
 
     Through :func:`embed` this is also the interval-map orbit of
     n / 2**len(n): each iterate's length is its numerator's bit length, and
-    1 is the ground state 1/2.  The orbit is capped when it has not reached
-    1 after ``step_cap`` steps.
+    1 is the ground state 1/2.  The result is None when the orbit does not
+    reach 1 within ``step_cap`` steps (it is capped).
 
     The orbit moves K = ``_JUMP_BITS`` steps of T at a time by the block
     identity (see the module docstring): with a = n >> K and b = n mod 2**K,
     ``y = 3**c a + T^K(b)`` takes c reduced steps, and the odd part of y is
-    the next state.  Single steps are taken only below 2**K and where a jump
-    could pass the step cap, so every result is the single-step loop's:
+    the next state.  Single steps are taken only below 2**K, so every result
+    is the single-step loop's:
 
     * No iterate inside a jump is 1.  For j < K,
       T^j(n) = 3**c_j 2**(K-j) a + T^j(b) >= 2**(K-j) a >= 2, so the first
       state equal to 1 can only be the odd part of y, and the step count c
-      is exact.
+      is exact.  So 1 is first reached at the end of a pass, where the
+      budget is checked.
     * Only the candidates can hold the block's largest length.  By induction
       on j, T^j(b) < A_j = 3**c_j 2**(K-j) (b < 2**K = A_0; an even step
       halves both sides, and an odd step maps x <= A_j - 1 to
@@ -154,12 +156,13 @@ def orbit_extents(n: int, step_cap: int) -> tuple[int, int, bool]:
     if step_cap < 1:
         raise ValueError(f"orbit_extents needs step_cap >= 1, got {step_cap}")
     table = _jump_table()
-    last_jump = step_cap - _JUMP_BITS  # a jump from here still ends within the cap
     ell = max_len = n.bit_length()
     steps = 0
     while n != 1:
+        if steps >= step_cap:
+            return None
         a = n >> _JUMP_BITS
-        if a and steps <= last_jump:
+        if a:
             c, power, tail, bound, candidates = table[n & _JUMP_MASK]
             if ell + bound > max_len:
                 for m, r in candidates:
@@ -169,15 +172,13 @@ def orbit_extents(n: int, step_cap: int) -> tuple[int, int, bool]:
             y = power * a + tail
             n = y >> ((y & -y).bit_length() - 1)
             steps += c
-        elif steps >= step_cap:
-            return max_len, steps, True
         else:
             n = _reduce(n)
             steps += 1
         ell = n.bit_length()
         if ell > max_len:
             max_len = ell
-    return max_len, steps, False
+    return None if steps > step_cap else (max_len, steps)
 
 
 def embed(x: int) -> BinaryFraction:
@@ -266,11 +267,8 @@ def circle_iterate(y: Fraction | int, k: int) -> Fraction:
         raise ValueError(f"circle_iterate is defined on [1/2, 1), got {y}")
     if k < 1:
         raise ValueError("circle_iterate needs k >= 1")
-    p = 3**k
-    m = p.bit_length() - 1
-    if y < Fraction(1 << m, p):
-        return p * y / (1 << m)
-    return p * y / (1 << (m + 1))
+    c = critical_point(k)
+    return y / c if y < c else y / (2 * c)
 
 
 def circle_preimage(y: Fraction | int) -> Fraction:

@@ -99,6 +99,14 @@ class TestTrajectory:
         assert code == 0
         assert out.startswith("wrote 14301x2 raster")
 
+    def test_a_start_past_the_digit_limit_gets_a_short_message(self, capsys):
+        start = "7" * 5000
+        code, out, err = run_cli(capsys, "trajectory", "--start", start)
+        assert code == 2
+        assert out == ""
+        assert "limit of 4300 digits" in err and "bits:" in err
+        assert len(err) < 200
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -224,6 +232,19 @@ class TestScansAndAudits:
         assert code == 2
         assert out == ""
         assert "audit needs ell >= 6" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("audit", "--ell", "16,1000000000000", "--samples", "1"),
+            ("table1", "--lengths", "50,1000000000000", "--samples", "1", "--runs", "1"),
+        ],
+    )
+    def test_a_huge_length_is_refused_before_any_output(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "MAX_SAMPLE_LENGTH" in err
 
     def test_families_alpha(self, capsys):
         code, out, _ = run_cli(capsys, "families", "--kind", "alpha", "--k-max", "50")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from collatzbin.exact import BinaryFraction
 from collatzbin.harness import (
     CSV_HEADER,
+    MAX_SAMPLE_LENGTH,
     ExperimentConfig,
     RNG_ID,
     derive_seed,
@@ -63,6 +64,18 @@ class TestSampleFraction:
             sample_fraction(2, 0)
         with pytest.raises(ValueError):
             list(sample_numerators(2, 0, 0, 1))
+
+    def test_lengths_are_bounded(self):
+        # a length in the billions asked for gigabytes before any check
+        too_long = MAX_SAMPLE_LENGTH + 1
+        with pytest.raises(ValueError, match="MAX_SAMPLE_LENGTH"):
+            sample_fraction(too_long, 0)
+        with pytest.raises(ValueError, match="MAX_SAMPLE_LENGTH"):
+            list(sample_numerators(too_long, 0, 0, 1))
+        with pytest.raises(ValueError, match="MAX_SAMPLE_LENGTH"):
+            ExperimentConfig(lengths=(50, too_long))
+        assert ExperimentConfig(lengths=(MAX_SAMPLE_LENGTH,)).lengths == (MAX_SAMPLE_LENGTH,)
+        assert sample_fraction(MAX_SAMPLE_LENGTH, 0).length == MAX_SAMPLE_LENGTH
 
 
 class TestSampleNumerators:

@@ -170,16 +170,16 @@ class TestBinaryStep:
             assert gap > Fraction(1, 64)
 
 
-def binary_walk(y: BinaryFraction, cap: int) -> tuple[int, int, bool]:
+def binary_walk(y: BinaryFraction, cap: int) -> tuple[int, int] | None:
     """Independent route for orbit_extents: step BinaryFractions one by one."""
     max_len, steps = y.length, 0
     while y != GROUND_STATE:
         if steps == cap:
-            return max_len, steps, True
+            return None
         y = binary_step(y)
         steps += 1
         max_len = max(max_len, y.length)
-    return max_len, steps, False
+    return max_len, steps
 
 
 def single_step_lengths(n: int) -> list[int]:
@@ -194,13 +194,12 @@ def single_step_lengths(n: int) -> list[int]:
 
 def assert_matches_single_steps(n: int) -> None:
     """orbit_extents(n, cap) against the reference at every cap from
-    stop - 2K - 2 to stop, where a jump can meet the cap, and at 10**6."""
+    stop - 2K - 2 to stop + 1, where a jump can meet the cap, and at 10**6."""
     lengths = single_step_lengths(n)
     stop = len(lengths) - 1
-    caps = range(max(1, stop - 2 * maps._JUMP_BITS - 2), stop + 1)
+    caps = range(max(1, stop - 2 * maps._JUMP_BITS - 2), stop + 2)
     for cap in (*caps, 10**6):
-        steps = min(cap, stop)
-        assert orbit_extents(n, cap) == (max(lengths[: steps + 1]), steps, cap < stop), cap
+        assert orbit_extents(n, cap) == (None if cap < stop else (max(lengths), stop)), cap
 
 
 def t_block(x: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -285,13 +284,13 @@ class TestOrbitExtents:
 
     def test_ground_state(self):
         for cap in (1, 2, 10**6):
-            assert orbit_extents(1, cap) == (1, 0, False)
+            assert orbit_extents(1, cap) == (1, 0)
 
     def test_examples(self):
-        assert orbit_extents(31, 10**6) == (12, 39, False)
-        assert orbit_extents(31, 39) == (12, 39, False)
-        assert orbit_extents(31, 38) == (12, 38, True)
-        assert orbit_extents(5, 1) == (3, 1, False)
+        assert orbit_extents(31, 10**6) == (12, 39)
+        assert orbit_extents(31, 39) == (12, 39)
+        assert orbit_extents(31, 38) is None
+        assert orbit_extents(5, 1) == (3, 1)
 
     @given(odd_integers, st.integers(min_value=1, max_value=3))
     def test_matches_a_walk_of_the_interval_map(self, n, gap):
@@ -302,7 +301,7 @@ class TestOrbitExtents:
             if cap >= 1:
                 extents = orbit_extents(n, cap)
                 assert extents == binary_walk(y, cap)
-                assert extents[2] == (cap < stop)
+                assert (extents is None) == (cap < stop)
 
 
 class TestCircleMap:
