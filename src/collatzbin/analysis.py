@@ -141,9 +141,9 @@ def run_trajectory(
         state = (embed(start) if isinstance(start, int) else start).numerator
     else:
         if not isinstance(start, int) or start < 1:
-            raise ValueError(f"integer maps need a positive integer start, got {start!r}")
+            raise ValueError("integer maps need a positive integer start")
         if map_kind is MapKind.REDUCED and start % 2 == 0:
-            raise ValueError(f"the reduced map needs an odd start, got {start}")
+            raise ValueError("the reduced map needs an odd start")
         state = start
     # the interval map is the reduced step on numerators (see binary_step)
     step = collatz_step if map_kind is MapKind.COLLATZ else reduced_step

@@ -7,14 +7,14 @@ family probes.  Output is text and files only (CSV, PBM); everything is
 deterministic given the flags.
 
 Exit codes: 0 success, 1 property violation or counterexample, 2 usage
-error, 3 I/O error.
+error (one ``usage error:`` line, no argument shown past 30 characters),
+3 I/O error.  main() returns the code; only -h exits, with 0, after help.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -42,27 +42,43 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _parse_start(text: str) -> int | BinaryFraction:
-    """An integer start, or a digit-string start given as bits:10110."""
-    if text.startswith("bits:"):
-        return BinaryFraction.from_bits(text[len("bits:") :])
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # raised, for main() to print as one line
+        raise ValueError(message)
+
+
+def _int(text: str) -> int:
+    """The one reader of integer arguments."""
     try:
         return int(text, 10)
-    except ValueError:
-        shown = repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
-        if re.fullmatch(r"\s*[+-]?\d+\s*", text):  # only the digit limit refuses these
-            raise ValueError(
-                f"start {shown} passes Python's limit of {sys.get_int_max_str_digits()}"
-                " digits for integer strings; give it in binary as bits:<digits>"
-            ) from None
-        raise ValueError(f"start must be an integer or bits:<digits>, got {shown}") from None
+    except ValueError:  # only Python's limit on integer strings refuses a decimal one
+        reason = (f"passes Python's limit of {sys.get_int_max_str_digits()} digits for integer"
+                  " strings" if text.strip().lstrip("+-").isdecimal() else "is not an integer")
+        raise argparse.ArgumentTypeError(f"{text!r} {reason}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(map(_int, text.split(",")))
+
+
+def _start(text: str) -> int | BinaryFraction:
+    """An integer start, or a digit-string start given as bits:10110."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
+        if text.startswith("bits:"):
+            return BinaryFraction.from_bits(text[len("bits:") :])
+        return _int(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise argparse.ArgumentTypeError(f"{exc}; give an integer or bits:<digits>") from None
+
+
+def _cut(message: str, argv: list[str] | None) -> str:
+    """Cut each argument in message, and each part of one between = and commas, to 30 chars."""
+    for arg in sys.argv[1:] if argv is None else argv:
+        for text in (arg, *arg.replace("=", ",").split(",")):
+            if len(text) > 30:
+                shown = f"{text[:30]!r}... ({len(text)} characters)"
+                message = message.replace(repr(text), shown).replace(text, shown)
+    return message
 
 
 _COLUMNS = ("step", "value", "bits", "length")
@@ -70,7 +86,7 @@ _COLUMNS = ("step", "value", "bits", "length")
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
     kind = MapKind(args.map)
-    record = run_trajectory(_parse_start(args.start), kind, args.max_steps)
+    record = run_trajectory(args.start, kind, args.max_steps)
     summary: dict[str, object] = {
         "stopping_time": record.stopping_time,
         "hailstone_index": record.hailstone_index,
@@ -95,7 +111,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def cmd_raster(args: argparse.Namespace) -> int:
-    record = run_trajectory(_parse_start(args.start), MapKind.BINARY, args.max_steps)
+    record = run_trajectory(args.start, MapKind.BINARY, args.max_steps)
     text = render_pbm(orbit_rows(record.iterates))
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
@@ -142,7 +158,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
-        lengths=_parse_int_list(args.lengths),
+        lengths=args.lengths,
         samples=args.samples,
         runs=args.runs,
         master_seed=args.seed,
@@ -162,11 +178,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    lengths = _parse_int_list(args.ell)
-    for ell in lengths:
+    for ell in args.ell:
         AuditSummary(ell, args.samples, args.seed)  # checks every length before any audit
     failed = False
-    for ell in lengths:
+    for ell in args.ell:
         summary = audit_length_deltas(args.samples, ell, seed=args.seed)
         print(f"ell={ell}: {summary.samples} samples, {len(summary.violations)} violations")
         for witness in summary.violations:
@@ -199,76 +214,73 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collatzbin",
         description="Exact-arithmetic Collatz dynamics on binary fractions in [1/2, 1).",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trajectory", help="list one orbit with its length profile")
-    p.add_argument("--start", required=True, help="integer, or bits:<digits> for the binary map")
+    p.add_argument("--start", type=_start, required=True,
+                   help="integer, or bits:<digits> for the binary map")
     p.add_argument("--map", choices=[m.value for m in MapKind], default=MapKind.BINARY.value,
                    help="binary interval map, reduced integer map, or classic map")
-    p.add_argument("--max-steps", type=int, default=STEP_CAP)
+    p.add_argument("--max-steps", type=_int, default=STEP_CAP)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("raster", help="render a binary-map orbit as a PBM bit image")
-    p.add_argument("--start", required=True)
+    p.add_argument("--start", type=_start, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-steps", type=int, default=STEP_CAP)
+    p.add_argument("--max-steps", type=_int, default=STEP_CAP)
     p.set_defaults(func=cmd_raster)
 
     p = sub.add_parser("kstar", help="scan for the first non-excluded period horizon")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=1000)
+    p.add_argument("--ell", type=_int, required=True)
+    p.add_argument("--k-max", type=_int, default=1000)
     p.set_defaults(func=cmd_kstar)
 
     p = sub.add_parser("verify", help="exhaustively verify all odd starts below 2^ell")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--step-cap", type=int, default=STEP_CAP)
+    p.add_argument("--ell", type=_int, required=True)
+    p.add_argument("--workers", type=_int, default=1)
+    p.add_argument("--step-cap", type=_int, default=STEP_CAP)
     p.set_defaults(func=cmd_verify)
 
     table = ExperimentConfig()
     p = sub.add_parser("table1", help="random-orbit worst-case table, CSV output")
-    p.add_argument("--lengths", default=",".join(map(str, table.lengths)))
-    p.add_argument("--samples", type=int, default=table.samples)
-    p.add_argument("--runs", type=int, default=table.runs)
-    p.add_argument("--seed", type=int, default=table.master_seed)
-    p.add_argument("--step-cap", type=int, default=table.step_cap)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--lengths", type=_ints, default=table.lengths)
+    p.add_argument("--samples", type=_int, default=table.samples)
+    p.add_argument("--runs", type=_int, default=table.runs)
+    p.add_argument("--seed", type=_int, default=table.master_seed)
+    p.add_argument("--step-cap", type=_int, default=table.step_cap)
+    p.add_argument("--workers", type=_int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("audit", help="randomized audit of the head/tail length table")
-    p.add_argument("--ell", required=True, help="comma-separated digit lengths")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ell", type=_ints, required=True, help="comma-separated digit lengths")
+    p.add_argument("--samples", type=_int, default=100000)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("families", help="probe the 111000-block start families")
     p.add_argument("--kind", choices=[f.name.lower() for f in Family], required=True)
-    p.add_argument("--k-max", type=int, default=100)
-    p.add_argument("--step-cap", type=int, default=STEP_CAP)
+    p.add_argument("--k-max", type=_int, default=100)
+    p.add_argument("--step-cap", type=_int, default=STEP_CAP)
     p.set_defaults(func=cmd_families)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except DivergenceError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {_cut(str(exc), argv)}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -60,12 +60,12 @@ class BinaryFraction:
         """
         if not bits:
             raise ValueError("empty digit string")
-        if any(c not in "01" for c in bits):
-            raise ValueError(f"digit string must contain only 0 and 1: {bits!r}")
+        if bits.lstrip("01"):
+            raise ValueError(f"digit string must hold only 0 and 1, not {bits.lstrip('01')[0]!r}")
         if bits[0] != "1":
-            raise ValueError(f"digit string must start with 1: {bits!r}")
+            raise ValueError("digit string must start with 1")
         if bits[-1] != "1":
-            raise ValueError(f"digit string must end with 1: {bits!r}")
+            raise ValueError("digit string must end with 1")
         return cls(int(bits, 2), len(bits))
 
     def to_bits(self) -> str:

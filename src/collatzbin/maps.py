@@ -188,7 +188,7 @@ def embed(x: int) -> BinaryFraction:
     every power of two lands on the ground state 1/2.
     """
     if x < 1:
-        raise ValueError(f"embed needs a positive integer, got {x}")
+        raise ValueError("embed needs a positive integer")
     n = x >> two_adic_valuation(x)
     return BinaryFraction(n, n.bit_length())
 

@@ -336,6 +336,60 @@ def test_no_subcommand_is_a_usage_error(capsys):
     assert main([]) == 2
 
 
+# ways an argument is refused, by argparse, by a reader or by the library
+USAGE_ROUTES = {
+    "huge --ell": ("kstar", "--ell", "7" * 5000),
+    "bad --workers": ("verify", "--ell", "10", "--workers", "x" * 5000),
+    "bad --map": ("trajectory", "--start", "5", "--map", "z" * 3000),
+    "extra argument": ("kstar", "--ell", "5", "y" * 3000),
+    "missing --ell": ("kstar",),
+    "no subcommand": (),
+    "bad --lengths": ("table1", "--lengths", "x" * 5000),
+    "huge audit --ell": ("audit", "--ell", "7" * 4400),
+    "bad digit string": ("trajectory", "--start", "bits:" + "2" * 5000),
+    "negative classic start": ("trajectory", "--start", "-" + "7" * 4000, "--map", "c"),
+    "even reduced start": ("trajectory", "--start", "2" * 3999 + "4", "--map", "r"),
+    "negative binary start": ("trajectory", "--start", "-" + "7" * 4000),
+    "digit string on the classic map": ("trajectory", "--start", "bits:" + "1" * 20000,
+                                        "--map", "c"),
+    "huge --start": ("trajectory", "--start", "7" * 5000),
+    "huge negative --workers": ("verify", "--ell", "10", "--workers", "-" + "7" * 4000),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ROUTES.values(), ids=USAGE_ROUTES.keys())
+def test_a_usage_error_is_one_short_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)  # main() returns; SystemExit would fail here
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "route,phrase",
+    [
+        ("huge --ell", "4300 digits"),
+        ("huge audit --ell", "4300 digits"),
+        ("huge --start", "4300 digits"),
+        ("huge --start", "bits:"),
+        ("digit string on the classic map", "positive integer start"),
+        ("bad digit string", "only 0 and 1"),
+        ("missing --ell", "--ell"),
+    ],
+)
+def test_a_usage_error_names_its_reason(capsys, route, phrase):
+    _, _, err = run_cli(capsys, *USAGE_ROUTES[route])
+    assert phrase in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kstar", "-h"])
+    assert exc.value.code == 0
+    assert "--ell" in capsys.readouterr().out
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "collatzbin.cli", "kstar", "--ell", "4"],
