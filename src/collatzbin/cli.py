@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -47,13 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# Python's decimal integer syntax: one optional sign, single underscores between digits
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def _int(text: str) -> int:
     """The one reader of integer arguments."""
     try:
         return int(text, 10)
-    except ValueError:  # only Python's limit on integer strings refuses a decimal one
+    except ValueError:  # int() refuses a string of its own syntax only past its digit limit
         reason = (f"passes Python's limit of {sys.get_int_max_str_digits()} digits for integer"
-                  " strings" if text.strip().lstrip("+-").isdecimal() else "is not an integer")
+                  " strings" if _INTEGER.fullmatch(text.strip()) else "is not an integer")
         raise argparse.ArgumentTypeError(f"{text!r} {reason}") from None
 
 

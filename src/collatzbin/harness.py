@@ -5,6 +5,17 @@ derived from (master seed, run index, sample index), so results are
 identical across platforms and across worker counts: every sample is a pure
 function of its coordinates, and cell statistics are maxima and sums, which
 merge in any order.  :func:`fan_out` gives each worker one contiguous slice.
+
+The sampler runs splitmix64 on many states at once.  Each state sits in its
+own 128-bit lane of one Python int, and one round of big-int operations
+mixes every lane.  No lane carries into the next: each is cut back to 64
+bits before each multiply by a 64-bit constant, so every product is below
+2**128, and the bits a right shift pulls in from the next lane land above
+bit 64, where the same masks clear them.  A sample of length ell owns
+h = ceil((ell - 1) / 128) adjacent lanes, each of which ends up holding two
+of its 64-bit words, so one ``int.from_bytes`` reads the sample's digits in
+time linear in ell.  An int holds at most 1024 lanes (16 KiB), unless one
+sample alone needs more, so memory stays flat at any sample count.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import lru_cache, partial
 
 from .exact import BinaryFraction
 from .maps import STEP_CAP, orbit_extents
@@ -34,12 +45,16 @@ __all__ = [
 ]
 
 RNG_ID = "splitmix64"
-# the longest sampled length: drawing its digits takes time quadratic in it
-# (0.2 s at 2**20, 6 s at 2**22), and a length in the billions is gigabytes
+# the longest sampled length: a sample's time is linear in its length (0.2 ms
+# at 2**16, 3 ms at 2**20, 11 ms at 2**22, plus 1-60 ms for the first sample
+# of a length, which builds its lane constants), but a length in the
+# billions would be gigabytes
 MAX_SAMPLE_LENGTH = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the most 128-bit lanes drawn in one packed int, unless one sample needs more
+_LANES = 1024
 
 
 def _mix64(z: int) -> int:
@@ -47,6 +62,42 @@ def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_lanes(z: int, mask: int) -> int:
+    """:func:`_mix64` of every 128-bit lane of z at once; mask is _MASK64 in each lane.
+
+    Every lane is cut back to 64 bits before each multiply, so its product
+    with a 64-bit constant stays below 2**128 and never carries into the
+    next lane; the bits a right shift pulls in from the next lane land above
+    bit 64, where the same masks clear them.
+    """
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ z >> 31) & mask
+
+
+def _lane(value: int) -> bytes:
+    return value.to_bytes(16, "little")
+
+
+@lru_cache(maxsize=8)
+def _lane_constants(h: int, n: int) -> tuple[int, int, int, int, int]:
+    """Lane constants for n samples of h lanes each: (ones, mask, iota, hi, lo).
+
+    Sample i owns lanes h*i to h*i + h - 1, and lane q of them holds its
+    word pair p = h - 1 - q.  ones is 1 and mask _MASK64 in every lane;
+    iota is (i + 1) * _GOLDEN; hi and lo are the offsets (2p + 1) * _GOLDEN
+    and (2p + 2) * _GOLDEN mod 2**64 of the pair's two words.
+    """
+
+    def offsets(k: int) -> int:
+        sample = b"".join(_lane((2 * p + k) * _GOLDEN & _MASK64) for p in reversed(range(h)))
+        return int.from_bytes(sample * n, "little")
+
+    ones = int.from_bytes(_lane(1) * (h * n), "little")
+    iota = _GOLDEN * int.from_bytes(b"".join(_lane(i) * h for i in range(1, n + 1)), "little")
+    return ones, _MASK64 * ones, iota, offsets(1), offsets(2)
 
 
 def _run_state(master: int, run: int) -> int:
@@ -59,21 +110,27 @@ def derive_seed(master: int, run: int, index: int) -> int:
     return _mix64((_run_state(master, run) + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def _bit_stream(seed: int, nbits: int) -> int:
-    """nbits pseudo-random bits (as an integer) from repeated splitmix64 draws."""
-    out = 0
-    got = 0
-    state = seed & _MASK64
-    while got < nbits:
-        state = (state + _GOLDEN) & _MASK64
-        out = (out << 64) | _mix64(state)
-        got += 64
-    return out >> (got - nbits)
+def _draw(ell: int, seeds: int, n: int, mask: int, hi: int, lo: int) -> list[int]:
+    """Numerators of n length-ell samples; seeds holds each one's seed in all its lanes.
 
-
-def _sample_numerator(ell: int, seed: int) -> int:
-    """Numerator of a length-ell sample: first and last digits 1, the rest random."""
-    return (1 << (ell - 1)) | (_bit_stream(seed, ell - 2) << 1) | 1
+    Word j of a seed is _mix64(seed + (j + 1) * _GOLDEN).  A numerator is 1,
+    then the top ell - 2 bits of words 0, 1, ... in order, then 1.  Each
+    lane becomes one word pair, word 2p above word 2p + 1, so a sample's
+    lanes read little-endian put its words in order from the top.
+    """
+    pairs = _mix64_lanes((seeds + hi) & mask, mask) << 64
+    if ell - 1 > 64:  # a numerator's digits reach an odd word
+        pairs |= _mix64_lanes((seeds + lo) & mask, mask)
+    size = 16 * ((ell + 126) // 128)
+    shift = 8 * size - (ell - 1)
+    pinned = 1 << (ell - 1) | 1
+    if n == 1:  # one sample's lanes are the whole packed int
+        return [pairs >> shift | pinned]
+    raw = pairs.to_bytes(size * n, "little")
+    return [
+        int.from_bytes(raw[at : at + size], "little") >> shift | pinned
+        for at in range(0, len(raw), size)
+    ]
 
 
 def sample_fraction(ell: int, seed: int) -> BinaryFraction:
@@ -86,21 +143,28 @@ def sample_fraction(ell: int, seed: int) -> BinaryFraction:
         raise ValueError(
             f"sample_fraction needs 3 <= ell <= MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}"
         )
-    return BinaryFraction(_sample_numerator(ell, seed), ell)
+    ones, mask, _, hi, lo = _lane_constants((ell + 126) // 128, 1)
+    return BinaryFraction(_draw(ell, (seed & _MASK64) * ones, 1, mask, hi, lo)[0], ell)
 
 
 def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Iterator[int]:
     """Numerators of ``sample_fraction(ell, derive_seed(master_seed, run, i))``, i < count.
 
-    The run's first splitmix64 round is computed once, not once per sample.
+    The run's first splitmix64 round is computed once; then the seeds and
+    words of up to _LANES lanes' worth of samples are drawn per packed pass.
     """
     if not 3 <= ell <= MAX_SAMPLE_LENGTH:
         raise ValueError(
             f"sample_numerators needs 3 <= ell <= MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}"
         )
+    h = (ell + 126) // 128
+    per_chunk = max(1, _LANES // h)
     state = _run_state(master_seed, run)
-    for i in range(count):
-        yield _sample_numerator(ell, _mix64((state + (i + 1) * _GOLDEN) & _MASK64))
+    for first in range(0, count, per_chunk):
+        n = min(per_chunk, count - first)
+        ones, mask, iota, hi, lo = _lane_constants(h, n)
+        seeds = _mix64_lanes(((state + first * _GOLDEN & _MASK64) * ones + iota) & mask, mask)
+        yield from _draw(ell, seeds, n, mask, hi, lo)
 
 
 @dataclass

@@ -354,6 +354,8 @@ USAGE_ROUTES = {
                                         "--map", "c"),
     "huge --start": ("trajectory", "--start", "7" * 5000),
     "huge negative --workers": ("verify", "--ell", "10", "--workers", "-" + "7" * 4000),
+    "two signs on --ell": ("kstar", "--ell", "+-" + "7" * 4400),
+    "huge --ell with separators": ("kstar", "--ell", "_".join(["7777"] * 1100)),
 }
 
 
@@ -371,6 +373,8 @@ def test_a_usage_error_is_one_short_line(capsys, argv):
     [
         ("huge --ell", "4300 digits"),
         ("huge audit --ell", "4300 digits"),
+        ("two signs on --ell", "is not an integer"),
+        ("huge --ell with separators", "4300 digits"),
         ("huge --start", "4300 digits"),
         ("huge --start", "bits:"),
         ("digit string on the classic map", "positive integer start"),

@@ -1,5 +1,8 @@
 """Tests for the experiment harness: seeding, sampling, cells, and CSV."""
 
+import tracemalloc
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +20,26 @@ from collatzbin.harness import (
     sample_numerators,
     write_csv,
 )
+from collatzbin.harness import _GOLDEN, _MASK64, _mix64
 from collatzbin.maps import Branch, binary_step, classify_branch
+
+
+def scalar_numerator(ell, seed):
+    """The sampler's oracle: one splitmix64 word at a time, shifted onto the digits."""
+    out = got = 0
+    state = seed & _MASK64
+    while got < ell - 2:
+        state = (state + _GOLDEN) & _MASK64
+        out = (out << 64) | _mix64(state)
+        got += 64
+    return (1 << (ell - 1)) | (out >> (got - (ell - 2))) << 1 | 1
+
+
+def scalar_numerators(ell, master, run, count):
+    return [scalar_numerator(ell, derive_seed(master, run, i)) for i in range(count)]
+
+
+MASTERS = (0, 2**64 + 5, -3)
 
 
 class TestSeeding:
@@ -91,6 +113,53 @@ class TestSampleNumerators:
 
     def test_zero_count_yields_nothing(self):
         assert list(sample_numerators(16, 1, 0, 0)) == []
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_match_the_scalar_route_at_every_length(self, master):
+        for ell in [*range(3, 201), 1024]:
+            for count in (0, 1, 5):
+                got = list(sample_numerators(ell, master, 2, count))
+                assert got == scalar_numerators(ell, master, 2, count), (ell, count)
+            y = sample_fraction(ell, derive_seed(master, 4, 9))
+            assert y.numerator == scalar_numerator(ell, derive_seed(master, 4, 9)), ell
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_match_the_scalar_route_at_the_longest_length(self, master):
+        want = scalar_numerators(MAX_SAMPLE_LENGTH, master, 1, 1)
+        assert list(sample_numerators(MAX_SAMPLE_LENGTH, master, 1, 1)) == want
+        assert sample_fraction(MAX_SAMPLE_LENGTH, derive_seed(master, 1, 0)).numerator == want[0]
+
+    @given(st.integers(min_value=3, max_value=700), st.integers(-(2**70), 2**70))
+    def test_a_single_sample_matches_the_scalar_route(self, ell, seed):
+        assert sample_fraction(ell, seed).numerator == scalar_numerator(ell, seed)
+
+    # 1 to 5 lanes a sample; a sample of 5 lanes alone outgrows the cap of 4
+    @pytest.mark.parametrize("ell", [3, 66, 67, 129, 130, 200, 257, 258, 386, 600])
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_every_chunk_boundary_matches_the_scalar_route(self, monkeypatch, ell, master):
+        from collatzbin import harness
+
+        monkeypatch.setattr(harness, "_LANES", 4)
+        cap = max(1, 4 // ((ell + 126) // 128))  # samples a chunk holds
+        for count in sorted({0, 1, cap - 1, cap, cap + 1, 2 * cap + 1}):
+            got = list(sample_numerators(ell, master, 3, count))
+            assert got == scalar_numerators(ell, master, 3, count), count
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_sampler_runs_in_bounded_memory():
+    # a billion samples are drawn a chunk at a time, not all at once
+    assert _peak_bytes(lambda: list(islice(sample_numerators(16, 0, 0, 10**9), 5000))) < 2**20
+    # the longest sample, 128 KiB of digits
+    assert _peak_bytes(lambda: list(sample_numerators(MAX_SAMPLE_LENGTH, 0, 0, 1))) < 4 * 2**20
 
 
 class TestRunCell:
@@ -273,8 +342,6 @@ def test_uneven_slices_merge_to_the_serial_table(monkeypatch, cfg, cpus):
 
 
 def test_a_serial_tables_memory_does_not_grow_with_its_runs():
-    import tracemalloc
-
     cfg = ExperimentConfig(lengths=(3,), samples=1, runs=10_000)
     tracemalloc.start()
     try:
