@@ -238,12 +238,18 @@ def head_tail_classify(y: BinaryFraction) -> HeadTailReport:
     )
 
 
+# witness text an audit stores, in characters (see AuditSummary)
+_WITNESS_CHARS = 1 << 20
+
+
 @dataclass
 class AuditSummary:
     """Result of a randomized audit of the head/tail table at one length.
 
-    Construction checks the arguments: 6 <= ell <= ``MAX_SAMPLE_LENGTH`` and
-    samples >= 1.
+    ``violation_count`` counts every violation; ``violations`` holds their
+    witnesses in order until the text passes ``_WITNESS_CHARS`` (2**20)
+    characters, and always holds the first.  Construction checks the arguments:
+    6 <= ell <= ``MAX_SAMPLE_LENGTH`` and samples >= 1.
     """
 
     ell: int
@@ -251,6 +257,7 @@ class AuditSummary:
     seed: int
     cell_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
+    violation_count: int = 0
 
     def __post_init__(self) -> None:
         if self.ell < 6:
@@ -262,7 +269,7 @@ class AuditSummary:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violation_count
 
 
 def audit_length_deltas(samples: int, ell: int, seed: int = 0) -> AuditSummary:
@@ -272,39 +279,48 @@ def audit_length_deltas(samples: int, ell: int, seed: int = 0) -> AuditSummary:
     cell, and it must decompose as the arm's contribution (+1 low, +2 high)
     minus the 2-adic valuation of 3n+1.  This holds at a ground-state
     predecessor too: there 3n+1 = 2**(ell+1), and the high-arm form
-    2 - (ell+1) is the step to 1/2.  Violations are collected with their
-    digit-string witnesses.
+    2 - (ell+1) is the step to 1/2.  Violations are counted, and their
+    digit-string witnesses kept up to a bound (see :class:`AuditSummary`).
 
-    Each sampled numerator n is classified by bit masks: its head is
-    n >> (ell - 3), its tail n & 7, and 3n+1 below 2**(ell+1) picks the low
-    arm.  :func:`head_tail_classify` is the digit-string route for one
-    point, and the tests' oracle here.
+    The audit stays on integers.  The observed change of a sampled
+    numerator n is ``reduced_step(n).bit_length() - ell``, the step that
+    :func:`binary_step` wraps.  Its cell is keyed by (n >> (ell - 3)) << 3 | n & 7,
+    head bits above tail bits, and 3n+1 below 2**(ell+1) picks the low arm.
+    :func:`head_tail_classify` is the digit-string route for one point, and
+    the tests' oracle here.
     """
     summary = AuditSummary(ell=ell, samples=samples, seed=seed)
-    counts = summary.cell_counts
     cells = {
-        (int(h, 2), int(t, 2)): ((head, tail), *DELTA_TABLE[(head, tail)])
+        int(h, 2) << 3 | int(t, 2): ((head, tail), *DELTA_TABLE[(head, tail)])
         for h, head in _HEAD_LABELS.items()
         for t, tail in _TAIL_LABELS.items()
     }
+    room = _WITNESS_CHARS  # witness characters still to store
+
+    def violation(n: int, message: str) -> None:
+        nonlocal room
+        summary.violation_count += 1
+        if room > 0:
+            witness = f"{n:b}: {message}"
+            summary.violations.append(witness)
+            room -= len(witness)
+
+    counts: dict[int, int] = {}
     shift = ell - 3
     ground = 1 << (ell + 1)
     for n in sample_numerators(ell, seed, 0, samples):
-        cell, lo, hi = cells[(n >> shift, n & 7)]
-        counts[cell] = counts.get(cell, 0) + 1
-        delta = binary_step(BinaryFraction(n, ell)).length - ell
+        key = (n >> shift) << 3 | n & 7
+        counts[key] = counts.get(key, 0) + 1
+        delta = reduced_step(n).bit_length() - ell
+        cell, lo, hi = cells[key]
         if delta > hi or (lo is not None and delta < lo):
-            summary.violations.append(
-                f"{n:b}: delta {delta} outside {cell} bounds ({lo}, {hi})"
-            )
+            violation(n, f"delta {delta} outside {cell} bounds ({lo}, {hi})")
         t = 3 * n + 1
         arm = 1 if t < ground else 2
         expected = arm - ((t & -t).bit_length() - 1)
         if delta != expected:
-            summary.violations.append(
-                f"{n:b}: delta {delta} != "
-                f"arm {arm} minus valuation decomposition {expected}"
-            )
+            violation(n, f"delta {delta} != arm {arm} minus valuation decomposition {expected}")
+    summary.cell_counts = {cells[key][0]: count for key, count in counts.items()}
     return summary
 
 

@@ -92,6 +92,13 @@ _COLUMNS = ("step", "value", "bits", "length")
 def cmd_trajectory(args: argparse.Namespace) -> int:
     kind = MapKind(args.map)
     record = run_trajectory(args.start, kind, args.max_steps)
+    limit = sys.get_int_max_str_digits()
+    if limit:  # str() refuses an int of more than limit digits
+        bound = 10**limit
+        step = next((i for i, v in enumerate(record.states) if v >= bound), None)
+        if step is not None:
+            raise ValueError(f"the value at step {step} passes Python's limit of {limit} digits"
+                             " for integer strings; `collatzbin raster` draws the orbit")
     summary: dict[str, object] = {
         "stopping_time": record.stopping_time,
         "hailstone_index": record.hailstone_index,
@@ -188,9 +195,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
     failed = False
     for ell in args.ell:
         summary = audit_length_deltas(args.samples, ell, seed=args.seed)
-        print(f"ell={ell}: {summary.samples} samples, {len(summary.violations)} violations")
+        print(f"ell={ell}: {summary.samples} samples, {summary.violation_count} violations")
         for witness in summary.violations:
             print(f"  violation: {witness}", file=sys.stderr)
+        dropped = summary.violation_count - len(summary.violations)
+        if dropped:
+            print(f"  {dropped} more violations, witnesses not kept", file=sys.stderr)
         failed = failed or not summary.ok
     return EXIT_VIOLATION if failed else EXIT_OK
 

@@ -4,6 +4,7 @@ exclusion scan, exhaustive range verification, and the family probes.
 Wherever a closed form or a memoized computation is under test, a plain
 brute-force route computes the same quantity independently."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -202,11 +203,11 @@ class TestHeadTailTable:
         assert again.cell_counts == summary.cell_counts
 
     def test_audit_reports_a_wrong_step(self, monkeypatch):
-        # the identity is a self-map of [1/2, 1) but not the interval map;
-        # its zero deltas break the arm-minus-valuation decomposition
+        # the identity on numerators is a self-map of [1/2, 1) but not the
+        # interval map; its zero deltas break the arm-minus-valuation decomposition
         from collatzbin import analysis
 
-        monkeypatch.setattr(analysis, "binary_step", lambda y: y)
+        monkeypatch.setattr(analysis, "reduced_step", lambda n: n)
         summary = audit_length_deltas(500, 16, seed=2)
         monkeypatch.undo()
         assert any("decomposition" in w for w in summary.violations)
@@ -229,6 +230,55 @@ class TestHeadTailTable:
         summary = audit_length_deltas(samples, ell, seed=seed)
         assert list(summary.cell_counts.items()) == list(expected.items())
         assert summary.ok
+
+    @pytest.mark.parametrize("ell", [6, 7, 16, 64, 129, 130, 256])
+    @pytest.mark.parametrize("seed", [3, 20250815])
+    def test_audit_reports_each_delta_of_the_digit_string_route(self, ell, seed, monkeypatch):
+        # no delta fits (1, 0), so every sample is a witness that shows its delta
+        from collatzbin import analysis
+
+        for cell in DELTA_TABLE:
+            monkeypatch.setitem(analysis.DELTA_TABLE, cell, (1, 0))
+        samples = 300
+        summary = audit_length_deltas(samples, ell, seed=seed)
+        monkeypatch.undo()
+        assert summary.violation_count == len(summary.violations) == samples
+        for i, witness in enumerate(summary.violations):
+            y = sample_fraction(ell, derive_seed(seed, 0, i))
+            rep = head_tail_classify(y)
+            cell = (rep.head, rep.tail)
+            delta = rep.observed_delta
+            assert witness == f"{y.to_bits()}: delta {delta} outside {cell} bounds (1, 0)"
+
+    def test_audit_keeps_witnesses_up_to_a_bound_and_counts_them_all(self, monkeypatch):
+        from collatzbin import analysis
+
+        monkeypatch.setattr(analysis, "reduced_step", lambda n: n)
+        full = audit_length_deltas(500, 16, seed=2)
+        assert full.violation_count == len(full.violations) > 3
+        bound = sum(map(len, full.violations[:3])) - 1
+        monkeypatch.setattr(analysis, "_WITNESS_CHARS", bound)
+        cut = audit_length_deltas(500, 16, seed=2)
+        assert cut.violation_count == full.violation_count
+        assert cut.violations == full.violations[:3]  # the third passes the bound
+        assert not cut.ok
+        monkeypatch.setattr(analysis, "_WITNESS_CHARS", 1)
+        assert audit_length_deltas(500, 16, seed=2).violations == full.violations[:1]
+
+    def test_a_failing_audits_witnesses_take_bounded_memory(self, monkeypatch):
+        # each witness holds all 2**18 digits, so only about four fit in the bound
+        from collatzbin import analysis
+
+        monkeypatch.setattr(analysis, "reduced_step", lambda n: n)
+        tracemalloc.start()
+        try:
+            summary = audit_length_deltas(200, 2**18, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.violation_count > 100
+        assert 1 < len(summary.violations) < 10
+        assert peak < 4 * 2**20
 
     def test_audit_passes_sampled_predecessors(self):
         # "1010101" is drawn about 1 time in 32 at length 7

@@ -282,11 +282,25 @@ class TestScansAndAudits:
     def test_audit_with_a_wrong_step_exits_one(self, capsys, monkeypatch):
         from collatzbin import analysis
 
-        monkeypatch.setattr(analysis, "binary_step", lambda y: y)
+        monkeypatch.setattr(analysis, "reduced_step", lambda n: n)
         code, out, err = run_cli(capsys, "audit", "--ell", "16", "--samples", "200")
         assert code == 1
         assert "ell=16: 200 samples, 0 violations" not in out
         assert "violation: 1" in err
+
+    def test_audit_prints_the_exact_count_and_the_witnesses_it_kept(self, capsys, monkeypatch):
+        from collatzbin import analysis
+
+        monkeypatch.setattr(analysis, "reduced_step", lambda n: n)
+        monkeypatch.setattr(analysis, "_WITNESS_CHARS", 1)
+        summary = analysis.audit_length_deltas(200, 16, seed=0)
+        code, out, err = run_cli(capsys, "audit", "--ell", "16", "--samples", "200")
+        assert code == 1
+        assert out == f"ell=16: 200 samples, {summary.violation_count} violations\n"
+        assert err.splitlines() == [
+            f"  violation: {summary.violations[0]}",
+            f"  {summary.violation_count - 1} more violations, witnesses not kept",
+        ]
 
     @pytest.mark.parametrize("kind,step_cap", [("alpha", "-1"), ("gamma", "0")])
     def test_families_step_cap_below_one_is_a_usage_error(self, capsys, kind, step_cap):
@@ -356,6 +370,7 @@ USAGE_ROUTES = {
     "huge negative --workers": ("verify", "--ell", "10", "--workers", "-" + "7" * 4000),
     "two signs on --ell": ("kstar", "--ell", "+-" + "7" * 4400),
     "huge --ell with separators": ("kstar", "--ell", "_".join(["7777"] * 1100)),
+    "value past the digit limit": ("trajectory", "--start", "bits:1" + "01" * 7150),
 }
 
 
@@ -380,6 +395,9 @@ def test_a_usage_error_is_one_short_line(capsys, argv):
         ("digit string on the classic map", "positive integer start"),
         ("bad digit string", "only 0 and 1"),
         ("missing --ell", "--ell"),
+        ("value past the digit limit", "step 0"),
+        ("value past the digit limit", "4300 digits"),
+        ("value past the digit limit", "raster"),
     ],
 )
 def test_a_usage_error_names_its_reason(capsys, route, phrase):
