@@ -15,8 +15,9 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
+from . import maps
 from .exact import BinaryFraction
 from .harness import MAX_SAMPLE_LENGTH, fan_out, sample_numerators
 from .maps import (
@@ -424,19 +425,22 @@ class RangeVerification:
 # stop times are memoized for odd values below 2**_MEMO_BITS only: an int16
 # memo of at most 2**24 entries, 32 MiB per worker
 _MEMO_BITS = 25
+# the memo fill copies a residue class as one slice when each start's stop
+# time follows from an iterate at most this share of it (see _fill_plan)
+_FILL_RATIO = Fraction(27, 32)
 
 
-def _verify_chunk(starts: range, ell: int, step_cap: int) -> tuple[int, int, int]:
-    """Walk a range of ascending odd starts; returns (count, max stop time, worst start).
+def _walk_starts(memo: array, starts: range, step_cap: int) -> tuple[int, int, int]:
+    """Walk ascending odd starts one by one; returns (count, max stop time, worst start).
 
-    A start whose stopping time exceeds ``step_cap`` raises
-    :class:`DivergenceError`.  Values at or above the memo bound are walked
-    and not stored.  A stop time past the int16 range raises OverflowError.
+    ``memo`` holds the stop time of each odd v below its bound,
+    2 * len(memo), at index v >> 1, or -1 if not yet known, and memo[0] = 0
+    for the value 1; each walk ends at a known value and stores the stop
+    times of its values below the bound.  A start whose stopping time
+    exceeds ``step_cap`` raises :class:`DivergenceError`, and a stop time
+    past the int16 range raises OverflowError.
     """
-    bound = 1 << min(ell, _MEMO_BITS)
-    # memoized stop times for odd values below the bound, indexed by (v-1)/2
-    memo = array("h", [-1]) * (bound >> 1)
-    memo[0] = 0
+    bound = len(memo) << 1
     best = -1
     worst = 0
     count = 0
@@ -445,7 +449,7 @@ def _verify_chunk(starts: range, ell: int, step_cap: int) -> tuple[int, int, int
         v = x
         while True:
             if v < bound:
-                s = memo[(v - 1) >> 1]
+                s = memo[v >> 1]
                 if s >= 0:
                     break
             path.append(v)
@@ -458,7 +462,7 @@ def _verify_chunk(starts: range, ell: int, step_cap: int) -> tuple[int, int, int
         for u in reversed(path):
             s += 1
             if u < bound:
-                memo[(u - 1) >> 1] = s
+                memo[u >> 1] = s
         count += 1
         if s > best:
             best = s
@@ -466,15 +470,158 @@ def _verify_chunk(starts: range, ell: int, step_cap: int) -> tuple[int, int, int
     return count, best, worst
 
 
+@cache
+def _fill_plan() -> tuple[int, list[tuple[int, int, int, int]], list[int], Fraction]:
+    """How :func:`_fill_memo` fills each odd residue class b mod 2**K.
+
+    Returns ``(K, classes, walked, rho)`` with K = ``maps._JUMP_BITS`` (at
+    least 3).  An entry ``(b, c, stride, offset)`` of ``classes`` says that
+    x = 2**K a + b has stop(x) = c + stop(y), where y is the odd value at
+    memo index ``stride * a + offset``:
+
+    * for b = 5 mod 8, c = 0 and y = (x - 1)/4;
+    * otherwise y = T^j(x) for the first j < K at which T^j(b) is odd and
+      3**c <= ``_FILL_RATIO`` 2**j, where c counts the odd steps among the
+      first j steps of T (see :func:`_fill_memo`).
+
+    ``walked`` lists the other odd residues, and ``rho`` is the largest
+    3**c / 2**j among the classes.  Built on the first fill, not at import.
+    """
+    K = maps._JUMP_BITS
+    classes, walked, rho = [], [], Fraction(0)
+    for b in range(1, 1 << K, 2):
+        if b & 7 == 5:
+            classes.append((b, 0, 1 << (K - 3), b >> 3))
+            continue
+        x, c = b, 0
+        for j in range(1, K):
+            if x & 1:
+                x = (3 * x + 1) >> 1
+                c += 1
+            else:
+                x >>= 1
+            if x & 1 and 3**c * _FILL_RATIO.denominator <= _FILL_RATIO.numerator << j:
+                classes.append((b, c, 3**c << (K - j - 1), x >> 1))
+                rho = max(rho, Fraction(3**c, 1 << j))
+                break
+        else:
+            walked.append(b)
+    return K, classes, walked, rho
+
+
+def _fill_memo(memo: array, top: int, step_cap: int) -> None:
+    """Store the stop time of every odd value below ``top`` in ``memo``, from 1 up.
+
+    ``memo`` is as in :func:`_walk_starts`, with 2 * len(memo) >= top.
+    Values below 2**K a0 (K = ``maps._JUMP_BITS``, a0 the smallest a with
+    floor(a / rho) > a, rho from :func:`_fill_plan`) are walked one by one.
+    Then blocks [2**K a0, 2**K a1), a1 = floor(a0 / rho), are filled in
+    turn, each as one slice per residue class b, over the starts
+    x = 2**K a + b with a0 <= a < a1.  Every value below the block is
+    already stored, and every y read below lies there:
+
+    * b = 5 mod 8: 3x + 1 = 4 (3y + 1) with y = (x - 1)/4 > 1, so x and y
+      have the same next odd value and stop(x) = stop(y).  And
+      y < 2**(K-2) a1 < 2**K a0, as rho >= 3/4 (b = 1 mod 8 is a class with
+      3/4 at j = 2) puts a1 below 4 a0.
+    * The other classes: with T(n) = (3n+1)/2 on odd n and n/2 on even n,
+      T^j(x) = 3**c 2**(K-j) a + T^j(b) for j <= K.  For j < K and a >= 1
+      each T^i(x), i <= j, is at least 2**(K-i) a >= 2, so no value before
+      y = T^j(x) is 1; and y is odd, so it is the c-th reduced iterate and
+      stop(x) = c + stop(y).  By the lemma of :func:`orbit_extents`,
+      T^j(b) < 3**c 2**(K-j), so y < 3**c 2**(K-j) (a + 1)
+      <= rho 2**K a1 <= 2**K a0.
+    * ``walked`` residues take jumps of K steps of T through
+      ``maps._jump_table`` until they fall below 2**K a0.  Each jump
+      starts at or above 2**K, so its count of reduced steps is exact (see
+      :func:`orbit_extents`).
+
+    An odd value below ``top`` whose stop time exceeds ``step_cap`` raises
+    :class:`DivergenceError` for the smallest such value: a block whose
+    maximum passes the cap, or that holds a walk stopped at the cap, is
+    walked again one start at a time by :func:`_walk_starts`, which raises.
+    """
+    K, classes, walked, rho = _fill_plan()
+    table = maps._jump_table()
+    mask = (1 << K) - 1
+    step = 1 << (K - 1)  # the memo stride of one residue class
+    num, den = rho.numerator, rho.denominator
+    a0 = -(-num // (den - num))
+    _walk_starts(memo, range(1, min(top, a0 << K), 2), step_cap)
+    while a0 << K < top:
+        a1 = a0 * den // num
+        lo, hi = a0 << K, min(a1 << K, top)
+        for b, c, stride, offset in classes:
+            n = (hi - lo - b + mask) >> K  # starts of class b below hi
+            x, y = (lo + b) >> 1, stride * a0 + offset
+            ys = memo[y : y + n * stride : stride]
+            memo[x : x + n * step : step] = array("h", map(c.__add__, ys)) if c else ys
+        stopped = False
+        for b in walked:
+            for x in range(lo + b, hi, 1 << K):
+                v, s = x, 0
+                while v >= lo and s <= step_cap:
+                    c, power, tail, _, _ = table[v & mask]
+                    y = power * (v >> K) + tail
+                    v = y >> ((y & -y).bit_length() - 1)
+                    s += c
+                if s > step_cap:
+                    stopped = True
+                else:
+                    memo[x >> 1] = s + memo[v >> 1]
+        if stopped or max(memoryview(memo)[lo >> 1 : hi >> 1]) > step_cap:
+            _walk_starts(memo, range(lo + 1, hi, 2), step_cap)
+        a0 = a1
+
+
+def _verify_chunk(starts: range, ell: int, step_cap: int) -> tuple[int, int, int]:
+    """(count, max stop time, worst start) over a nonempty range of ascending odd starts.
+
+    The memo holds the odd values below 2**min(ell, ``_MEMO_BITS``).  When
+    the first start lies below that bound, :func:`_fill_memo` fills the memo
+    from 1 to the last start below it, and those starts are read from the
+    memo.  Starts at or above the bound are walked one by one, and their
+    values at or above it are not stored.
+
+    A stopping time past ``step_cap`` raises :class:`DivergenceError`.  The
+    fill checks every value it stores, so a slice may name a value below
+    its first start: the smallest one, which the slice holding it names too.
+    """
+    bound = 1 << min(ell, _MEMO_BITS)
+    memo = array("h", [-1]) * (bound >> 1)
+    memo[0] = 0
+    top = min(bound, starts[-1] + 1)
+    count = best = worst = 0
+    if starts[0] < top:
+        _fill_memo(memo, top, step_cap)
+        lo, hi = starts[0] >> 1, top >> 1
+        best = max(memoryview(memo)[lo:hi])
+        count, worst = hi - lo, 2 * memo.index(best, lo, hi) + 1
+    if starts[count:]:  # the starts at or above the bound
+        n, s, x = _walk_starts(memo, starts[count:], step_cap)
+        count += n
+        if s > best:
+            best, worst = s, x
+    return count, best, worst
+
+
 def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeVerification:
     """Prove every odd start below 2**ell reaches the ground state.
 
-    Reduced-map stopping times are computed with path memoization below
-    2**25 (an int16 memo, at most 32 MiB per worker); the worst start is
-    the smallest one attaining the maximum.  A start whose stopping time
-    exceeds the step cap raises :class:`DivergenceError`, with the smallest
-    such start as witness.  Worker count affects speed only, never the
-    summary or the witness; it must be >= 1 and is clamped to the CPU count.
+    Reduced-map stopping times are held in an int16 memo of the odd values
+    below 2**min(ell, 25), at most 32 MiB per worker; the worst start is the
+    smallest one attaining the maximum.  Each worker fills its memo from 1
+    to its last start below that bound, by residue class mod 2**10 (see
+    ``_fill_memo``): a quarter of the starts copy a smaller value's stop
+    time in one strided slice, about 55% add a constant to one, and only
+    the rest are walked.  Every worker fills from 1, so at ell <= 25 the
+    worker with the last slice does the whole fill, and a second worker
+    buys little.  Starts at or above 2**25 are walked one by one.
+
+    A start whose stopping time exceeds the step cap raises
+    :class:`DivergenceError`, with the smallest such start as witness.
+    Worker count affects speed only, never the summary or the witness; it
+    must be >= 1 and is clamped to the CPU count.
     """
     if not 1 <= ell <= 34:
         raise ValueError("verify_range supports 1 <= ell <= 34")

@@ -4,9 +4,13 @@ exclusion scan, exhaustive range verification, and the family probes.
 Wherever a closed form or a memoized computation is under test, a plain
 brute-force route computes the same quantity independently."""
 
+import subprocess
+import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 from hypothesis import given
@@ -47,6 +51,28 @@ def brute_stopping_time(x: int) -> int:
         x = reduced_step(x)
         steps += 1
     return steps
+
+
+@cache
+def brute_stops(ell: int) -> dict[int, int]:
+    return {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
+
+
+@pytest.fixture
+def jump_bits(monkeypatch):
+    """Sets K = maps._JUMP_BITS for one test and rebuilds the tables that depend on it."""
+    from collatzbin import analysis, maps
+
+    jump_table = maps._jump_table
+
+    def patch(bits: int) -> None:
+        monkeypatch.setattr(maps, "_JUMP_BITS", bits)
+        jump_table.cache_clear()
+        analysis._fill_plan.cache_clear()
+
+    yield patch
+    jump_table.cache_clear()
+    analysis._fill_plan.cache_clear()
 
 
 class TestRunTrajectory:
@@ -472,26 +498,109 @@ class TestVerifyRange:
         assert exc_info.value.start == 9
         assert str(exc_info.value) == "orbit of 9 exceeded the step cap of 5"
 
-    def test_step_cap_bounds_the_stopping_time_at_any_worker_count(self, monkeypatch):
+    @pytest.mark.parametrize("bits", [10, 4])
+    def test_step_cap_bounds_the_stopping_time_at_any_worker_count(self, monkeypatch, jump_bits,
+                                                                   bits):
         # the cap applies to each start's stopping time, not to the part of
-        # its walk that a chunk's memo has not seen yet
+        # its walk that a chunk's memo has not seen yet; at ell 14 the memo
+        # fill runs, and with K = 4 it runs at every length and its walks
+        # stop at caps near the maximum
         from collatzbin import harness
 
+        jump_bits(bits)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        for ell in (8, 10):
-            stops = {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
-            for step_cap in range(1, max(stops.values()) + 1):
+        for ell, first_cap in ((8, 1), (10, 1), (14, 85)):
+            stops = brute_stops(ell)
+            for step_cap in range(first_cap, max(stops.values()) + 2):
                 over = [x for x, s in stops.items() if s > step_cap]
                 for workers in (1, 2):
                     if not over:
                         result = verify_range(ell, workers=workers, step_cap=step_cap)
-                        assert result.max_stopping_time == step_cap
+                        assert result.max_stopping_time == max(stops.values())
                         continue
                     with pytest.raises(DivergenceError) as exc_info:
                         verify_range(ell, workers=workers, step_cap=step_cap)
                     assert exc_info.value.start == min(over)
                     assert exc_info.value.step_cap == step_cap
+
+    def test_a_walk_stopped_at_the_cap_is_walked_again_start_by_start(self, monkeypatch, jump_bits):
+        # a jump table whose walked residues climb for ever: each such walk in
+        # the fill stops at the cap, and its block is walked again by single
+        # reduced steps, which give the true stop times or the true witness
+        from collatzbin import analysis, harness, maps
+
+        jump_bits(4)
+        K, _, walked, _ = analysis._fill_plan()
+        table = list(maps._jump_table())
+        for b in walked:
+            table[b] = (1, 1 << K, (1 << K) + b, 0, ())  # v -> v + 2**K
+        monkeypatch.setattr(maps, "_jump_table", lambda: table)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        stops = brute_stops(12)
+        best = max(stops.values())
+        for step_cap in range(best - 3, best + 2):
+            over = [x for x, s in stops.items() if s > step_cap]
+            for workers in (1, 2):
+                if not over:
+                    result = verify_range(12, workers=workers, step_cap=step_cap)
+                    assert result.max_stopping_time == best
+                    assert result.worst_start == min(x for x, s in stops.items() if s == best)
+                    continue
+                with pytest.raises(DivergenceError) as exc_info:
+                    verify_range(12, workers=workers, step_cap=step_cap)
+                assert exc_info.value.start == min(over)
+
+    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
+    def test_memo_fill_matches_brute_force_entry_by_entry(self, jump_bits, bits):
+        # K = 10 fills blocks from 6 * 2**10 on; a smaller K crosses many more
+        # blocks and classes; the smaller tops end inside a block
+        from collatzbin import analysis
+
+        jump_bits(bits)
+        stops = brute_stops(15)
+        for top in (1 << 15, (1 << 15) - 2002, 6146):
+            memo = array("h", [-1]) * (1 << 14)
+            memo[0] = 0
+            analysis._fill_memo(memo, top, 10**6)
+            assert list(memo[: top >> 1]) == [stops[x] for x in range(1, top, 2)]
+
+    @pytest.mark.parametrize("bits", [10, 4])
+    def test_slices_match_the_per_start_loop(self, monkeypatch, jump_bits, bits):
+        # the oracle walks each start of fan_out's slices one by one, from an
+        # empty memo; the last slice at ell 16 has stop 2**16 + 1
+        from collatzbin import analysis, harness
+
+        jump_bits(bits)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+
+        def per_start(starts: range, ell: int) -> tuple[int, int, int]:
+            memo = array("h", [-1]) * (1 << (ell - 1))
+            memo[0] = 0
+            return analysis._walk_starts(memo, starts, 10**6)
+
+        for ell in (13, 14, 15, 16):
+            starts = range(1, 1 << ell, 2)
+            for workers in (1, 2, 3, 4):
+                chunk = partial(analysis._verify_chunk, ell=ell, step_cap=10**6)
+                fill = harness.fan_out(chunk, starts, workers)
+                assert fill == harness.fan_out(partial(per_start, ell=ell), starts, workers)
+
+    def test_fill_tables_are_built_on_first_use(self):
+        code = (
+            "import collatzbin, collatzbin.cli\n"
+            "from collatzbin import analysis, maps\n"
+            "assert analysis._fill_plan.cache_info().currsize == 0\n"
+            "assert maps._jump_table.cache_info().currsize == 0\n"
+            "analysis.verify_range(14)\n"
+            "analysis.verify_range(15)\n"
+            "assert analysis._fill_plan.cache_info().misses == 1\n"
+            "assert maps._jump_table.cache_info().misses == 1\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
