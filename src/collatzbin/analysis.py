@@ -19,7 +19,7 @@ from functools import cache, partial
 
 from . import maps
 from .exact import BinaryFraction
-from .harness import MAX_SAMPLE_LENGTH, fan_out, sample_numerators
+from .harness import MAX_SAMPLE_LENGTH, pool_size, process_pool, sample_numerators, split
 from .maps import (
     STEP_CAP,
     Branch,
@@ -422,23 +422,27 @@ class RangeVerification:
     worst_start: int
 
 
-# stop times are memoized for odd values below 2**_MEMO_BITS only: an int16
-# memo of at most 2**24 entries, 32 MiB per worker
+# stop times are memoized for odd values below 2**_MEMO_BITS only: one int16
+# memo of at most 2**24 entries, 32 MiB, however many workers share it
 _MEMO_BITS = 25
 # the memo fill copies a residue class as one slice when each start's stop
 # time follows from an iterate at most this share of it (see _fill_plan)
 _FILL_RATIO = Fraction(27, 32)
+# with n > 1 workers, a fill block at least this many values wide is split
+# into n parts that fill their residue classes at once (see _fill_memo)
+_SPLIT_WIDTH = 1 << 13
 
 
-def _walk_starts(memo: array, starts: range, step_cap: int) -> tuple[int, int, int]:
+def _walk_starts(memo: array | memoryview, starts: range, step_cap: int) -> tuple[int, int, int]:
     """Walk ascending odd starts one by one; returns (count, max stop time, worst start).
 
-    ``memo`` holds the stop time of each odd v below its bound,
-    2 * len(memo), at index v >> 1, or -1 if not yet known, and memo[0] = 0
-    for the value 1; each walk ends at a known value and stores the stop
-    times of its values below the bound.  A start whose stopping time
-    exceeds ``step_cap`` raises :class:`DivergenceError`, and a stop time
-    past the int16 range raises OverflowError.
+    ``memo`` is an int16 ``array`` or memoryview holding the stop time of
+    each odd v below its bound, 2 * len(memo), at index v >> 1, or -1 if
+    not yet known, and memo[0] = 0 for the value 1; each walk ends at a
+    known value and stores the stop times of its values below the bound.
+    A start whose stopping time exceeds ``step_cap`` raises
+    :class:`DivergenceError`, and a stop time past the int16 range cannot
+    be stored and raises.
     """
     bound = len(memo) << 1
     best = -1
@@ -509,16 +513,62 @@ def _fill_plan() -> tuple[int, list[tuple[int, int, int, int]], list[int], Fract
     return K, classes, walked, rho
 
 
-def _fill_memo(memo: array, top: int, step_cap: int) -> None:
+def _fill_block(
+    memo: array | memoryview, lo: int, hi: int, part: int, parts: int, step_cap: int
+) -> tuple[int, bool]:
+    """Fill part ``part`` of ``parts`` of one block [lo, hi) of :func:`_fill_memo`.
+
+    The part takes ``classes[part::parts]`` and ``walked[part::parts]`` of
+    :func:`_fill_plan`.  It writes only the entries of its own starts in
+    [lo, hi) and reads only entries below lo, so the parts of a block can
+    run at once on one shared memo.  Returns (the largest stop time it
+    wrote or -1, whether a walk passed ``step_cap``); such a walk leaves
+    its start's entry at -1.
+    """
+    K, classes, walked, _ = _fill_plan()
+    table = maps._jump_table()
+    mask = (1 << K) - 1
+    step = 1 << (K - 1)  # the memo stride of one residue class
+    a0 = lo >> K
+    best, stopped = -1, False
+    for b, c, stride, offset in classes[part::parts]:
+        n = (hi - lo - b + mask) >> K  # starts of class b below hi
+        x, y = (lo + b) >> 1, stride * a0 + offset
+        ys = memo[y : y + n * stride : stride]
+        if c:
+            ys = array("h", map(c.__add__, ys))
+        memo[x : x + n * step : step] = ys
+        best = max(best, max(ys, default=-1))
+    for b in walked[part::parts]:
+        for x in range(lo + b, hi, 1 << K):
+            v, s = x, 0
+            while v >= lo and s <= step_cap:
+                c, power, tail, _, _ = table[v & mask]
+                y = power * (v >> K) + tail
+                v = y >> ((y & -y).bit_length() - 1)
+                s += c
+            if s > step_cap:
+                stopped = True
+                continue
+            s += memo[v >> 1]
+            memo[x >> 1] = s
+            if s > best:
+                best = s
+    return best, stopped
+
+
+def _fill_memo(
+    memo: array | memoryview, top: int, step_cap: int, pool=None, parts: int = 1
+) -> tuple[int, range]:
     """Store the stop time of every odd value below ``top`` in ``memo``, from 1 up.
 
     ``memo`` is as in :func:`_walk_starts`, with 2 * len(memo) >= top.
     Values below 2**K a0 (K = ``maps._JUMP_BITS``, a0 the smallest a with
     floor(a / rho) > a, rho from :func:`_fill_plan`) are walked one by one.
     Then blocks [2**K a0, 2**K a1), a1 = floor(a0 / rho), are filled in
-    turn, each as one slice per residue class b, over the starts
-    x = 2**K a + b with a0 <= a < a1.  Every value below the block is
-    already stored, and every y read below lies there:
+    turn by :func:`_fill_block`, each as one slice per residue class b,
+    over the starts x = 2**K a + b with a0 <= a < a1.  Every value below
+    the block is already stored, and every y read below lies there:
 
     * b = 5 mod 8: 3x + 1 = 4 (3y + 1) with y = (x - 1)/4 > 1, so x and y
       have the same next odd value and stop(x) = stop(y).  And
@@ -536,105 +586,155 @@ def _fill_memo(memo: array, top: int, step_cap: int) -> None:
       starts at or above 2**K, so its count of reduced steps is exact (see
       :func:`orbit_extents`).
 
-    An odd value below ``top`` whose stop time exceeds ``step_cap`` raises
+    So no entry of a block depends on another entry of it.  With ``parts``
+    > 1, ``memo`` is the memo every worker of ``pool`` shares (see
+    :func:`_share_memo`), and a block at least ``_SPLIT_WIDTH`` values
+    wide is filled as ``parts`` parts, one pool task each, all done before
+    the next block starts; the other blocks are filled here.
+
+    Returns the largest stop time below ``top`` and the range of values
+    (the first ones walked, or a block) where it first occurs.  An odd
+    value below ``top`` whose stop time exceeds ``step_cap`` raises
     :class:`DivergenceError` for the smallest such value: a block whose
     maximum passes the cap, or that holds a walk stopped at the cap, is
     walked again one start at a time by :func:`_walk_starts`, which raises.
     """
-    K, classes, walked, rho = _fill_plan()
-    table = maps._jump_table()
-    mask = (1 << K) - 1
-    step = 1 << (K - 1)  # the memo stride of one residue class
+    K, _, _, rho = _fill_plan()
     num, den = rho.numerator, rho.denominator
     a0 = -(-num // (den - num))
-    _walk_starts(memo, range(1, min(top, a0 << K), 2), step_cap)
+    where = range(1, min(top, a0 << K))
+    _, best, _ = _walk_starts(memo, where[::2], step_cap)
+    fill_part = partial(_fill_part, step_cap=step_cap)
     while a0 << K < top:
         a1 = a0 * den // num
         lo, hi = a0 << K, min(a1 << K, top)
-        for b, c, stride, offset in classes:
-            n = (hi - lo - b + mask) >> K  # starts of class b below hi
-            x, y = (lo + b) >> 1, stride * a0 + offset
-            ys = memo[y : y + n * stride : stride]
-            memo[x : x + n * step : step] = array("h", map(c.__add__, ys)) if c else ys
-        stopped = False
-        for b in walked:
-            for x in range(lo + b, hi, 1 << K):
-                v, s = x, 0
-                while v >= lo and s <= step_cap:
-                    c, power, tail, _, _ = table[v & mask]
-                    y = power * (v >> K) + tail
-                    v = y >> ((y & -y).bit_length() - 1)
-                    s += c
-                if s > step_cap:
-                    stopped = True
-                else:
-                    memo[x >> 1] = s + memo[v >> 1]
-        if stopped or max(memoryview(memo)[lo >> 1 : hi >> 1]) > step_cap:
-            _walk_starts(memo, range(lo + 1, hi, 2), step_cap)
+        if parts > 1 and hi - lo >= _SPLIT_WIDTH:
+            done = list(pool.map(fill_part, [(lo, hi, i, parts) for i in range(parts)]))
+        else:
+            done = [_fill_block(memo, lo, hi, 0, 1, step_cap)]
+        peak = max(s for s, _ in done)
+        if peak > step_cap or any(stopped for _, stopped in done):
+            _, peak, _ = _walk_starts(memo, range(lo + 1, hi, 2), step_cap)
+        if peak > best:
+            best, where = peak, range(lo, hi)
         a0 = a1
+    return best, where
 
 
-def _verify_chunk(starts: range, ell: int, step_cap: int) -> tuple[int, int, int]:
-    """(count, max stop time, worst start) over a nonempty range of ascending odd starts.
+def _first_start(memo: array | memoryview, stop: int, values: range) -> int:
+    """The smallest odd value in ``values`` whose memo entry is ``stop``.
 
-    The memo holds the odd values below 2**min(ell, ``_MEMO_BITS``).  When
-    the first start lies below that bound, :func:`_fill_memo` fills the memo
-    from 1 to the last start below it, and those starts are read from the
-    memo.  Starts at or above the bound are walked one by one, and their
-    values at or above it are not stored.
-
-    A stopping time past ``step_cap`` raises :class:`DivergenceError`.  The
-    fill checks every value it stores, so a slice may name a value below
-    its first start: the smallest one, which the slice holding it names too.
+    Reads 2**12 entries at a time, so the memo is never copied whole.
     """
-    bound = 1 << min(ell, _MEMO_BITS)
-    memo = array("h", [-1]) * (bound >> 1)
+    view = memoryview(memo)
+    entries = range(values.start >> 1, (values.stop + 1) >> 1)
+    for at in entries[:: 1 << 12]:
+        piece = view[at : min(at + (1 << 12), entries.stop)].tolist()
+        if stop in piece:
+            return 2 * (at + piece.index(stop)) + 1
+    raise ValueError(f"no odd value in {values} has stop time {stop}")
+
+
+def _shared_memo(bound: int) -> tuple[object, memoryview]:
+    """(arena, memo): an empty memo of the odd values below ``bound`` in shared memory.
+
+    ``arena`` is one mmap of ``bound`` bytes that pool workers inherit or
+    reopen (see :func:`_share_memo`); ``memo`` is its int16 view, as in
+    :func:`_walk_starts`.  It is filled with -1 a piece at a time, then
+    memo[0] = 0.
+    """
+    # imported here, not with the module: only a pool shares a memo
+    from multiprocessing.heap import Arena
+
+    arena = Arena(bound)
+    memo = memoryview(arena.buffer).cast("h")
+    unknown = array("h", [-1]) * min(len(memo), 1 << 15)
+    for at in range(0, len(memo), len(unknown)):
+        memo[at : at + len(unknown)] = unknown
     memo[0] = 0
-    top = min(bound, starts[-1] + 1)
-    count = best = worst = 0
-    if starts[0] < top:
-        _fill_memo(memo, top, step_cap)
-        lo, hi = starts[0] >> 1, top >> 1
-        best = max(memoryview(memo)[lo:hi])
-        count, worst = hi - lo, 2 * memo.index(best, lo, hi) + 1
-    if starts[count:]:  # the starts at or above the bound
-        n, s, x = _walk_starts(memo, starts[count:], step_cap)
-        count += n
-        if s > best:
-            best, worst = s, x
-    return count, best, worst
+    return arena, memo
+
+
+# a pool worker's view of the memo that every worker shares, set by _share_memo
+_shared: memoryview | None = None
+
+
+def _share_memo(arena) -> None:
+    """Pool initializer: view the int16 memo that ``arena`` holds."""
+    global _shared
+    _shared = memoryview(arena.buffer).cast("h")
+
+
+def _fill_part(block: tuple[int, int, int, int], step_cap: int) -> tuple[int, bool]:
+    """:func:`_fill_block` of (lo, hi, part, parts) on the shared memo."""
+    return _fill_block(_shared, *block, step_cap)
+
+
+def _walk_part(starts: range, step_cap: int) -> tuple[int, int, int]:
+    """:func:`_walk_starts` of a slice of starts above the shared memo's bound."""
+    return _walk_starts(_shared, starts, step_cap)
 
 
 def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeVerification:
     """Prove every odd start below 2**ell reaches the ground state.
 
-    Reduced-map stopping times are held in an int16 memo of the odd values
-    below 2**min(ell, 25), at most 32 MiB per worker; the worst start is the
-    smallest one attaining the maximum.  Each worker fills its memo from 1
-    to its last start below that bound, by residue class mod 2**10 (see
-    ``_fill_memo``): a quarter of the starts copy a smaller value's stop
-    time in one strided slice, about 55% add a constant to one, and only
-    the rest are walked.  Every worker fills from 1, so at ell <= 25 the
-    worker with the last slice does the whole fill, and a second worker
-    buys little.  Starts at or above 2**25 are walked one by one.
+    Reduced-map stopping times are held in one int16 memo of the odd
+    values below 2**min(ell, 25), at most 32 MiB; the worst start is the
+    smallest one attaining the maximum.  The memo is filled from 1 up, by
+    residue class mod 2**10 (see ``_fill_memo``): a quarter of the starts
+    copy a smaller value's stop time in one strided slice, about 55% add
+    a constant to one, and only the rest are walked.  Starts at or above
+    2**25 are then walked one by one, reading the filled memo.
+
+    With one worker all of this runs in this process on an ``array``.
+    With n > 1 workers (clamped to the CPU count) the memo is one shared
+    buffer that a pool of n processes maps once, through its initializer.
+    Every fill block at least 2**13 values wide is split into n parts
+    that take turns on its residue classes, and the starts at or above
+    2**25 are walked in n contiguous slices.
 
     A start whose stopping time exceeds the step cap raises
     :class:`DivergenceError`, with the smallest such start as witness.
     Worker count affects speed only, never the summary or the witness; it
-    must be >= 1 and is clamped to the CPU count.
+    must be >= 1.
     """
     if not 1 <= ell <= 34:
         raise ValueError("verify_range supports 1 <= ell <= 34")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
-    starts = range(1, 1 << ell, 2)
-    results = fan_out(partial(_verify_chunk, ell=ell, step_cap=step_cap), starts, workers)
-    # starts ascend within and across slices, so the first maximum is the smallest start
-    _, best, worst = max(results, key=lambda r: r[1])
-    total = sum(r[0] for r in results)
+    n = pool_size(workers)
+    bound = 1 << min(ell, _MEMO_BITS)
+    if n == 1:
+        memo = array("h", [-1]) * (bound >> 1)
+        memo[0] = 0
+        return _verify(ell, memo, step_cap)
+    arena, memo = _shared_memo(bound)
+    with process_pool(n, _share_memo, (arena,)) as pool:
+        return _verify(ell, memo, step_cap, pool, n)
+
+
+def _verify(
+    ell: int, memo: array | memoryview, step_cap: int, pool=None, parts: int = 1
+) -> RangeVerification:
+    """:func:`verify_range` on an empty memo; ``pool`` and ``parts`` as in :func:`_fill_memo`."""
+    bound = len(memo) << 1
+    best, where = _fill_memo(memo, bound, step_cap, pool, parts)
+    worst = _first_start(memo, best, where)
+    count = bound >> 1
+    above = range(bound + 1, 1 << ell, 2)
+    if above:  # walked one by one, reading the filled memo
+        if pool is None:
+            results = [_walk_starts(memo, above, step_cap)]
+        else:
+            results = pool.map(partial(_walk_part, step_cap=step_cap), split(above, parts))
+        # slices ascend, so the first maximum is the smallest start
+        for walked, stop, start in results:
+            count += walked
+            if stop > best:
+                best, worst = stop, start
     return RangeVerification(
         ell=ell,
-        verified_count=total,
+        verified_count=count,
         max_stopping_time=best,
         worst_start=worst,
     )

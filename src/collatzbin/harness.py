@@ -190,19 +190,38 @@ class CellSummary:
 CSV_HEADER = ",".join(f.name for f in fields(CellSummary))
 
 
+def pool_size(workers: int) -> int:
+    """``workers`` (>= 1) clamped to the CPU count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def process_pool(n: int, initializer=None, initargs: tuple = ()) -> ProcessPoolExecutor:
+    """A pool of n worker processes, each running ``initializer(*initargs)`` first.
+
+    The one place a pool is built, for :func:`fan_out` and for
+    :func:`~collatzbin.analysis.verify_range`'s rounds alike.
+    """
+    return ProcessPoolExecutor(max_workers=n, initializer=initializer, initargs=initargs)
+
+
+def split(items: range, n: int) -> list[range]:
+    """n contiguous slices of ``items``, in order, whose lengths differ by at most 1."""
+    return [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
+
+
 def fan_out(fn, items: range, workers: int) -> list:
     """fn of each of n contiguous slices of ``items``, in order.
 
-    n is ``workers`` (>= 1) clamped to the CPU count and to ``len(items)``.
+    n is :func:`pool_size` of ``workers``, clamped to ``len(items)``.
     With n > 1 each slice is one pool task, so ``fn`` must pickle: a
     module-level function or a :func:`functools.partial` of one.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    n = min(workers, os.cpu_count() or 1, len(items))
-    slices = [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
+    n = min(pool_size(workers), len(items))
+    slices = split(items, n)
     if n > 1:
-        with ProcessPoolExecutor(max_workers=n) as pool:
+        with process_pool(n) as pool:
             return list(pool.map(fn, slices))
     return [fn(part) for part in slices]
 

@@ -10,7 +10,7 @@ import tracemalloc
 from array import array
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -56,6 +56,35 @@ def brute_stopping_time(x: int) -> int:
 @cache
 def brute_stops(ell: int) -> dict[int, int]:
     return {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
+
+
+def assert_caps_keep_their_witnesses(ell: int, caps: range, worker_counts: tuple) -> None:
+    """verify_range at each cap and worker count: the true summary, or the smallest witness."""
+    stops = brute_stops(ell)
+    best = max(stops.values())
+    for step_cap in caps:
+        over = [x for x, s in stops.items() if s > step_cap]
+        for workers in worker_counts:
+            if not over:
+                result = verify_range(ell, workers=workers, step_cap=step_cap)
+                assert result.max_stopping_time == best
+                assert result.worst_start == min(x for x, s in stops.items() if s == best)
+                continue
+            with pytest.raises(DivergenceError) as exc_info:
+                verify_range(ell, workers=workers, step_cap=step_cap)
+            assert exc_info.value.start == min(over)
+            assert exc_info.value.step_cap == step_cap
+
+
+def climb_for_ever(monkeypatch, residues) -> None:
+    """Make the jump table send each odd residue in ``residues`` from v to v + 2**K."""
+    from collatzbin import maps
+
+    K = maps._JUMP_BITS
+    table = list(maps._jump_table())
+    for b in residues:
+        table[b] = (1, 1 << K, (1 << K) + b, 0, ())
+    monkeypatch.setattr(maps, "_jump_table", lambda: table)
 
 
 @pytest.fixture
@@ -465,21 +494,35 @@ class TestVerifyRange:
                 assert result.max_stopping_time == best
                 assert result.worst_start == min(x for x, s in stops.items() if s == best)
 
-    def test_memo_stays_bounded_at_the_largest_length(self):
-        import tracemalloc
+    def test_memo_stays_bounded_at_the_largest_length(self, monkeypatch):
+        # the fill is stopped at once; the 2**24-entry int16 memo is 32 MiB,
+        # where 2**33 entries would be 16 GiB
+        from collatzbin import analysis
 
-        from collatzbin.analysis import _verify_chunk
+        class Stop(Exception):
+            pass
 
-        x = 2**33 + 1
+        sizes = []
+
+        def stop(memo, *args):
+            sizes.append(len(memo))
+            raise Stop
+
+        monkeypatch.setattr(analysis, "_fill_memo", stop)
         tracemalloc.start()
         try:
-            result = _verify_chunk(range(x, x + 2, 2), 34, 10**6)
+            with pytest.raises(Stop):
+                verify_range(34)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result == (1, brute_stopping_time(x), x)
-        # the 2**24-entry int16 memo is 32 MiB; 2**33 entries would be 16 GiB
+        assert sizes == [1 << 24]
         assert peak < 40 * 2**20
+        x = 2**33 + 1
+        memo = array("h", [-1]) * (1 << 24)
+        memo[0] = 0
+        assert analysis._walk_starts(memo, range(x, x + 2, 2), 10**6) == (
+            1, brute_stopping_time(x), x)
 
     def test_known_worst_cases(self):
         five = verify_range(5)
@@ -502,55 +545,54 @@ class TestVerifyRange:
     def test_step_cap_bounds_the_stopping_time_at_any_worker_count(self, monkeypatch, jump_bits,
                                                                    bits):
         # the cap applies to each start's stopping time, not to the part of
-        # its walk that a chunk's memo has not seen yet; at ell 14 the memo
+        # its walk that a block's fill has not seen yet; at ell 14 the memo
         # fill runs, and with K = 4 it runs at every length and its walks
-        # stop at caps near the maximum
-        from collatzbin import harness
+        # stop at caps near the maximum; every block is split among the workers
+        from collatzbin import analysis, harness
 
         jump_bits(bits)
+        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         for ell, first_cap in ((8, 1), (10, 1), (14, 85)):
-            stops = brute_stops(ell)
-            for step_cap in range(first_cap, max(stops.values()) + 2):
-                over = [x for x, s in stops.items() if s > step_cap]
-                for workers in (1, 2):
-                    if not over:
-                        result = verify_range(ell, workers=workers, step_cap=step_cap)
-                        assert result.max_stopping_time == max(stops.values())
-                        continue
-                    with pytest.raises(DivergenceError) as exc_info:
-                        verify_range(ell, workers=workers, step_cap=step_cap)
-                    assert exc_info.value.start == min(over)
-                    assert exc_info.value.step_cap == step_cap
+            caps = range(first_cap, max(brute_stops(ell).values()) + 2)
+            assert_caps_keep_their_witnesses(ell, caps, (1, 2, 3))
 
     def test_a_walk_stopped_at_the_cap_is_walked_again_start_by_start(self, monkeypatch, jump_bits):
         # a jump table whose walked residues climb for ever: each such walk in
         # the fill stops at the cap, and its block is walked again by single
-        # reduced steps, which give the true stop times or the true witness
-        from collatzbin import analysis, harness, maps
+        # reduced steps, which give the true stop times or the true witness;
+        # every block is split among the workers
+        from collatzbin import analysis, harness
 
         jump_bits(4)
-        K, _, walked, _ = analysis._fill_plan()
-        table = list(maps._jump_table())
-        for b in walked:
-            table[b] = (1, 1 << K, (1 << K) + b, 0, ())  # v -> v + 2**K
-        monkeypatch.setattr(maps, "_jump_table", lambda: table)
+        climb_for_ever(monkeypatch, analysis._fill_plan()[2])
+        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        best = max(brute_stops(12).values())
+        assert_caps_keep_their_witnesses(12, range(best - 3, best + 2), (1, 2, 3))
+
+    def test_a_walk_stopped_in_part_1_of_a_split_block_is_walked_again(self, monkeypatch,
+                                                                        jump_bits):
+        # only the walked residues of part 1 of two climb for ever, so only
+        # that part reports a stopped walk; its block is walked again, which
+        # fills part 1's entries and keeps part 0's
+        from collatzbin import analysis, harness
+
+        jump_bits(4)
+        climb_for_ever(monkeypatch, analysis._fill_plan()[2][1::2])
+        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         stops = brute_stops(12)
         best = max(stops.values())
-        for step_cap in range(best - 3, best + 2):
-            over = [x for x, s in stops.items() if s > step_cap]
-            for workers in (1, 2):
-                if not over:
-                    result = verify_range(12, workers=workers, step_cap=step_cap)
-                    assert result.max_stopping_time == best
-                    assert result.worst_start == min(x for x, s in stops.items() if s == best)
-                    continue
-                with pytest.raises(DivergenceError) as exc_info:
-                    verify_range(12, workers=workers, step_cap=step_cap)
-                assert exc_info.value.start == min(over)
+        assert_caps_keep_their_witnesses(12, range(best - 3, best + 2), (2,))
+        arena, memo = analysis._shared_memo(1 << 12)
+        monkeypatch.setattr(analysis, "_shared", None)
+        pool = RecordingPool(2, analysis._share_memo, (arena,))
+        analysis._fill_memo(memo, 1 << 12, best, pool, 2)
+        assert memo.tolist() == [stops[x] for x in range(1, 1 << 12, 2)]
 
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
     def test_memo_fill_matches_brute_force_entry_by_entry(self, jump_bits, bits):
@@ -568,25 +610,81 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("bits", [10, 4])
     def test_slices_match_the_per_start_loop(self, monkeypatch, jump_bits, bits):
-        # the oracle walks each start of fan_out's slices one by one, from an
-        # empty memo; the last slice at ell 16 has stop 2**16 + 1
+        # the oracle walks every start one by one, from an empty memo; with a
+        # memo bound of 2**14, the starts above it are walked in one slice
+        # per worker, reading the memo the split blocks filled
         from collatzbin import analysis, harness
 
         jump_bits(bits)
+        monkeypatch.setattr(analysis, "_MEMO_BITS", 14)
+        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-
-        def per_start(starts: range, ell: int) -> tuple[int, int, int]:
+        for ell in (13, 14, 15, 16):
             memo = array("h", [-1]) * (1 << (ell - 1))
             memo[0] = 0
-            return analysis._walk_starts(memo, starts, 10**6)
-
-        for ell in (13, 14, 15, 16):
-            starts = range(1, 1 << ell, 2)
+            count, best, worst = analysis._walk_starts(memo, range(1, 1 << ell, 2), 10**6)
             for workers in (1, 2, 3, 4):
-                chunk = partial(analysis._verify_chunk, ell=ell, step_cap=10**6)
-                fill = harness.fan_out(chunk, starts, workers)
-                assert fill == harness.fan_out(partial(per_start, ell=ell), starts, workers)
+                monkeypatch.setattr(RecordingPool, "mapped", [])
+                result = verify_range(ell, workers=workers)
+                assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
+                    count, best, worst)
+                if workers > 1 and ell > 14:
+                    assert RecordingPool.mapped[-1] == workers  # the slices above 2**14
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bits", [10, 4, 6])
+    def test_split_fill_matches_brute_force_entry_by_entry(self, monkeypatch, jump_bits, bits,
+                                                           parts):
+        # every block split into parts that share one memo through the
+        # pool's initializer; the parts run one after another here
+        from collatzbin import analysis
+
+        jump_bits(bits)
+        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(analysis, "_shared", None)
+        stops = brute_stops(15)
+        for top in (1 << 15, (1 << 15) - 2002, 6146):
+            arena, memo = analysis._shared_memo(1 << 15)
+            pool = RecordingPool(parts, analysis._share_memo, (arena,))
+            analysis._fill_memo(memo, top, 10**6, pool, parts)
+            assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
+
+    def test_a_real_pool_shares_one_memo(self, monkeypatch):
+        # two worker processes fill the split blocks of one memo; a worker
+        # that filled a copy would leave the parent's entries at -1.  Nothing
+        # is left running, and no file is left behind, after a return or a raise
+        import multiprocessing
+        import os
+
+        from collatzbin import analysis, harness
+
+        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        shm = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+        stops = brute_stops(16)
+        assert verify_range(16, workers=2) == verify_range(16)
+        assert multiprocessing.active_children() == []
+        step_cap = max(stops.values()) - 3
+        over = [x for x, s in stops.items() if s > step_cap]
+        with pytest.raises(DivergenceError) as exc_info:
+            verify_range(16, workers=2, step_cap=step_cap)
+        assert exc_info.value.start == min(over)
+        assert multiprocessing.active_children() == []
+        if shm:
+            assert set(os.listdir("/dev/shm")) <= shm
+
+    def test_the_shared_memo_is_not_imported_with_the_cli(self):
+        code = (
+            "import sys, collatzbin.cli\n"
+            "assert 'multiprocessing.heap' not in sys.modules\n"
+            "from collatzbin import analysis, harness\n"
+            "harness.os.cpu_count = lambda: 2\n"
+            "analysis.verify_range(12, workers=2)\n"
+            "assert 'multiprocessing.heap' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_fill_tables_are_built_on_first_use(self):
         code = (

@@ -257,13 +257,18 @@ class TestTable:
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and job counts, runs jobs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and job counts, runs jobs in-process.
+
+    The initializer, if any, runs once, in this process, as one worker's would.
+    """
 
     requested: list[int] = []
     mapped: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.requested.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -309,10 +314,15 @@ def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch):
         assert run_table(cfg, workers=2) == serial
         assert RecordingPool.requested == [2]
         assert RecordingPool.mapped == [2]
-    serial_range = analysis.verify_range(12)
+    # and verify takes one pool for all its rounds, one task per worker in each
+    monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
+    serial_range = analysis.verify_range(16)
+    monkeypatch.setattr(RecordingPool, "requested", [])
     monkeypatch.setattr(RecordingPool, "mapped", [])
-    assert analysis.verify_range(12, workers=2) == serial_range
-    assert RecordingPool.mapped == [2]
+    assert analysis.verify_range(16, workers=2) == serial_range
+    assert RecordingPool.requested == [2]
+    assert len(RecordingPool.mapped) > 1
+    assert set(RecordingPool.mapped) == {2}
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
