@@ -515,22 +515,22 @@ def _fill_plan() -> tuple[int, list[tuple[int, int, int, int]], list[int], Fract
 
 def _fill_block(
     memo: array | memoryview, lo: int, hi: int, part: int, parts: int, step_cap: int
-) -> tuple[int, bool]:
+) -> tuple[int, int, bool]:
     """Fill part ``part`` of ``parts`` of one block [lo, hi) of :func:`_fill_memo`.
 
     The part takes ``classes[part::parts]`` and ``walked[part::parts]`` of
     :func:`_fill_plan`.  It writes only the entries of its own starts in
     [lo, hi) and reads only entries below lo, so the parts of a block can
-    run at once on one shared memo.  Returns (the largest stop time it
-    wrote or -1, whether a walk passed ``step_cap``); such a walk leaves
-    its start's entry at -1.
+    run at once on one shared memo.  Returns (how many entries it wrote,
+    the largest stop time it wrote or -1, whether a walk passed
+    ``step_cap``); such a walk leaves its start's entry at -1.
     """
     K, classes, walked, _ = _fill_plan()
     table = maps._jump_table()
     mask = (1 << K) - 1
     step = 1 << (K - 1)  # the memo stride of one residue class
     a0 = lo >> K
-    best, stopped = -1, False
+    count, best, stopped = 0, -1, False
     for b, c, stride, offset in classes[part::parts]:
         n = (hi - lo - b + mask) >> K  # starts of class b below hi
         x, y = (lo + b) >> 1, stride * a0 + offset
@@ -538,9 +538,12 @@ def _fill_block(
         if c:
             ys = array("h", map(c.__add__, ys))
         memo[x : x + n * step : step] = ys
+        count += len(ys)
         best = max(best, max(ys, default=-1))
     for b in walked[part::parts]:
-        for x in range(lo + b, hi, 1 << K):
+        starts = range(lo + b, hi, 1 << K)
+        count += len(starts)
+        for x in starts:
             v, s = x, 0
             while v >= lo and s <= step_cap:
                 c, power, tail, _, _ = table[v & mask]
@@ -549,17 +552,18 @@ def _fill_block(
                 s += c
             if s > step_cap:
                 stopped = True
+                count -= 1
                 continue
             s += memo[v >> 1]
             memo[x >> 1] = s
             if s > best:
                 best = s
-    return best, stopped
+    return count, best, stopped
 
 
 def _fill_memo(
     memo: array | memoryview, top: int, step_cap: int, pool=None, parts: int = 1
-) -> tuple[int, range]:
+) -> tuple[int, int, range]:
     """Store the stop time of every odd value below ``top`` in ``memo``, from 1 up.
 
     ``memo`` is as in :func:`_walk_starts`, with 2 * len(memo) >= top.
@@ -592,18 +596,22 @@ def _fill_memo(
     wide is filled as ``parts`` parts, one pool task each, all done before
     the next block starts; the other blocks are filled here.
 
-    Returns the largest stop time below ``top`` and the range of values
-    (the first ones walked, or a block) where it first occurs.  An odd
-    value below ``top`` whose stop time exceeds ``step_cap`` raises
-    :class:`DivergenceError` for the smallest such value: a block whose
-    maximum passes the cap, or that holds a walk stopped at the cap, is
-    walked again one start at a time by :func:`_walk_starts`, which raises.
+    Returns the number of entries written, the largest stop time below
+    ``top`` and the range of values (the first ones walked, or a block)
+    where it first occurs.  An odd value below ``top`` whose stop time
+    exceeds ``step_cap`` raises :class:`DivergenceError` for the smallest
+    such value: a block whose maximum passes the cap, or that holds a walk
+    stopped at the cap, is walked again one start at a time by
+    :func:`_walk_starts`, which raises, and the re-walk's count replaces
+    the block's.  A block whose parts wrote other than one entry per odd
+    value in it raises RuntimeError naming the block, so no entry is left
+    unknown and the memo is never scanned for one.
     """
     K, _, _, rho = _fill_plan()
     num, den = rho.numerator, rho.denominator
     a0 = -(-num // (den - num))
     where = range(1, min(top, a0 << K))
-    _, best, _ = _walk_starts(memo, where[::2], step_cap)
+    total, best, _ = _walk_starts(memo, where[::2], step_cap)
     fill_part = partial(_fill_part, step_cap=step_cap)
     while a0 << K < top:
         a1 = a0 * den // num
@@ -612,13 +620,19 @@ def _fill_memo(
             done = list(pool.map(fill_part, [(lo, hi, i, parts) for i in range(parts)]))
         else:
             done = [_fill_block(memo, lo, hi, 0, 1, step_cap)]
-        peak = max(s for s, _ in done)
-        if peak > step_cap or any(stopped for _, stopped in done):
-            _, peak, _ = _walk_starts(memo, range(lo + 1, hi, 2), step_cap)
+        count = sum(n for n, _, _ in done)
+        peak = max(s for _, s, _ in done)
+        if peak > step_cap or any(stopped for _, _, stopped in done):
+            count, peak, _ = _walk_starts(memo, range(lo + 1, hi, 2), step_cap)
+        odd = len(range(lo + 1, hi, 2))
+        if count != odd:
+            raise RuntimeError(f"the memo fill of [{lo}, {hi}) wrote {count} of its {odd} "
+                               "odd values")
+        total += count
         if peak > best:
             best, where = peak, range(lo, hi)
         a0 = a1
-    return best, where
+    return total, best, where
 
 
 def _first_start(memo: array | memoryview, stop: int, values: range) -> int:
@@ -665,7 +679,7 @@ def _share_memo(arena) -> None:
     _shared = memoryview(arena.buffer).cast("h")
 
 
-def _fill_part(block: tuple[int, int, int, int], step_cap: int) -> tuple[int, bool]:
+def _fill_part(block: tuple[int, int, int, int], step_cap: int) -> tuple[int, int, bool]:
     """:func:`_fill_block` of (lo, hi, part, parts) on the shared memo."""
     return _fill_block(_shared, *block, step_cap)
 
@@ -693,6 +707,9 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
     that take turns on its residue classes, and the starts at or above
     2**25 are walked in n contiguous slices.
 
+    ``verified_count`` counts the memo entries the fill wrote and the
+    starts walked above 2**25, and a fill block that leaves an odd value
+    unknown raises RuntimeError naming the block.
     A start whose stopping time exceeds the step cap raises
     :class:`DivergenceError`, with the smallest such start as witness.
     Worker count affects speed only, never the summary or the witness; it
@@ -718,9 +735,8 @@ def _verify(
 ) -> RangeVerification:
     """:func:`verify_range` on an empty memo; ``pool`` and ``parts`` as in :func:`_fill_memo`."""
     bound = len(memo) << 1
-    best, where = _fill_memo(memo, bound, step_cap, pool, parts)
+    count, best, where = _fill_memo(memo, bound, step_cap, pool, parts)
     worst = _first_start(memo, best, where)
-    count = bound >> 1
     above = range(bound + 1, 1 << ell, 2)
     if above:  # walked one by one, reading the filled memo
         if pool is None:

@@ -12,9 +12,12 @@ Three layers, all exact:
   stopping time, or None past its step cap.  It jumps by Terras's block
   identity: with T(n) = (3n+1)/2 for odd n and n/2 for even n, and c(b)
   the number of odd steps among the first K steps of T from b < 2**K,
-  T^K(2**K a + b) = 3**c(b) a + T^K(b), and for odd n = 2**K a + b the
-  odd part of T^K(n) is c(b) reduced steps on from n (Terras, Acta Arith.
-  30, 1976; Lagarias, Amer. Math. Monthly 92, 1985);
+  T^K(2**K a + b) = 3**c(b) a + T^K(b) for every residue b, odd or even
+  (Terras, Acta Arith. 30, 1976; Lagarias, Amer. Math. Monthly 92, 1985).
+  The odd states of T from odd n are its reduced orbit, and T^K(n) is
+  c(b) reduced steps on from n whatever its parity, so the kernel follows
+  T's own states, never strips an odd part, and ends each orbit below
+  2**K with one table lookup;
 * the piecewise-linear circle map ``circle_step`` (slopes 3/2 and 3/4)
   that the interval map tracks up to an explicit error, together with its
   closed-form iterates, critical points, and inverse.
@@ -51,7 +54,6 @@ __all__ = [
 STEP_CAP = 10**6
 # orbit_extents jumps this many steps of T at a time through a 2**K-entry table
 _JUMP_BITS = 10
-_JUMP_MASK = (1 << _JUMP_BITS) - 1
 _TWO_THIRDS = Fraction(2, 3)
 
 
@@ -92,33 +94,64 @@ def reduced_step(x: int) -> int:
 
 
 @cache
-def _jump_table() -> list[tuple[int, int, int, int, tuple[tuple[int, int], ...]] | None]:
+def _jump_table() -> list[tuple[int, int, int, int, tuple[tuple[int, int], ...]]]:
     """For each residue b mod 2**K, the jump over K steps of T from 2**K a + b.
 
-    Entry b, for odd b (the even entries are None, as every state is odd),
-    is ``(c, 3**c, T^K(b), bound, candidates)``: c is the number of
-    odd steps among the first K, ``candidates`` the pairs
-    ``(3**c_j * 2**(K-j), T^j(b))`` of the odd T^j(b) with 0 < j < K whose
-    multiplier has the largest bit length among them, and ``bound`` is that
-    bit length minus K (0 when there are none).  Built on the first call of
-    :func:`orbit_extents`, not at import.
+    Entry b, for every b (even ones too), is
+    ``(c, 3**c, T^K(b), bound, candidates)``: c is the number of odd steps
+    among the first K, ``candidates`` the pairs ``(3**c_j * 2**(K-j), T^j(b))``
+    of the odd T^j(b) with 0 < j < K whose multiplier has the largest bit
+    length among them, and ``bound`` is that bit length minus K (0 when
+    there are none).  Built on the first call of :func:`orbit_extents`, not
+    at import.
     """
-    powers = [3**c for c in range(_JUMP_BITS + 1)]
-    table: list = [None] * (1 << _JUMP_BITS)
-    for b in range(1, 1 << _JUMP_BITS, 2):
-        x, c, odd = b, 0, []
-        for j in range(_JUMP_BITS):
+    K = _JUMP_BITS
+    powers = [3**c for c in range(K + 1)]
+    # multipliers[c][j] = 3**c 2**(K-j), one object shared by every entry
+    multipliers = [[p << (K - j) for j in range(K)] for p in powers]
+    table = []
+    for b in range(1 << K):
+        x, c, top, candidates = b, 0, 0, []
+        for j in range(K):
             if x & 1:
                 if j:
-                    odd.append((powers[c] << (_JUMP_BITS - j), x))
+                    m = multipliers[c][j]
+                    if m.bit_length() > top:
+                        top, candidates = m.bit_length(), [(m, x)]
+                    elif m.bit_length() == top:
+                        candidates.append((m, x))
                 x = (3 * x + 1) >> 1
                 c += 1
             else:
                 x >>= 1
-        top = max((m.bit_length() for m, _ in odd), default=_JUMP_BITS)
-        candidates = tuple((m, r) for m, r in odd if m.bit_length() == top)
-        table[b] = (c, powers[c], x, top - _JUMP_BITS, candidates)
+        table.append((c, powers[c], x, top - K if candidates else 0, tuple(candidates)))
     return table
+
+
+@cache
+def _end_table() -> list[tuple[int, int]]:
+    """For each n < 2**K, (steps to 1, largest odd length on the way) of T from n.
+
+    The steps are the odd T^j(n) before the first that is 1, so the reduced
+    steps from the odd part of n; the lengths are those of the odd T^j(n)
+    up to and including 1.  Entry 0 is (0, 0) and is never read.  Built on
+    the first call of :func:`orbit_extents`, not at import.
+    """
+    end = [(0, 0), (0, 1)]
+    for n in range(2, 1 << _JUMP_BITS):
+        if not n & 1:
+            end.append(end[n >> 1])
+            continue
+        # reduced steps until the orbit falls below n, whose entry is known
+        v, steps, longest = n, 0, n.bit_length()
+        while v >= n:
+            v = _reduce(v)
+            steps += 1
+            if v.bit_length() > longest:
+                longest = v.bit_length()
+        rest, length = end[v]
+        end.append((steps + rest, max(longest, length)))
+    return end
 
 
 def orbit_extents(n: int, step_cap: int) -> tuple[int, int] | None:
@@ -129,56 +162,73 @@ def orbit_extents(n: int, step_cap: int) -> tuple[int, int] | None:
     1 is the ground state 1/2.  The result is None when the orbit does not
     reach 1 within ``step_cap`` steps (it is capped).
 
-    The orbit moves K = ``_JUMP_BITS`` steps of T at a time by the block
-    identity (see the module docstring): with a = n >> K and b = n mod 2**K,
-    ``y = 3**c a + T^K(b)`` takes c reduced steps, and the odd part of y is
-    the next state.  Single steps are taken only below 2**K, so every result
-    is the single-step loop's:
+    The odd states of T are the reduced orbit, so the kernel follows T
+    itself, K = ``_JUMP_BITS`` steps at a time by the block identity (see
+    the module docstring): with a = n >> K and b = n mod 2**K, the next
+    state is ``3**c a + T^K(b)``, c = c(b) reduced steps on, odd or even,
+    and no odd part is ever stripped.  Once a state falls below 2**K,
+    ``_end_table`` gives its remaining steps and largest odd length.  Every
+    result is the single-step loop's:
 
-    * No iterate inside a jump is 1.  For j < K,
-      T^j(n) = 3**c_j 2**(K-j) a + T^j(b) >= 2**(K-j) a >= 2, so the first
-      state equal to 1 can only be the odd part of y, and the step count c
-      is exact.  So 1 is first reached at the end of a pass, where the
-      budget is checked.
-    * Only the candidates can hold the block's largest length.  By induction
-      on j, T^j(b) < A_j = 3**c_j 2**(K-j) (b < 2**K = A_0; an even step
-      halves both sides, and an odd step maps x <= A_j - 1 to
-      (3x+1)/2 <= 3 A_j / 2 - 1).  So an odd iterate
+    * No iterate inside a jump is 1.  For j < K and a >= 1,
+      T^j(n) = 3**c_j 2**(K-j) a + T^j(b) >= 2**(K-j) a >= 2, so the
+      orbit can first reach 1 only once a state is below 2**K, where the
+      end table counts the rest exactly, and the step count c of each
+      pass before that is exact.  For j < K, T^j(n) and T^j(b) have the
+      same parity, so c and the odd inner iterates depend on b alone, for
+      even b as for odd.
+    * Only the candidates can hold the block's largest odd length.  By
+      induction on j, T^j(b) < A_j = 3**c_j 2**(K-j) for any b < 2**K
+      (b < 2**K = A_0; an even step halves both sides, and an odd step
+      maps x <= A_j - 1 to (3x+1)/2 <= 3 A_j / 2 - 1).  So an odd iterate
       v = A_j a + T^j(b) has A_j a <= v < A_j (a+1) <= A_j 2**len(a), and
       len(v) lies in [len(A_j) + len(a) - 1, len(A_j) + len(a)].  With L
       the largest len(A_j), a candidate (len(A_j) = L) has length at least
       L + len(a) - 1, which no other odd iterate exceeds, and no iterate in
       the block is longer than L + len(a).  So the candidates are evaluated
-      only when that bound passes the maximum so far.
+      only when that bound passes the maximum so far.  A state's own
+      length counts only when it is odd: the odd part of an even state is
+      an inner odd iterate of a later pass (after passes with b = 0 if
+      2**K divides the state) or lies on the end table's orbit, so the
+      candidates or the end table cover it.
+    * Every pass ends.  c = 0 only for b = 0, and such a pass maps n to
+      a = n >> K, so a run of them sheds K bits each; every other pass
+      takes at least one step toward the cap.
+    * The cap test is strict.  A state reached after ``steps`` reduced
+      steps may be a power of two with no step left to take, so only
+      ``steps > step_cap`` proves the orbit capped; the end lookup's total
+      is checked the same way.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"orbit_extents needs a positive odd integer, got {n}")
     if step_cap < 1:
         raise ValueError(f"orbit_extents needs step_cap >= 1, got {step_cap}")
+    K = _JUMP_BITS
+    mask = (1 << K) - 1
     table = _jump_table()
     ell = max_len = n.bit_length()
     steps = 0
-    while n != 1:
-        if steps >= step_cap:
+    a = n >> K
+    while a:
+        if steps > step_cap:
             return None
-        a = n >> _JUMP_BITS
-        if a:
-            c, power, tail, bound, candidates = table[n & _JUMP_MASK]
-            if ell + bound > max_len:
-                for m, r in candidates:
-                    inner = (m * a + r).bit_length()
-                    if inner > max_len:
-                        max_len = inner
-            y = power * a + tail
-            n = y >> ((y & -y).bit_length() - 1)
-            steps += c
-        else:
-            n = _reduce(n)
-            steps += 1
+        c, power, tail, bound, candidates = table[n & mask]
+        if ell + bound > max_len:
+            for m, r in candidates:
+                inner = (m * a + r).bit_length()
+                if inner > max_len:
+                    max_len = inner
+        n = power * a + tail
+        steps += c
         ell = n.bit_length()
-        if ell > max_len:
+        if ell > max_len and n & 1:
             max_len = ell
-    return None if steps > step_cap else (max_len, steps)
+        a = n >> K
+    rest, length = _end_table()[n]
+    steps += rest
+    if steps > step_cap:
+        return None
+    return max(max_len, length), steps
 
 
 def embed(x: int) -> BinaryFraction:

@@ -87,23 +87,6 @@ def climb_for_ever(monkeypatch, residues) -> None:
     monkeypatch.setattr(maps, "_jump_table", lambda: table)
 
 
-@pytest.fixture
-def jump_bits(monkeypatch):
-    """Sets K = maps._JUMP_BITS for one test and rebuilds the tables that depend on it."""
-    from collatzbin import analysis, maps
-
-    jump_table = maps._jump_table
-
-    def patch(bits: int) -> None:
-        monkeypatch.setattr(maps, "_JUMP_BITS", bits)
-        jump_table.cache_clear()
-        analysis._fill_plan.cache_clear()
-
-    yield patch
-    jump_table.cache_clear()
-    analysis._fill_plan.cache_clear()
-
-
 class TestRunTrajectory:
     def test_orbit_of_31(self):
         record = run_trajectory(31)
@@ -605,7 +588,7 @@ class TestVerifyRange:
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             memo = array("h", [-1]) * (1 << 14)
             memo[0] = 0
-            analysis._fill_memo(memo, top, 10**6)
+            assert analysis._fill_memo(memo, top, 10**6)[0] == top >> 1
             assert list(memo[: top >> 1]) == [stops[x] for x in range(1, top, 2)]
 
     @pytest.mark.parametrize("bits", [10, 4])
@@ -647,8 +630,42 @@ class TestVerifyRange:
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             arena, memo = analysis._shared_memo(1 << 15)
             pool = RecordingPool(parts, analysis._share_memo, (arena,))
-            analysis._fill_memo(memo, top, 10**6, pool, parts)
+            assert analysis._fill_memo(memo, top, 10**6, pool, parts)[0] == top >> 1
             assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("ell", [12, 13, 14, 15, 16])
+    def test_the_count_is_what_the_fill_wrote(self, monkeypatch, jump_bits, ell, workers):
+        # a fill that leaves entries unknown must not pass as a summary: the
+        # count is summed from what each part wrote and checked block by
+        # block; K = 4 fills blocks at every length, and every block is split
+        from collatzbin import analysis, harness
+
+        jump_bits(4)
+        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        stops = brute_stops(ell)
+        best = max(stops.values())
+        worst = min(x for x, s in stops.items() if s == best)
+        result = verify_range(ell, workers=workers)
+        assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
+            len(stops), best, worst)
+
+    def test_a_block_left_short_is_named(self, monkeypatch):
+        # a part that writes one entry too few in its block raises, naming it
+        from collatzbin import analysis
+
+        fill_block = analysis._fill_block
+
+        def short(memo, lo, hi, part, parts, step_cap):
+            count, best, stopped = fill_block(memo, lo, hi, part, parts, step_cap)
+            return count - (lo == 6144), best, stopped
+
+        monkeypatch.setattr(analysis, "_fill_block", short)
+        message = r"^the memo fill of \[6144, 7168\) wrote 511 of its 512 odd values$"
+        with pytest.raises(RuntimeError, match=message):
+            verify_range(13)
 
     def test_a_real_pool_shares_one_memo(self, monkeypatch):
         # two worker processes fill the split blocks of one memo; a worker
@@ -696,6 +713,7 @@ class TestVerifyRange:
             "analysis.verify_range(15)\n"
             "assert analysis._fill_plan.cache_info().misses == 1\n"
             "assert maps._jump_table.cache_info().misses == 1\n"
+            "assert maps._end_table.cache_info().currsize == 0\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

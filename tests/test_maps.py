@@ -226,10 +226,12 @@ class TestOrbitExtents:
     def test_matches_single_steps(self, n):
         assert_matches_single_steps(n)
 
-    def test_matches_single_steps_on_structured_starts(self):
-        # small starts cross between single steps and jumps; all-ones starts
-        # climb for their whole length, so the maximum often falls strictly
-        # inside a jump
+    @pytest.mark.parametrize("bits", [10, 4, 6])
+    def test_matches_single_steps_on_structured_starts(self, jump_bits, bits):
+        # small starts cross into the end table and out of it; all-ones
+        # starts climb for their whole length, so the maximum often falls
+        # strictly inside a jump
+        jump_bits(bits)
         for n in range(1, 1 << (maps._JUMP_BITS + 2), 2):
             assert_matches_single_steps(n)
         for k in range(1, 201):
@@ -237,12 +239,28 @@ class TestOrbitExtents:
         for b in range(1, 401):
             assert_matches_single_steps((1 << b) - 1)
 
-    def test_jump_table_against_direct_steps(self):
+    @pytest.mark.parametrize("bits", [10, 4, 6])
+    def test_predecessors_at_every_cap(self, jump_bits, bits):
+        # (4**k - 1)/3 takes one reduced step, to a power of two that the
+        # jumps halve down to the end table: a state reached at the cap may
+        # still be a power of two with no step left, so the cap test must
+        # be strict
+        jump_bits(bits)
+        for k in range(6, 151):
+            n = (4**k - 1) // 3
+            lengths = single_step_lengths(n)
+            stop = len(lengths) - 1
+            for cap in range(1, stop + 2):
+                expected = None if cap < stop else (max(lengths), stop)
+                assert orbit_extents(n, cap) == expected, (k, cap)
+
+    @pytest.mark.parametrize("bits", [10, 4, 6])
+    def test_jump_table_against_direct_steps(self, jump_bits, bits):
+        jump_bits(bits)
         K = maps._JUMP_BITS
         table = maps._jump_table()
         assert len(table) == 1 << K
-        assert table[::2] == [None] * (1 << (K - 1))
-        for b in range(1, 1 << K, 2):
+        for b in range(1 << K):
             c, power, tail, bound, candidates = table[b]
             odd_steps, end, inner = t_block(b)
             assert (c, power, tail) == (odd_steps, 3**c, end)
@@ -252,7 +270,7 @@ class TestOrbitExtents:
 
     @given(
         st.integers(min_value=1, max_value=2**300),
-        st.integers(min_value=0, max_value=(1 << (maps._JUMP_BITS - 1)) - 1).map(lambda m: 2 * m + 1),
+        st.integers(min_value=0, max_value=(1 << maps._JUMP_BITS) - 1),
     )
     def test_block_identity(self, a, b):
         K = maps._JUMP_BITS
@@ -270,14 +288,25 @@ class TestOrbitExtents:
             assert max(v.bit_length() for v in values) == longest
             assert longest <= n.bit_length() + bound
 
+    @pytest.mark.parametrize("bits", [10, 4, 6])
+    def test_end_table_against_single_steps(self, jump_bits, bits):
+        # entry n is the rest of the orbit from the odd part of n
+        jump_bits(bits)
+        end = maps._end_table()
+        assert len(end) == 1 << maps._JUMP_BITS
+        for n in range(1, 1 << maps._JUMP_BITS):
+            lengths = single_step_lengths(n >> ((n & -n).bit_length() - 1))
+            assert end[n] == (len(lengths) - 1, max(lengths)), n
+
     def test_jump_table_is_built_on_first_use(self):
         code = (
             "import collatzbin, collatzbin.cli\n"
             "from collatzbin import maps\n"
-            "assert maps._jump_table.cache_info().currsize == 0\n"
+            "tables = (maps._jump_table, maps._end_table)\n"
+            "assert [t.cache_info().currsize for t in tables] == [0, 0]\n"
             "maps.orbit_extents(27, 10**6)\n"
             "maps.orbit_extents(2**100 - 1, 10**6)\n"
-            "assert maps._jump_table.cache_info().misses == 1\n"
+            "assert [t.cache_info().misses for t in tables] == [1, 1]\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
