@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 
 from . import maps
 from .exact import BinaryFraction
@@ -423,7 +424,10 @@ class RangeVerification:
 
 
 # stop times are memoized for odd values below 2**_MEMO_BITS only: one int16
-# memo of at most 2**24 entries, 32 MiB, however many workers share it
+# memo of at most 2**24 entries, 32 MiB, however many workers share it.
+# _MEMO_BITS >= maps._JUMP_BITS: the starts above the memo are walked down to
+# its bound, and a jump of K steps counts its reduced steps exactly only from
+# a state at or above 2**K (see _walk)
 _MEMO_BITS = 25
 # the memo fill copies a residue class as one slice when each start's stop
 # time follows from an iterate at most this share of it (see _fill_plan)
@@ -433,45 +437,45 @@ _FILL_RATIO = Fraction(27, 32)
 _SPLIT_WIDTH = 1 << 13
 
 
-def _walk_starts(memo: array | memoryview, starts: range, step_cap: int) -> tuple[int, int, int]:
-    """Walk ascending odd starts one by one; returns (count, max stop time, worst start).
+def _walk(
+    memo: array | memoryview, starts, floor: int, step_cap: int
+) -> tuple[int, int, int, int]:
+    """Walk odd starts down below ``floor``; returns (count, best, worst, first capped).
 
     ``memo`` is an int16 ``array`` or memoryview holding the stop time of
     each odd v below its bound, 2 * len(memo), at index v >> 1, or -1 if
-    not yet known, and memo[0] = 0 for the value 1; each walk ends at a
-    known value and stores the stop times of its values below the bound.
-    A start whose stopping time exceeds ``step_cap`` raises
-    :class:`DivergenceError`, and a stop time past the int16 range cannot
-    be stored and raises.
+    not yet known, and memo[0] = 0 for the value 1.  Every odd value below
+    ``floor`` must be known, and ``floor`` >= 2**K.  A start jumps K steps
+    of T from every state, odd or even, through ``maps._jump_table``, each
+    count of reduced steps exact as in :func:`maps.orbit_extents`, until it
+    falls below ``floor``; that state's odd part adds its memo entry, and a
+    start below the bound stores its stop time.  A start whose stop time
+    passes ``step_cap`` is skipped with its entry left at -1, and the last
+    value returned is the first such start walked, or 0.
     """
+    K = maps._JUMP_BITS
+    mask = (1 << K) - 1
+    table = maps._jump_table()
     bound = len(memo) << 1
-    best = -1
-    worst = 0
-    count = 0
+    count, best, worst, capped = 0, -1, 0, 0
     for x in starts:
-        path = []
-        v = x
-        while True:
-            if v < bound:
-                s = memo[v >> 1]
-                if s >= 0:
-                    break
-            path.append(v)
-            if len(path) > step_cap:  # a runaway orbit
-                raise DivergenceError(x, step_cap)
-            t = 3 * v + 1
-            v = t >> ((t & -t).bit_length() - 1)
-        if s + len(path) > step_cap:  # however much of it the memo held
-            raise DivergenceError(x, step_cap)
-        for u in reversed(path):
-            s += 1
-            if u < bound:
-                memo[u >> 1] = s
+        v, s = x, 0
+        while v >= floor and s <= step_cap:
+            c, power, tail, _, _ = table[v & mask]
+            v = power * (v >> K) + tail
+            s += c
+        if s <= step_cap:
+            # the odd part of v is v >> t, t its trailing zeros, at index v >> (t + 1)
+            s += memo[v >> (v & -v).bit_length()]
+        if s > step_cap:
+            capped = capped or x
+            continue
+        if x < bound:
+            memo[x >> 1] = s
         count += 1
         if s > best:
-            best = s
-            worst = x
-    return count, best, worst
+            best, worst = s, x
+    return count, best, worst, capped
 
 
 @cache
@@ -518,19 +522,19 @@ def _fill_block(
 ) -> tuple[int, int, bool]:
     """Fill part ``part`` of ``parts`` of one block [lo, hi) of :func:`_fill_memo`.
 
-    The part takes ``classes[part::parts]`` and ``walked[part::parts]`` of
-    :func:`_fill_plan`.  It writes only the entries of its own starts in
+    The part copies ``classes[part::parts]`` of :func:`_fill_plan` and
+    walks the starts of ``walked[part::parts]`` down below lo by
+    :func:`_walk`.  It writes only the entries of its own starts in
     [lo, hi) and reads only entries below lo, so the parts of a block can
     run at once on one shared memo.  Returns (how many entries it wrote,
     the largest stop time it wrote or -1, whether a walk passed
     ``step_cap``); such a walk leaves its start's entry at -1.
     """
     K, classes, walked, _ = _fill_plan()
-    table = maps._jump_table()
     mask = (1 << K) - 1
     step = 1 << (K - 1)  # the memo stride of one residue class
     a0 = lo >> K
-    count, best, stopped = 0, -1, False
+    count, best = 0, -1
     for b, c, stride, offset in classes[part::parts]:
         n = (hi - lo - b + mask) >> K  # starts of class b below hi
         x, y = (lo + b) >> 1, stride * a0 + offset
@@ -540,25 +544,9 @@ def _fill_block(
         memo[x : x + n * step : step] = ys
         count += len(ys)
         best = max(best, max(ys, default=-1))
-    for b in walked[part::parts]:
-        starts = range(lo + b, hi, 1 << K)
-        count += len(starts)
-        for x in starts:
-            v, s = x, 0
-            while v >= lo and s <= step_cap:
-                c, power, tail, _, _ = table[v & mask]
-                y = power * (v >> K) + tail
-                v = y >> ((y & -y).bit_length() - 1)
-                s += c
-            if s > step_cap:
-                stopped = True
-                count -= 1
-                continue
-            s += memo[v >> 1]
-            memo[x >> 1] = s
-            if s > best:
-                best = s
-    return count, best, stopped
+    starts = chain.from_iterable(range(lo + b, hi, 1 << K) for b in walked[part::parts])
+    walks, peak, _, capped = _walk(memo, starts, lo, step_cap)
+    return count + walks, max(best, peak), capped > 0
 
 
 def _fill_memo(
@@ -566,13 +554,15 @@ def _fill_memo(
 ) -> tuple[int, int, range]:
     """Store the stop time of every odd value below ``top`` in ``memo``, from 1 up.
 
-    ``memo`` is as in :func:`_walk_starts`, with 2 * len(memo) >= top.
-    Values below 2**K a0 (K = ``maps._JUMP_BITS``, a0 the smallest a with
-    floor(a / rho) > a, rho from :func:`_fill_plan`) are walked one by one.
-    Then blocks [2**K a0, 2**K a1), a1 = floor(a0 / rho), are filled in
-    turn by :func:`_fill_block`, each as one slice per residue class b,
-    over the starts x = 2**K a + b with a0 <= a < a1.  Every value below
-    the block is already stored, and every y read below lies there:
+    ``memo`` is as in :func:`_walk`, with 2 * len(memo) >= top.  Values
+    below 2**K (K = ``maps._JUMP_BITS``) are copied from the step column of
+    ``maps._end_table``, and the rest below 2**K a0 (a0 the smallest a with
+    floor(a / rho) > a, rho from :func:`_fill_plan`) are walked down below
+    2**K by :func:`_walk`.  Then blocks [2**K a0, 2**K a1),
+    a1 = floor(a0 / rho), are filled in turn by :func:`_fill_block`, each
+    as one slice per residue class b, over the starts x = 2**K a + b with
+    a0 <= a < a1.  Every value below the block is already stored, and
+    every y read below lies there:
 
     * b = 5 mod 8: 3x + 1 = 4 (3y + 1) with y = (x - 1)/4 > 1, so x and y
       have the same next odd value and stop(x) = stop(y).  And
@@ -585,10 +575,7 @@ def _fill_memo(
       stop(x) = c + stop(y).  By the lemma of :func:`orbit_extents`,
       T^j(b) < 3**c 2**(K-j), so y < 3**c 2**(K-j) (a + 1)
       <= rho 2**K a1 <= 2**K a0.
-    * ``walked`` residues take jumps of K steps of T through
-      ``maps._jump_table`` until they fall below 2**K a0.  Each jump
-      starts at or above 2**K, so its count of reduced steps is exact (see
-      :func:`orbit_extents`).
+    * ``walked`` residues are walked down below 2**K a0 by :func:`_walk`.
 
     So no entry of a block depends on another entry of it.  With ``parts``
     > 1, ``memo`` is the memo every worker of ``pool`` shares (see
@@ -597,42 +584,46 @@ def _fill_memo(
     the next block starts; the other blocks are filled here.
 
     Returns the number of entries written, the largest stop time below
-    ``top`` and the range of values (the first ones walked, or a block)
-    where it first occurs.  An odd value below ``top`` whose stop time
-    exceeds ``step_cap`` raises :class:`DivergenceError` for the smallest
-    such value: a block whose maximum passes the cap, or that holds a walk
-    stopped at the cap, is walked again one start at a time by
-    :func:`_walk_starts`, which raises, and the re-walk's count replaces
-    the block's.  A block whose parts wrote other than one entry per odd
-    value in it raises RuntimeError naming the block, so no entry is left
-    unknown and the memo is never scanned for one.
+    ``top`` and the range of values (those below 2**K a0, or a block)
+    where it first occurs.  A range whose largest entry passes ``step_cap``,
+    or that holds a capped walk, raises :class:`DivergenceError` for its
+    smallest odd value whose entry is -1 or above the cap: the smallest
+    witness, as every smaller value is known and within the cap.  A range
+    whose parts wrote other than one entry per odd value in it raises
+    RuntimeError naming it, so no entry is left unknown and the memo is
+    never scanned for one.
     """
     K, _, _, rho = _fill_plan()
     num, den = rho.numerator, rho.denominator
-    a0 = -(-num // (den - num))
-    where = range(1, min(top, a0 << K))
-    total, best, _ = _walk_starts(memo, where[::2], step_cap)
+    a = -(-num // (den - num))  # a0, then each block's upper a
+    lo, low, hi = 1, min(top, 1 << K), min(top, a << K)
+    ys = array("h", [s for s, _ in maps._end_table()[1:low:2]])
+    memo[: len(ys)] = ys
+    count, peak, _, capped = _walk(memo, range(low + 1, hi, 2), low, step_cap)
+    done = [(len(ys) + count, max(max(ys), peak), capped > 0)]
+    total, best, where = 0, -1, range(0)
     fill_part = partial(_fill_part, step_cap=step_cap)
-    while a0 << K < top:
-        a1 = a0 * den // num
-        lo, hi = a0 << K, min(a1 << K, top)
-        if parts > 1 and hi - lo >= _SPLIT_WIDTH:
-            done = list(pool.map(fill_part, [(lo, hi, i, parts) for i in range(parts)]))
-        else:
-            done = [_fill_block(memo, lo, hi, 0, 1, step_cap)]
+    while True:
         count = sum(n for n, _, _ in done)
         peak = max(s for _, s, _ in done)
+        odd = range(lo | 1, hi, 2)
         if peak > step_cap or any(stopped for _, _, stopped in done):
-            count, peak, _ = _walk_starts(memo, range(lo + 1, hi, 2), step_cap)
-        odd = len(range(lo + 1, hi, 2))
-        if count != odd:
-            raise RuntimeError(f"the memo fill of [{lo}, {hi}) wrote {count} of its {odd} "
+            over = next(x for x in odd if not 0 <= memo[x >> 1] <= step_cap)
+            raise DivergenceError(over, step_cap)
+        if count != len(odd):
+            raise RuntimeError(f"the memo fill of [{lo}, {hi}) wrote {count} of its {len(odd)} "
                                "odd values")
         total += count
         if peak > best:
             best, where = peak, range(lo, hi)
-        a0 = a1
-    return total, best, where
+        if hi == top:
+            return total, best, where
+        a = a * den // num
+        lo, hi = hi, min(a << K, top)
+        if parts > 1 and hi - lo >= _SPLIT_WIDTH:
+            done = list(pool.map(fill_part, [(lo, hi, i, parts) for i in range(parts)]))
+        else:
+            done = [_fill_block(memo, lo, hi, 0, 1, step_cap)]
 
 
 def _first_start(memo: array | memoryview, stop: int, values: range) -> int:
@@ -654,7 +645,7 @@ def _shared_memo(bound: int) -> tuple[object, memoryview]:
 
     ``arena`` is one mmap of ``bound`` bytes that pool workers inherit or
     reopen (see :func:`_share_memo`); ``memo`` is its int16 view, as in
-    :func:`_walk_starts`.  It is filled with -1 a piece at a time, then
+    :func:`_walk`.  It is filled with -1 a piece at a time, then
     memo[0] = 0.
     """
     # imported here, not with the module: only a pool shares a memo
@@ -684,9 +675,9 @@ def _fill_part(block: tuple[int, int, int, int], step_cap: int) -> tuple[int, in
     return _fill_block(_shared, *block, step_cap)
 
 
-def _walk_part(starts: range, step_cap: int) -> tuple[int, int, int]:
-    """:func:`_walk_starts` of a slice of starts above the shared memo's bound."""
-    return _walk_starts(_shared, starts, step_cap)
+def _walk_part(starts: range, step_cap: int) -> tuple[int, int, int, int]:
+    """:func:`_walk` of a slice of starts above the shared memo's bound, down to it."""
+    return _walk(_shared, starts, len(_shared) << 1, step_cap)
 
 
 def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeVerification:
@@ -697,8 +688,9 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
     smallest one attaining the maximum.  The memo is filled from 1 up, by
     residue class mod 2**10 (see ``_fill_memo``): a quarter of the starts
     copy a smaller value's stop time in one strided slice, about 55% add
-    a constant to one, and only the rest are walked.  Starts at or above
-    2**25 are then walked one by one, reading the filled memo.
+    a constant to one, and only the rest are walked, by jumps of 10 steps
+    through the orbit kernel's table (see ``_walk``).  Starts at or above
+    2**25 are then walked the same way down to 2**25, reading the memo.
 
     With one worker all of this runs in this process on an ``array``.
     With n > 1 workers (clamped to the CPU count) the memo is one shared
@@ -711,7 +703,9 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
     starts walked above 2**25, and a fill block that leaves an odd value
     unknown raises RuntimeError naming the block.
     A start whose stopping time exceeds the step cap raises
-    :class:`DivergenceError`, with the smallest such start as witness.
+    :class:`DivergenceError`, with the smallest such start as witness: a
+    fill block that holds one is scanned for it, and the slices above 2**25
+    ascend, so it is the first capped start of the first slice with one.
     Worker count affects speed only, never the summary or the witness; it
     must be >= 1.
     """
@@ -738,13 +732,16 @@ def _verify(
     count, best, where = _fill_memo(memo, bound, step_cap, pool, parts)
     worst = _first_start(memo, best, where)
     above = range(bound + 1, 1 << ell, 2)
-    if above:  # walked one by one, reading the filled memo
+    if above:  # walked down to the memo's bound, reading the filled memo
         if pool is None:
-            results = [_walk_starts(memo, above, step_cap)]
+            results = [_walk(memo, above, bound, step_cap)]
         else:
             results = pool.map(partial(_walk_part, step_cap=step_cap), split(above, parts))
-        # slices ascend, so the first maximum is the smallest start
-        for walked, stop, start in results:
+        # slices ascend, so the first maximum is the smallest start, and the
+        # first capped start is the smallest witness
+        for walked, stop, start, capped in results:
+            if capped:
+                raise DivergenceError(capped, step_cap)
             count += walked
             if stop > best:
                 best, worst = stop, start

@@ -76,17 +76,6 @@ def assert_caps_keep_their_witnesses(ell: int, caps: range, worker_counts: tuple
             assert exc_info.value.step_cap == step_cap
 
 
-def climb_for_ever(monkeypatch, residues) -> None:
-    """Make the jump table send each odd residue in ``residues`` from v to v + 2**K."""
-    from collatzbin import maps
-
-    K = maps._JUMP_BITS
-    table = list(maps._jump_table())
-    for b in residues:
-        table[b] = (1, 1 << K, (1 << K) + b, 0, ())
-    monkeypatch.setattr(maps, "_jump_table", lambda: table)
-
-
 class TestRunTrajectory:
     def test_orbit_of_31(self):
         record = run_trajectory(31)
@@ -460,9 +449,10 @@ class TestVerifyRange:
                 assert result.max_stopping_time == best
                 assert result.worst_start == min(x for x, s in stops.items() if s == best)
 
-    @pytest.mark.parametrize("memo_bits", [1, 6])
+    @pytest.mark.parametrize("memo_bits", [10, 11])
     def test_capped_memo_matches_brute_force(self, monkeypatch, memo_bits):
-        # starts and path values at or above 2**memo_bits are walked, not stored
+        # starts at or above 2**memo_bits are walked down to it, not stored;
+        # the walk needs memo_bits >= K = 10
         from collatzbin import analysis, harness
 
         monkeypatch.setattr(analysis, "_MEMO_BITS", memo_bits)
@@ -503,9 +493,10 @@ class TestVerifyRange:
         assert peak < 40 * 2**20
         x = 2**33 + 1
         memo = array("h", [-1]) * (1 << 24)
-        memo[0] = 0
-        assert analysis._walk_starts(memo, range(x, x + 2, 2), 10**6) == (
-            1, brute_stopping_time(x), x)
+        for v in range(1, 1 << 10, 2):
+            memo[v >> 1] = brute_stopping_time(v)
+        assert analysis._walk(memo, range(x, x + 2, 2), 1 << 10, 10**6) == (
+            1, brute_stopping_time(x), x, 0)
 
     def test_known_worst_cases(self):
         five = verify_range(5)
@@ -541,41 +532,19 @@ class TestVerifyRange:
             caps = range(first_cap, max(brute_stops(ell).values()) + 2)
             assert_caps_keep_their_witnesses(ell, caps, (1, 2, 3))
 
-    def test_a_walk_stopped_at_the_cap_is_walked_again_start_by_start(self, monkeypatch, jump_bits):
-        # a jump table whose walked residues climb for ever: each such walk in
-        # the fill stops at the cap, and its block is walked again by single
-        # reduced steps, which give the true stop times or the true witness;
-        # every block is split among the workers
+    @pytest.mark.parametrize("ell", [12, 13])
+    def test_a_start_above_the_memo_that_passes_the_cap_keeps_its_witness(self, monkeypatch,
+                                                                         ell):
+        # with a memo bound of 2**10 the longest orbits start above it, so at
+        # caps near the maximum the witness is a capped start of a slice
         from collatzbin import analysis, harness
 
-        jump_bits(4)
-        climb_for_ever(monkeypatch, analysis._fill_plan()[2])
-        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(analysis, "_MEMO_BITS", 10)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        best = max(brute_stops(12).values())
-        assert_caps_keep_their_witnesses(12, range(best - 3, best + 2), (1, 2, 3))
-
-    def test_a_walk_stopped_in_part_1_of_a_split_block_is_walked_again(self, monkeypatch,
-                                                                        jump_bits):
-        # only the walked residues of part 1 of two climb for ever, so only
-        # that part reports a stopped walk; its block is walked again, which
-        # fills part 1's entries and keeps part 0's
-        from collatzbin import analysis, harness
-
-        jump_bits(4)
-        climb_for_ever(monkeypatch, analysis._fill_plan()[2][1::2])
-        monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        stops = brute_stops(12)
-        best = max(stops.values())
-        assert_caps_keep_their_witnesses(12, range(best - 3, best + 2), (2,))
-        arena, memo = analysis._shared_memo(1 << 12)
-        monkeypatch.setattr(analysis, "_shared", None)
-        pool = RecordingPool(2, analysis._share_memo, (arena,))
-        analysis._fill_memo(memo, 1 << 12, best, pool, 2)
-        assert memo.tolist() == [stops[x] for x in range(1, 1 << 12, 2)]
+        best = max(brute_stops(ell).values())
+        assert max(brute_stops(10).values()) < best - 8
+        assert_caps_keep_their_witnesses(ell, range(best - 8, best + 2), (1, 2, 3))
 
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
     def test_memo_fill_matches_brute_force_entry_by_entry(self, jump_bits, bits):
@@ -593,9 +562,9 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("bits", [10, 4])
     def test_slices_match_the_per_start_loop(self, monkeypatch, jump_bits, bits):
-        # the oracle walks every start one by one, from an empty memo; with a
-        # memo bound of 2**14, the starts above it are walked in one slice
-        # per worker, reading the memo the split blocks filled
+        # the oracle takes every start's stopping time by single reduced
+        # steps; with a memo bound of 2**14, the starts above it are walked
+        # in one slice per worker, reading the memo the split blocks filled
         from collatzbin import analysis, harness
 
         jump_bits(bits)
@@ -604,9 +573,9 @@ class TestVerifyRange:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         for ell in (13, 14, 15, 16):
-            memo = array("h", [-1]) * (1 << (ell - 1))
-            memo[0] = 0
-            count, best, worst = analysis._walk_starts(memo, range(1, 1 << ell, 2), 10**6)
+            stops = brute_stops(ell)
+            count, best = len(stops), max(stops.values())
+            worst = min(x for x, s in stops.items() if s == best)
             for workers in (1, 2, 3, 4):
                 monkeypatch.setattr(RecordingPool, "mapped", [])
                 result = verify_range(ell, workers=workers)
@@ -713,7 +682,7 @@ class TestVerifyRange:
             "analysis.verify_range(15)\n"
             "assert analysis._fill_plan.cache_info().misses == 1\n"
             "assert maps._jump_table.cache_info().misses == 1\n"
-            "assert maps._end_table.cache_info().currsize == 0\n"
+            "assert maps._end_table.cache_info().misses == 1\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
