@@ -11,6 +11,7 @@ start families.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -517,6 +518,21 @@ def _fill_plan() -> tuple[int, list[tuple[int, int, int, int]], list[int], Fract
     return K, classes, walked, rho
 
 
+def _add_lanes(ys, c: int) -> array:
+    """``array("h", [y + c for y in ys])`` for int16 entries ``ys``, in one int add.
+
+    ``ys``, an ``array`` or a strided memoryview, is read as one integer
+    of 16-bit lanes in the host's byte order, plus c times the integer
+    with 1 in each lane.  A lane carries into the next only if it passes
+    0xFFFF, so with 0 <= y and y + c <= 0x7FFF for every y, as
+    :func:`_fill_block` checks, each lane is its own sum.
+    """
+    n = len(ys)
+    ones = int.from_bytes(array("h", [1]).tobytes() * n, sys.byteorder)
+    total = int.from_bytes(ys, sys.byteorder) + c * ones
+    return array("h", total.to_bytes(2 * n, sys.byteorder))
+
+
 def _fill_block(
     memo: array | memoryview, lo: int, hi: int, part: int, parts: int, step_cap: int
 ) -> tuple[int, int, bool]:
@@ -524,11 +540,17 @@ def _fill_block(
 
     The part copies ``classes[part::parts]`` of :func:`_fill_plan` and
     walks the starts of ``walked[part::parts]`` down below lo by
-    :func:`_walk`.  It writes only the entries of its own starts in
-    [lo, hi) and reads only entries below lo, so the parts of a block can
-    run at once on one shared memo.  Returns (how many entries it wrote,
-    the largest stop time it wrote or -1, whether a walk passed
-    ``step_cap``); such a walk leaves its start's entry at -1.
+    :func:`_walk`.  A class with c > 0 adds c to its source slice in one
+    packed add (:func:`_add_lanes`).  No lane carries: every entry read
+    lies below lo, so the fill has checked it to be in [0, ``step_cap``],
+    and a class whose largest stop time, the largest entry read plus c,
+    passes 0x7FFF raises OverflowError before the add, as ``array("h")``
+    does.  A class with no start in the block is skipped.  The part writes
+    only the entries of its own starts in [lo, hi) and reads only entries
+    below lo, so the parts of a block can run at once on one shared memo.
+    Returns (how many entries it wrote, the largest stop time it wrote or
+    -1, whether a walk passed ``step_cap``); such a walk leaves its
+    start's entry at -1.
     """
     K, classes, walked, _ = _fill_plan()
     mask = (1 << K) - 1
@@ -537,13 +559,16 @@ def _fill_block(
     count, best = 0, -1
     for b, c, stride, offset in classes[part::parts]:
         n = (hi - lo - b + mask) >> K  # starts of class b below hi
+        if not n:
+            continue
         x, y = (lo + b) >> 1, stride * a0 + offset
         ys = memo[y : y + n * stride : stride]
-        if c:
-            ys = array("h", map(c.__add__, ys))
-        memo[x : x + n * step : step] = ys
+        top = max(ys) + c
+        if top > 0x7FFF:
+            raise OverflowError(f"stop time {top} of the class {b} mod 2**{K} passes int16")
+        memo[x : x + n * step : step] = _add_lanes(ys, c) if c else ys
         count += len(ys)
-        best = max(best, max(ys, default=-1))
+        best = max(best, top)
     starts = chain.from_iterable(range(lo + b, hi, 1 << K) for b in walked[part::parts])
     walks, peak, _, capped = _walk(memo, starts, lo, step_cap)
     return count + walks, max(best, peak), capped > 0
@@ -577,7 +602,10 @@ def _fill_memo(
       <= rho 2**K a1 <= 2**K a0.
     * ``walked`` residues are walked down below 2**K a0 by :func:`_walk`.
 
-    So no entry of a block depends on another entry of it.  With ``parts``
+    So no entry of a block depends on another entry of it, and every entry
+    it reads was checked below to be in [0, ``step_cap``]: no 16-bit lane
+    of :func:`_fill_block`'s packed add carries, and a class whose stop
+    time would pass 0x7FFF raises OverflowError there.  With ``parts``
     > 1, ``memo`` is the memo every worker of ``pool`` shares (see
     :func:`_share_memo`), and a block at least ``_SPLIT_WIDTH`` values
     wide is filled as ``parts`` parts, one pool task each, all done before
@@ -688,9 +716,12 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
     smallest one attaining the maximum.  The memo is filled from 1 up, by
     residue class mod 2**10 (see ``_fill_memo``): a quarter of the starts
     copy a smaller value's stop time in one strided slice, about 55% add
-    a constant to one, and only the rest are walked, by jumps of 10 steps
-    through the orbit kernel's table (see ``_walk``).  Starts at or above
-    2**25 are then walked the same way down to 2**25, reading the memo.
+    a constant to one in a single int add over its packed int16 lanes,
+    and only the rest are walked, by jumps of 10 steps through the orbit
+    kernel's table (see ``_walk``).  No lane carries: every entry read is
+    checked to be in [0, step_cap], and a class whose largest sum would
+    pass 0x7FFF raises OverflowError instead.  Starts at or above 2**25
+    are then walked the same way down to 2**25, reading the memo.
 
     With one worker all of this runs in this process on an ``array``.
     With n > 1 workers (clamped to the CPU count) the memo is one shared

@@ -11,6 +11,7 @@ from array import array
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from math import floor
 
 import pytest
 from hypothesis import given
@@ -56,6 +57,29 @@ def brute_stopping_time(x: int) -> int:
 @cache
 def brute_stops(ell: int) -> dict[int, int]:
     return {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
+
+
+def brute_fill_maximum(top: int) -> tuple[int, range]:
+    """The largest stop time below ``top`` and the fill range of its smallest start.
+
+    The ranges are those of ``_fill_memo``: [1, 2**K a0), a0 the smallest
+    a >= 1 with floor(a / rho) > a, then [2**K a, 2**K floor(a / rho)) in
+    turn, each cut at ``top``.
+    """
+    from collatzbin import analysis
+
+    K, _, _, rho = analysis._fill_plan()
+    stops = {x: s for x, s in brute_stops(15).items() if x < top}
+    best = max(stops.values())
+    worst = min(x for x, s in stops.items() if s == best)
+    a = 1
+    while floor(a / rho) <= a:
+        a += 1
+    lo, hi = 1, a << K
+    while hi <= worst:
+        a = floor(a / rho)
+        lo, hi = hi, a << K
+    return best, range(lo, min(hi, top))
 
 
 def assert_caps_keep_their_witnesses(ell: int, caps: range, worker_counts: tuple) -> None:
@@ -549,7 +573,8 @@ class TestVerifyRange:
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
     def test_memo_fill_matches_brute_force_entry_by_entry(self, jump_bits, bits):
         # K = 10 fills blocks from 6 * 2**10 on; a smaller K crosses many more
-        # blocks and classes; the smaller tops end inside a block
+        # blocks and classes; the smaller tops end inside a block, where most
+        # classes have no start
         from collatzbin import analysis
 
         jump_bits(bits)
@@ -557,7 +582,8 @@ class TestVerifyRange:
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             memo = array("h", [-1]) * (1 << 14)
             memo[0] = 0
-            assert analysis._fill_memo(memo, top, 10**6)[0] == top >> 1
+            count, best, where = analysis._fill_memo(memo, top, 10**6)
+            assert (count, best, where) == (top >> 1, *brute_fill_maximum(top))
             assert list(memo[: top >> 1]) == [stops[x] for x in range(1, top, 2)]
 
     @pytest.mark.parametrize("bits", [10, 4])
@@ -585,7 +611,7 @@ class TestVerifyRange:
                     assert RecordingPool.mapped[-1] == workers  # the slices above 2**14
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
-    @pytest.mark.parametrize("bits", [10, 4, 6])
+    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
     def test_split_fill_matches_brute_force_entry_by_entry(self, monkeypatch, jump_bits, bits,
                                                            parts):
         # every block split into parts that share one memo through the
@@ -599,8 +625,44 @@ class TestVerifyRange:
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             arena, memo = analysis._shared_memo(1 << 15)
             pool = RecordingPool(parts, analysis._share_memo, (arena,))
-            assert analysis._fill_memo(memo, top, 10**6, pool, parts)[0] == top >> 1
+            count, best, where = analysis._fill_memo(memo, top, 10**6, pool, parts)
+            assert (count, best, where) == (top >> 1, *brute_fill_maximum(top))
             assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_the_packed_add_matches_the_per_entry_add(self, n):
+        # each c of the fill and beyond, on the lane edges 0 and 0x7FFF - c,
+        # read from an array and from a strided memoryview as the fill does
+        from collatzbin import analysis
+
+        for c in range(1, 11):
+            ys = array("h", [(0, 0x7FFF - c, 1000 * c + i)[i % 3] for i in range(n)])
+            expected = array("h", map(c.__add__, ys))
+            assert analysis._add_lanes(ys, c) == expected
+            spread = array("h", [-1]) * (3 * n)
+            spread[1::3] = ys
+            assert analysis._add_lanes(memoryview(spread)[1::3], c) == expected
+
+    def test_a_class_past_int16_raises_before_it_wraps(self):
+        # every entry below the first K = 10 block seeded so that the class
+        # with the largest c reaches 0x7FFF, then one past it; a walk past
+        # the cap of 0x7FFE writes nothing, so only a class add can overflow,
+        # and only that class can reach the block's largest stop time
+        from collatzbin import analysis
+
+        K, classes, _, _ = analysis._fill_plan()
+        top = max(c for _, c, _, _ in classes)
+        lo, hi = 6 << K, 7 << K
+        for seed in (0x7FFF - top, 0x7FFF - top + 1):
+            memo = array("h", [seed]) * (lo >> 1) + array("h", [-1]) * ((hi - lo) >> 1)
+            if seed + top > 0x7FFF:
+                with pytest.raises(OverflowError):
+                    analysis._fill_block(memo, lo, hi, 0, 1, 0x7FFE)
+                continue
+            _, best, _ = analysis._fill_block(memo, lo, hi, 0, 1, 0x7FFE)
+            assert best == 0x7FFF
+            for b, c, _, _ in classes:
+                assert set(memo[(lo + b) >> 1 : hi >> 1 : 1 << (K - 1)]) == {seed + c}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("ell", [12, 13, 14, 15, 16])
