@@ -13,18 +13,23 @@ bits before each multiply by a 64-bit constant, so every product is below
 2**128, and the bits a right shift pulls in from the next lane land above
 bit 64, where the same masks clear them.  A sample of length ell owns
 h = ceil((ell - 1) / 128) adjacent lanes, each of which ends up holding two
-of its 64-bit words, so one ``int.from_bytes`` reads the sample's digits in
-time linear in ell.  An int holds at most 1024 lanes (16 KiB), unless one
-sample alone needs more, so memory stays flat at any sample count.
+of its 64-bit words.  Three big-int operations on the whole packed int cut
+every sample's lanes down to its digits and pin its end digits, one
+``struct`` unpack splits the int's bytes into per-sample windows, and
+``int.from_bytes`` reads each window lazily, in time linear in ell.  An int
+holds at most 1024 lanes (16 KiB), unless one sample alone needs more, so
+memory stays flat at any sample count.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+import struct
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
+from itertools import repeat
 
 from .exact import BinaryFraction
 from .maps import STEP_CAP, orbit_extents
@@ -82,13 +87,14 @@ def _lane(value: int) -> bytes:
 
 
 @lru_cache(maxsize=8)
-def _lane_constants(h: int, n: int) -> tuple[int, int, int, int, int]:
-    """Lane constants for n samples of h lanes each: (ones, mask, iota, hi, lo).
+def _lane_constants(h: int, n: int) -> tuple[int, int, int, int, int, int]:
+    """Lane constants for n samples of h lanes each: (ones, mask, iota, hi, lo, firsts).
 
     Sample i owns lanes h*i to h*i + h - 1, and lane q of them holds its
     word pair p = h - 1 - q.  ones is 1 and mask _MASK64 in every lane;
     iota is (i + 1) * _GOLDEN; hi and lo are the offsets (2p + 1) * _GOLDEN
-    and (2p + 2) * _GOLDEN mod 2**64 of the pair's two words.
+    and (2p + 2) * _GOLDEN mod 2**64 of the pair's two words; firsts is 1
+    in each sample's first lane, lane h*i, and 0 in its others.
     """
 
     def offsets(k: int) -> int:
@@ -97,7 +103,8 @@ def _lane_constants(h: int, n: int) -> tuple[int, int, int, int, int]:
 
     ones = int.from_bytes(_lane(1) * (h * n), "little")
     iota = _GOLDEN * int.from_bytes(b"".join(_lane(i) * h for i in range(1, n + 1)), "little")
-    return ones, _MASK64 * ones, iota, offsets(1), offsets(2)
+    firsts = int.from_bytes((_lane(1) + bytes(16 * (h - 1))) * n, "little")
+    return ones, _MASK64 * ones, iota, offsets(1), offsets(2), firsts
 
 
 def _run_state(master: int, run: int) -> int:
@@ -110,13 +117,21 @@ def derive_seed(master: int, run: int, index: int) -> int:
     return _mix64((_run_state(master, run) + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def _draw(ell: int, seeds: int, n: int, mask: int, hi: int, lo: int) -> list[int]:
+def _draw(
+    ell: int, seeds: int, n: int, mask: int, hi: int, lo: int, firsts: int
+) -> Iterable[int]:
     """Numerators of n length-ell samples; seeds holds each one's seed in all its lanes.
 
     Word j of a seed is _mix64(seed + (j + 1) * _GOLDEN).  A numerator is 1,
     then the top ell - 2 bits of words 0, 1, ... in order, then 1.  Each
     lane becomes one word pair, word 2p above word 2p + 1, so a sample's
     lanes read little-endian put its words in order from the top.
+
+    Of n > 1 samples, the packed int is shifted so that each sample's window
+    of ``size`` bytes starts with its ell - 1 top digits, cut to those digits
+    and pinned at both ends with firsts, which marks every window's lowest
+    bit.  Only when ell - 1 == 128h does the top pin fall one bit past a
+    window; it is then set sample by sample.
     """
     pairs = _mix64_lanes((seeds + hi) & mask, mask) << 64
     if ell - 1 > 64:  # a numerator's digits reach an odd word
@@ -126,11 +141,13 @@ def _draw(ell: int, seeds: int, n: int, mask: int, hi: int, lo: int) -> list[int
     pinned = 1 << (ell - 1) | 1
     if n == 1:  # one sample's lanes are the whole packed int
         return [pairs >> shift | pinned]
-    raw = pairs.to_bytes(size * n, "little")
-    return [
-        int.from_bytes(raw[at : at + size], "little") >> shift | pinned
-        for at in range(0, len(raw), size)
-    ]
+    tops = firsts << (ell - 1)
+    packed = pairs >> shift & tops - firsts | firsts
+    if shift:
+        packed |= tops
+    windows = struct.Struct(f"{size}s" * n).unpack(packed.to_bytes(size * n, "little"))
+    nums = map(int.from_bytes, windows, repeat("little"))
+    return nums if shift else map(pinned.__or__, nums)
 
 
 def sample_fraction(ell: int, seed: int) -> BinaryFraction:
@@ -143,8 +160,9 @@ def sample_fraction(ell: int, seed: int) -> BinaryFraction:
         raise ValueError(
             f"sample_fraction needs 3 <= ell <= MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}"
         )
-    ones, mask, _, hi, lo = _lane_constants((ell + 126) // 128, 1)
-    return BinaryFraction(_draw(ell, (seed & _MASK64) * ones, 1, mask, hi, lo)[0], ell)
+    ones, mask, _, hi, lo, firsts = _lane_constants((ell + 126) // 128, 1)
+    (numerator,) = _draw(ell, (seed & _MASK64) * ones, 1, mask, hi, lo, firsts)
+    return BinaryFraction(numerator, ell)
 
 
 def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Iterator[int]:
@@ -157,14 +175,16 @@ def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Itera
         raise ValueError(
             f"sample_numerators needs 3 <= ell <= MAX_SAMPLE_LENGTH = {MAX_SAMPLE_LENGTH}"
         )
+    if count < 0:
+        raise ValueError(f"sample_numerators needs count >= 0, got {count}")
     h = (ell + 126) // 128
     per_chunk = max(1, _LANES // h)
     state = _run_state(master_seed, run)
     for first in range(0, count, per_chunk):
         n = min(per_chunk, count - first)
-        ones, mask, iota, hi, lo = _lane_constants(h, n)
+        ones, mask, iota, hi, lo, firsts = _lane_constants(h, n)
         seeds = _mix64_lanes(((state + first * _GOLDEN & _MASK64) * ones + iota) & mask, mask)
-        yield from _draw(ell, seeds, n, mask, hi, lo)
+        yield from _draw(ell, seeds, n, mask, hi, lo, firsts)
 
 
 @dataclass

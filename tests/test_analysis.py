@@ -331,6 +331,17 @@ class TestHeadTailTable:
         assert 1 < len(summary.violations) < 10
         assert peak < 4 * 2**20
 
+    def test_an_audit_runs_in_bounded_memory(self):
+        # the sampler reads each chunk's numerators as the audit takes them;
+        # holding all 100000 samples' digits at once would take about 7 MiB
+        tracemalloc.start()
+        try:
+            assert audit_length_deltas(100_000, 256).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
+
     def test_audit_passes_sampled_predecessors(self):
         # "1010101" is drawn about 1 time in 32 at length 7
         samples = 2000

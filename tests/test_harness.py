@@ -1,5 +1,6 @@
 """Tests for the experiment harness: seeding, sampling, cells, and CSV."""
 
+import hashlib
 import tracemalloc
 from itertools import islice
 
@@ -113,6 +114,33 @@ class TestSampleNumerators:
 
     def test_zero_count_yields_nothing(self):
         assert list(sample_numerators(16, 1, 0, 0)) == []
+
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="count >= 0"):
+            list(sample_numerators(16, 0, 0, -5))
+
+    # sha256 of each numerator's (ell + 7) // 8 little-endian bytes, first 16
+    # hex digits; frozen from the sampler, so they check its output apart from
+    # both the packed route and the scalar oracle.  129 and 257 have
+    # ell - 1 == 128h, where a sample's top pin lies one bit past its lanes.
+    @pytest.mark.parametrize(
+        "ell, digest",
+        [
+            (3, "851af8a191a9a2d9"),
+            (16, "c0ca779542b8abf3"),
+            (64, "f9b53a63de2e5abd"),
+            (65, "4cfd82870b32d2b4"),
+            (128, "13e781a6b7a84817"),
+            (129, "dfe61d14900cf6da"),
+            (256, "3f70e80dc123bb47"),
+            (257, "ab4d12b83bba3778"),
+        ],
+    )
+    def test_golden_digests(self, ell, digest):
+        h = hashlib.sha256()
+        for n in sample_numerators(ell, 20250815, 3, 2500):
+            h.update(n.to_bytes((ell + 7) // 8, "little"))
+        assert h.hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("master", MASTERS)
     def test_match_the_scalar_route_at_every_length(self, master):
