@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, repeat
 
 from . import maps
 from .exact import BinaryFraction
@@ -433,6 +434,11 @@ _MEMO_BITS = 25
 # the memo fill copies a residue class as one slice when each start's stop
 # time follows from an iterate at most this share of it (see _fill_plan)
 _FILL_RATIO = Fraction(27, 32)
+# a fill block takes the tree's classes down to the depth where one still
+# holds this many of its starts (see _fill_depth); 8 and 32 were no faster
+_CLASS_STARTS = 16
+# the most starts of a class copied in one slice, so no slice is large
+_PIECE = 1 << 12
 # with n > 1 workers, a fill block at least this many values wide is split
 # into n parts that fill their residue classes at once (see _fill_memo)
 _SPLIT_WIDTH = 1 << 13
@@ -479,97 +485,170 @@ def _walk(
     return count, best, worst, capped
 
 
+class _FillTree:
+    """The parity-vector tree of :func:`_fill_plan`, grown one level at a time.
+
+    ``fields`` holds the b, m, c and offset of every class (b, m, c, 3**c,
+    offset) found so far, one array each, in order of depth m; ``ends[M]``
+    counts the classes of depth at most M, and ``opens[M]`` holds the odd
+    residues mod 2**M that none of them covers.  For the deepest level M,
+    ``values`` holds T^M(b) and ``odds`` the count of odd values among
+    T^0(b), ..., T^(M-1)(b), for each b of ``opens[M]``.
+    """
+
+    def __init__(self) -> None:
+        # int32 holds every residue and offset of a tree less than 32 levels deep
+        self.fields = tuple(array("i") for _ in range(4))
+        self.ends = [0, 0]
+        self.opens = [array("i"), array("i", [1])]
+        self.values, self.odds = array("q", [2]), array("b", [1])
+
+    def level(self, depth: int, part: int = 0, parts: int = 1) -> tuple[Iterator, array]:
+        """The classes of depth at most ``depth`` and the residues open there.
+
+        Of each, every ``parts``-th from the ``part``-th; the tree grows
+        first if it is not yet that deep.
+        """
+        while len(self.opens) <= depth:
+            self._grow()
+        b, m, c, offset = (field[part : self.ends[depth] : parts] for field in self.fields)
+        return zip(b, m, c, map(pow, repeat(3), c), offset), self.opens[depth][part::parts]
+
+    def _grow(self) -> None:
+        """Split each open residue b mod 2**m into b and b + 2**m, mod 2**(m+1)."""
+        m = len(self.opens) - 1
+        num, den = _FILL_RATIO.numerator, _FILL_RATIO.denominator
+        opens, values, odds = array("i"), array("q"), array("b")
+        for b, v, c in zip(self.opens[m], self.values, self.odds):
+            power = 3**c
+            resolves = power * den <= num << m
+            # T^m(b + 2**m) = T^m(b) + 3**c: the two children differ in that parity only
+            for child, w in ((b, v), (b | 1 << m, v + power)):
+                if m == 2 and child == 5:
+                    found = (5, 3, 0, 0)
+                elif w & 1 and resolves:
+                    found = (child, m + 1, c, w >> 1)
+                else:
+                    opens.append(child)
+                    values.append((3 * w + 1) >> 1 if w & 1 else w >> 1)
+                    odds.append(c + (w & 1))
+                    continue
+                for field, value in zip(self.fields, found):
+                    field.append(value)
+        self.ends.append(len(self.fields[0]))
+        self.opens.append(opens)
+        self.values, self.odds = values, odds
+
+
 @cache
-def _fill_plan() -> tuple[int, list[tuple[int, int, int, int]], list[int], Fraction]:
-    """How :func:`_fill_memo` fills each odd residue class b mod 2**K.
+def _fill_plan() -> _FillTree:
+    """The parity-vector tree that :func:`_fill_memo` fills its blocks by.
 
-    Returns ``(K, classes, walked, rho)`` with K = ``maps._JUMP_BITS`` (at
-    least 3).  An entry ``(b, c, stride, offset)`` of ``classes`` says that
-    x = 2**K a + b has stop(x) = c + stop(y), where y is the odd value at
-    memo index ``stride * a + offset``:
+    With T(n) = (3n+1)/2 on odd n and n/2 on even n, a residue b mod 2**m
+    fixes the parities of T^j(x), j < m, for every x = 2**m A + b, and
+    T^j(x) = 3**c 2**(m-j) A + T^j(b) for j <= m, c the count of odd values
+    among T^0(x), ..., T^(j-1)(x) (Terras's block identity, as in
+    :func:`maps.orbit_extents`).  The tree splits the odd residues one bit
+    at a time, from 1 mod 2, and a residue b mod 2**m becomes a class
+    (b, m, c, stride, offset), split no further, as soon as its parities
+    resolve it.  Then x has stop(x) = c + stop(y), y the odd value at memo
+    index ``stride * A + offset``:
 
-    * for b = 5 mod 8, c = 0 and y = (x - 1)/4;
-    * otherwise y = T^j(x) for the first j < K at which T^j(b) is odd and
-      3**c <= ``_FILL_RATIO`` 2**j, where c counts the odd steps among the
-      first j steps of T (see :func:`_fill_memo`).
+    * b = 5 mod 8, at m = 3: c = 0 and y = (x - 1)/4 = 2A + 1, so the
+      stride is 1 and the offset 0;
+    * otherwise at j = m - 1, the first j at which T^j(b) is odd and
+      3**c <= ``_FILL_RATIO`` 2**j (every earlier j was tested on b's
+      parent mod 2**(m-1), which stayed open): y = T^j(x) = 2 * 3**c A + T^j(b),
+      so the stride is 3**c and the offset T^j(b) >> 1.
 
-    ``walked`` lists the other odd residues, and ``rho`` is the largest
-    3**c / 2**j among the classes.  Built on the first fill, not at import.
+    Every other residue stays open, and is split when a deeper level is
+    first asked for (:meth:`_FillTree.level`).  So the classes of depth at
+    most M, each standing for its 2**(M-m) residues mod 2**M, and the
+    residues open at M, partition the odd residues mod 2**M.  Built on the
+    first fill, not at import, and grown no deeper than a fill asks.
     """
-    K = maps._JUMP_BITS
-    classes, walked, rho = [], [], Fraction(0)
-    for b in range(1, 1 << K, 2):
-        if b & 7 == 5:
-            classes.append((b, 0, 1 << (K - 3), b >> 3))
-            continue
-        x, c = b, 0
-        for j in range(1, K):
-            if x & 1:
-                x = (3 * x + 1) >> 1
-                c += 1
-            else:
-                x >>= 1
-            if x & 1 and 3**c * _FILL_RATIO.denominator <= _FILL_RATIO.numerator << j:
-                classes.append((b, c, 3**c << (K - j - 1), x >> 1))
-                rho = max(rho, Fraction(3**c, 1 << j))
-                break
-        else:
-            walked.append(b)
-    return K, classes, walked, rho
+    return _FillTree()
 
 
-def _add_lanes(ys, c: int) -> array:
-    """``array("h", [y + c for y in ys])`` for int16 entries ``ys``, in one int add.
+def _fill_depth(lo: int, hi: int) -> int:
+    """The tree depth M of a fill block [lo, hi) whose end, before rounding, is hi.
 
-    ``ys``, an ``array`` or a strided memoryview, is read as one integer
-    of 16-bit lanes in the host's byte order, plus c times the integer
-    with 1 in each lane.  A lane carries into the next only if it passes
-    0xFFFF, so with 0 <= y and y + c <= 0x7FFF for every y, as
-    :func:`_fill_block` checks, each lane is its own sum.
+    The deepest M at which one residue class mod 2**M still holds
+    ``_CLASS_STARTS`` values of [lo, hi), but no deeper than 2**(M+1) <= lo,
+    and at least 1; lo >= 4.
     """
-    n = len(ys)
+    return max(1, min(((hi - lo) // _CLASS_STARTS).bit_length() - 1, lo.bit_length() - 2))
+
+
+def _add_lanes(ys, c: int, below: int) -> tuple[array, int]:
+    """(``array("h", [y + c for y in ys])``, the largest y + c if it passes ``below``, else -1).
+
+    ``ys``, an ``array`` or a strided memoryview of int16 entries with
+    0 <= y <= ``below`` <= 0x7FFF, and 0 < c <= 0x8000, is read once, as
+    one integer of 16-bit lanes in the host's byte order, and c times the
+    integer with 1 in each lane is added in one int add.  A lane carries
+    into the next only if it passes 0xFFFF, and y + c <= 0x7FFF + c does
+    not.  The threshold test adds 0x7FFF - below + c to every lane
+    instead: a lane then holds y + 0x7FFF - below + c, at least
+    0x7FFF - below + c >= 0 and at most 0x7FFF + c <= 0xFFFF, so no lane
+    borrows or carries, and its bit 15 is set exactly when
+    y + 0x7FFF - below + c >= 0x8000, that is when y + c > below.  Only
+    then is the exact ``max`` taken, of the bytes already read.  A sum
+    past 0x7FFF is not a valid int16, so the caller must check the
+    maximum before it stores the array.
+    """
+    data = bytes(ys)
+    n = len(data) >> 1
     ones = int.from_bytes(array("h", [1]).tobytes() * n, sys.byteorder)
-    total = int.from_bytes(ys, sys.byteorder) + c * ones
-    return array("h", total.to_bytes(2 * n, sys.byteorder))
+    total = int.from_bytes(data, sys.byteorder) + c * ones
+    top = -1
+    if (total + (0x7FFF - below) * ones) & ones << 15:
+        top = max(memoryview(data).cast("h")) + c
+    return array("h", total.to_bytes(len(data), sys.byteorder)), top
 
 
 def _fill_block(
-    memo: array | memoryview, lo: int, hi: int, part: int, parts: int, step_cap: int
+    memo: array | memoryview, lo: int, hi: int, depth: int, below: int, part: int, parts: int,
+    step_cap: int
 ) -> tuple[int, int, bool]:
     """Fill part ``part`` of ``parts`` of one block [lo, hi) of :func:`_fill_memo`.
 
-    The part copies ``classes[part::parts]`` of :func:`_fill_plan` and
-    walks the starts of ``walked[part::parts]`` down below lo by
-    :func:`_walk`.  A class with c > 0 adds c to its source slice in one
-    packed add (:func:`_add_lanes`).  No lane carries: every entry read
-    lies below lo, so the fill has checked it to be in [0, ``step_cap``],
-    and a class whose largest stop time, the largest entry read plus c,
-    passes 0x7FFF raises OverflowError before the add, as ``array("h")``
-    does.  A class with no start in the block is skipped.  The part writes
-    only the entries of its own starts in [lo, hi) and reads only entries
-    below lo, so the parts of a block can run at once on one shared memo.
-    Returns (how many entries it wrote, the largest stop time it wrote or
-    -1, whether a walk passed ``step_cap``); such a walk leaves its
-    start's entry at -1.
+    The block's classes are those of :func:`_fill_plan`'s tree of depth at
+    most ``depth``, and the part copies every ``parts``-th of them, from
+    the ``part``-th, in pieces of at most ``_PIECE`` starts; it walks the
+    starts of every ``parts``-th residue still open at ``depth`` down below
+    lo by :func:`_walk`.  A class with c > 0 adds c to its source piece
+    in one packed add (:func:`_add_lanes`).  Every entry read lies below
+    lo, so the fill has checked it to be in [0, ``below``], ``below`` the
+    largest entry below lo; a piece whose largest sum, taken only when it
+    passes ``below``, passes 0x7FFF raises OverflowError before it is
+    stored, as ``array("h")`` does.  A class with no start in the block is
+    skipped.  The part writes only the entries of its own starts in
+    [lo, hi) and reads only entries below lo, so the parts of a block can
+    run at once on one shared memo.  Returns (how many entries it wrote,
+    the largest stop time it wrote if that passes ``below``, and otherwise
+    at most ``below``, whether a walk passed ``step_cap``); such a walk
+    leaves its start's entry at -1.
     """
-    K, classes, walked, _ = _fill_plan()
-    mask = (1 << K) - 1
-    step = 1 << (K - 1)  # the memo stride of one residue class
-    a0 = lo >> K
+    classes, opens = _fill_plan().level(depth, part, parts)
     count, best = 0, -1
-    for b, c, stride, offset in classes[part::parts]:
-        n = (hi - lo - b + mask) >> K  # starts of class b below hi
-        if not n:
-            continue
-        x, y = (lo + b) >> 1, stride * a0 + offset
-        ys = memo[y : y + n * stride : stride]
-        top = max(ys) + c
-        if top > 0x7FFF:
-            raise OverflowError(f"stop time {top} of the class {b} mod 2**{K} passes int16")
-        memo[x : x + n * step : step] = _add_lanes(ys, c) if c else ys
-        count += len(ys)
-        best = max(best, top)
-    starts = chain.from_iterable(range(lo + b, hi, 1 << K) for b in walked[part::parts])
+    for b, m, c, stride, offset in classes:
+        step = 1 << (m - 1)  # the memo stride of one class
+        first, end = (lo - b + (1 << m) - 1) >> m, (hi - b + (1 << m) - 1) >> m
+        for a in range(first, end, _PIECE):
+            n = min(_PIECE, end - a)
+            x, y = step * a + (b >> 1), stride * a + offset
+            ys = memo[y : y + n * stride : stride]
+            if c:
+                ys, top = _add_lanes(ys, c, below)
+                if top > 0x7FFF:
+                    raise OverflowError(f"stop time {top} of the class {b} mod 2**{m} "
+                                        "passes int16")
+                best = max(best, top)
+            memo[x : x + n * step : step] = ys
+        count += end - first
+    mask = (1 << depth) - 1
+    starts = chain.from_iterable(range(lo + (b - lo & mask), hi, mask + 1) for b in opens)
     walks, peak, _, capped = _walk(memo, starts, lo, step_cap)
     return count + walks, max(best, peak), capped > 0
 
@@ -581,35 +660,42 @@ def _fill_memo(
 
     ``memo`` is as in :func:`_walk`, with 2 * len(memo) >= top.  Values
     below 2**K (K = ``maps._JUMP_BITS``) are copied from the step column of
-    ``maps._end_table``, and the rest below 2**K a0 (a0 the smallest a with
-    floor(a / rho) > a, rho from :func:`_fill_plan`) are walked down below
-    2**K by :func:`_walk`.  Then blocks [2**K a0, 2**K a1),
-    a1 = floor(a0 / rho), are filled in turn by :func:`_fill_block`, each
-    as one slice per residue class b, over the starts x = 2**K a + b with
-    a0 <= a < a1.  Every value below the block is already stored, and
-    every y read below lies there:
+    ``maps._end_table``, and the rest below 2**K a0 (a0 = 6, the smallest
+    a with floor(a / rho) > a, rho = ``_FILL_RATIO`` = 27/32) are walked
+    down below 2**K by :func:`_walk`.  Then each block [lo, hi) starts at
+    the last one's end and is filled by :func:`_fill_block`: with
+    h = floor(lo / rho) and M = ``_fill_depth(lo, h)``, the block takes the
+    classes of :func:`_fill_plan`'s tree of depth at most M and the
+    residues open at M, and hi is h rounded down to a multiple of 2**M (cut
+    at ``top``).  Every value below lo is already stored, and every y that
+    a class reads lies there.  A class (b, m, c, ...) covers the starts
+    x = 2**m A + b in the block, and m <= M:
 
+    * A >= 1 for every start: x >= lo >= 2**(M+1) and b < 2**m <= 2**M, so
+      2**m A = x - b > 2**M.
+    * 2**m (A + 1) <= hi <= h <= lo / rho: x < hi, and hi is a multiple of
+      2**M, hence of 2**m, so 2**m A <= hi - 2**m.
     * b = 5 mod 8: 3x + 1 = 4 (3y + 1) with y = (x - 1)/4 > 1, so x and y
-      have the same next odd value and stop(x) = stop(y).  And
-      y < 2**(K-2) a1 < 2**K a0, as rho >= 3/4 (b = 1 mod 8 is a class with
-      3/4 at j = 2) puts a1 below 4 a0.
-    * The other classes: with T(n) = (3n+1)/2 on odd n and n/2 on even n,
-      T^j(x) = 3**c 2**(K-j) a + T^j(b) for j <= K.  For j < K and a >= 1
-      each T^i(x), i <= j, is at least 2**(K-i) a >= 2, so no value before
-      y = T^j(x) is 1; and y is odd, so it is the c-th reduced iterate and
-      stop(x) = c + stop(y).  By the lemma of :func:`orbit_extents`,
-      T^j(b) < 3**c 2**(K-j), so y < 3**c 2**(K-j) (a + 1)
-      <= rho 2**K a1 <= 2**K a0.
-    * ``walked`` residues are walked down below 2**K a0 by :func:`_walk`.
+      have the same next odd value and stop(x) = stop(y); and
+      y < 2**(m-2) (A + 1) < rho 2**m (A + 1) <= lo, as rho > 1/4.
+    * The other classes, at j = m - 1: each T^i(x), i <= j, is at least
+      2**(m-i) A >= 2, so no value before y = T^j(x) is 1; and y is odd,
+      so it is the c-th reduced iterate and stop(x) = c + stop(y).  By the
+      lemma of :func:`orbit_extents`, T^j(b) < 3**c 2**(m-j), so
+      y < 3**c 2**(m-j) (A + 1) <= rho 2**m (A + 1) <= lo.
+    * The open residues are walked down below lo by :func:`_walk`.
 
     So no entry of a block depends on another entry of it, and every entry
-    it reads was checked below to be in [0, ``step_cap``]: no 16-bit lane
-    of :func:`_fill_block`'s packed add carries, and a class whose stop
-    time would pass 0x7FFF raises OverflowError there.  With ``parts``
-    > 1, ``memo`` is the memo every worker of ``pool`` shares (see
-    :func:`_share_memo`), and a block at least ``_SPLIT_WIDTH`` values
-    wide is filled as ``parts`` parts, one pool task each, all done before
-    the next block starts; the other blocks are filled here.
+    it reads was checked below to be in [0, ``step_cap``]; the largest of
+    them, ``below``, is the largest stop time found so far.  A class can
+    raise the maximum, pass the cap or pass 0x7FFF only where some
+    y + c > ``below``, which :func:`_add_lanes`'s packed test finds, and
+    only there is the exact maximum taken; no lane of its add carries, and
+    a sum past 0x7FFF raises OverflowError.  With ``parts`` > 1, ``memo``
+    is the memo every worker of ``pool`` shares (see :func:`_share_memo`),
+    and a block at least ``_SPLIT_WIDTH`` values wide is filled as
+    ``parts`` parts, one pool task each, all done before the next block
+    starts; the other blocks are filled here.
 
     Returns the number of entries written, the largest stop time below
     ``top`` and the range of values (those below 2**K a0, or a block)
@@ -621,10 +707,9 @@ def _fill_memo(
     RuntimeError naming it, so no entry is left unknown and the memo is
     never scanned for one.
     """
-    K, _, _, rho = _fill_plan()
-    num, den = rho.numerator, rho.denominator
-    a = -(-num // (den - num))  # a0, then each block's upper a
-    lo, low, hi = 1, min(top, 1 << K), min(top, a << K)
+    K = maps._JUMP_BITS
+    num, den = _FILL_RATIO.numerator, _FILL_RATIO.denominator
+    lo, low, hi = 1, min(top, 1 << K), min(top, -(-num // (den - num)) << K)
     ys = array("h", [s for s, _ in maps._end_table()[1:low:2]])
     memo[: len(ys)] = ys
     count, peak, _, capped = _walk(memo, range(low + 1, hi, 2), low, step_cap)
@@ -646,12 +731,15 @@ def _fill_memo(
             best, where = peak, range(lo, hi)
         if hi == top:
             return total, best, where
-        a = a * den // num
-        lo, hi = hi, min(a << K, top)
+        lo = hi
+        hi = lo * den // num
+        depth = _fill_depth(lo, hi)
+        hi = min(hi >> depth << depth, top)
+        block = (lo, hi, depth, best)
         if parts > 1 and hi - lo >= _SPLIT_WIDTH:
-            done = list(pool.map(fill_part, [(lo, hi, i, parts) for i in range(parts)]))
+            done = list(pool.map(fill_part, [(*block, i, parts) for i in range(parts)]))
         else:
-            done = [_fill_block(memo, lo, hi, 0, 1, step_cap)]
+            done = [_fill_block(memo, *block, 0, 1, step_cap)]
 
 
 def _first_start(memo: array | memoryview, stop: int, values: range) -> int:
@@ -698,8 +786,8 @@ def _share_memo(arena) -> None:
     _shared = memoryview(arena.buffer).cast("h")
 
 
-def _fill_part(block: tuple[int, int, int, int], step_cap: int) -> tuple[int, int, bool]:
-    """:func:`_fill_block` of (lo, hi, part, parts) on the shared memo."""
+def _fill_part(block: tuple[int, int, int, int, int, int], step_cap: int) -> tuple[int, int, bool]:
+    """:func:`_fill_block` of (lo, hi, depth, below, part, parts) on the shared memo."""
     return _fill_block(_shared, *block, step_cap)
 
 
@@ -713,22 +801,28 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
 
     Reduced-map stopping times are held in one int16 memo of the odd
     values below 2**min(ell, 25), at most 32 MiB; the worst start is the
-    smallest one attaining the maximum.  The memo is filled from 1 up, by
-    residue class mod 2**10 (see ``_fill_memo``): a quarter of the starts
-    copy a smaller value's stop time in one strided slice, about 55% add
-    a constant to one in a single int add over its packed int16 lanes,
-    and only the rest are walked, by jumps of 10 steps through the orbit
-    kernel's table (see ``_walk``).  No lane carries: every entry read is
-    checked to be in [0, step_cap], and a class whose largest sum would
-    pass 0x7FFF raises OverflowError instead.  Starts at or above 2**25
-    are then walked the same way down to 2**25, reading the memo.
+    smallest one attaining the maximum.  The memo is filled from 1 up,
+    block by block, by the classes of one parity-vector tree (see
+    ``_fill_plan`` and ``_fill_memo``): a residue mod 2**m becomes a class
+    as soon as its first parities give every start's stop time from a
+    smaller value's, and each block takes the tree down to the depth at
+    which a class still holds about 16 of its starts.  At ell 22 a quarter
+    of the starts (5 mod 8) copy a smaller value's stop time in strided
+    slices, about 62% add a constant to one in a single int add over
+    packed int16 lanes, and only the other 13% are walked, by jumps of 10
+    steps through the orbit kernel's table (see ``_walk``).  No lane
+    carries: every entry read is checked to be in [0, step_cap].  One more
+    packed add tests whether a sum passes the largest stop time below the
+    block; only then is the slice's maximum taken, and a sum past 0x7FFF
+    raises OverflowError.  Starts at or above 2**25 are then walked the
+    same way down to 2**25, reading the memo.
 
     With one worker all of this runs in this process on an ``array``.
     With n > 1 workers (clamped to the CPU count) the memo is one shared
     buffer that a pool of n processes maps once, through its initializer.
     Every fill block at least 2**13 values wide is split into n parts
-    that take turns on its residue classes, and the starts at or above
-    2**25 are walked in n contiguous slices.
+    that take turns on its classes and open residues, and the starts at
+    or above 2**25 are walked in n contiguous slices.
 
     ``verified_count`` counts the memo entries the fill wrote and the
     starts walked above 2**25, and a fill block that leaves an odd value

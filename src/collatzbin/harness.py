@@ -118,7 +118,7 @@ def derive_seed(master: int, run: int, index: int) -> int:
 
 
 def _draw(
-    ell: int, seeds: int, n: int, mask: int, hi: int, lo: int, firsts: int
+    ell: int, seeds: int, n: int, mask: int, hi: int, lo: int, firsts: int, unpack=None
 ) -> Iterable[int]:
     """Numerators of n length-ell samples; seeds holds each one's seed in all its lanes.
 
@@ -131,7 +131,9 @@ def _draw(
     of ``size`` bytes starts with its ell - 1 top digits, cut to those digits
     and pinned at both ends with firsts, which marks every window's lowest
     bit.  Only when ell - 1 == 128h does the top pin fall one bit past a
-    window; it is then set sample by sample.
+    window; it is then set sample by sample.  ``unpack`` splits the bytes
+    into the n windows: the ``unpack`` of ``struct.Struct(f"{size}s" * n)``,
+    built by the caller once for every chunk of n samples.
     """
     pairs = _mix64_lanes((seeds + hi) & mask, mask) << 64
     if ell - 1 > 64:  # a numerator's digits reach an odd word
@@ -145,7 +147,7 @@ def _draw(
     packed = pairs >> shift & tops - firsts | firsts
     if shift:
         packed |= tops
-    windows = struct.Struct(f"{size}s" * n).unpack(packed.to_bytes(size * n, "little"))
+    windows = unpack(packed.to_bytes(size * n, "little"))
     nums = map(int.from_bytes, windows, repeat("little"))
     return nums if shift else map(pinned.__or__, nums)
 
@@ -170,6 +172,7 @@ def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Itera
 
     The run's first splitmix64 round is computed once; then the seeds and
     words of up to _LANES lanes' worth of samples are drawn per packed pass.
+    The unpacker of a full chunk is built once, and the tail's once more.
     """
     if not 3 <= ell <= MAX_SAMPLE_LENGTH:
         raise ValueError(
@@ -180,11 +183,14 @@ def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Itera
     h = (ell + 126) // 128
     per_chunk = max(1, _LANES // h)
     state = _run_state(master_seed, run)
+    unpack = None
     for first in range(0, count, per_chunk):
         n = min(per_chunk, count - first)
+        if n > 1 and (unpack is None or n < per_chunk):
+            unpack = struct.Struct(f"{16 * h}s" * n).unpack
         ones, mask, iota, hi, lo, firsts = _lane_constants(h, n)
         seeds = _mix64_lanes(((state + first * _GOLDEN & _MASK64) * ones + iota) & mask, mask)
-        yield from _draw(ell, seeds, n, mask, hi, lo, firsts)
+        yield from _draw(ell, seeds, n, mask, hi, lo, firsts, unpack)
 
 
 @dataclass

@@ -59,27 +59,71 @@ def brute_stops(ell: int) -> dict[int, int]:
     return {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
 
 
-def brute_fill_maximum(top: int) -> tuple[int, range]:
-    """The largest stop time below ``top`` and the fill range of its smallest start.
+def brute_fill_blocks(top: int, rho: Fraction = Fraction(27, 32)):
+    """The fill's ranges below ``top``, by the block rule of ``_fill_memo``'s docstring.
 
-    The ranges are those of ``_fill_memo``: [1, 2**K a0), a0 the smallest
-    a >= 1 with floor(a / rho) > a, then [2**K a, 2**K floor(a / rho)) in
-    turn, each cut at ``top``.
+    [1, 2**K a0), a0 the smallest a >= 1 with floor(a / rho) > a; then each
+    block [lo, hi) as (lo, hi, M): with h = floor(lo / rho), M is the deepest
+    depth, at least 1, with 16 * 2**M <= h - lo and 2**(M+1) <= lo, and hi
+    is h rounded down to a multiple of 2**M, each cut at ``top``.
     """
-    from collatzbin import analysis
+    from collatzbin import maps
 
-    K, _, _, rho = analysis._fill_plan()
-    stops = {x: s for x, s in brute_stops(15).items() if x < top}
-    best = max(stops.values())
-    worst = min(x for x, s in stops.items() if s == best)
     a = 1
     while floor(a / rho) <= a:
         a += 1
-    lo, hi = 1, a << K
-    while hi <= worst:
-        a = floor(a / rho)
-        lo, hi = hi, a << K
-    return best, range(lo, min(hi, top))
+    lo, hi, depth = 1, a << maps._JUMP_BITS, None
+    while True:
+        yield lo, min(hi, top), depth
+        if hi >= top:
+            return
+        lo, h = hi, floor(hi / rho)
+        depth = 1
+        while 16 << (depth + 1) <= h - lo and 4 << depth <= lo:
+            depth += 1
+        hi = h - h % (1 << depth)
+
+
+def brute_fill_maximum(top: int) -> tuple[int, range]:
+    """The largest stop time below ``top`` and the fill range of its smallest start."""
+    stops = {x: s for x, s in brute_stops(15).items() if x < top}
+    best = max(stops.values())
+    worst = min(x for x, s in stops.items() if s == best)
+    lo, hi = next((lo, hi) for lo, hi, _ in brute_fill_blocks(top) if worst < hi)
+    return best, range(lo, hi)
+
+
+@cache
+def brute_tree(depth: int, rho: Fraction) -> dict[int, tuple | None]:
+    """Each odd residue r mod 2**depth, resolved by the fill tree's rule step by step.
+
+    Its class (b, m, c, 3**c, offset), or None if it is still open at depth:
+    r = 5 mod 8 is the class (5, 3, 0, 1, 0); any other r is resolved at the
+    first j < depth at which T^j(r) is odd and 3**c <= rho 2**j, c the odd
+    values among T^0(r), ..., T^(j-1)(r), and its class is b = r mod 2**(j+1),
+    m = j + 1, with the offset T^j(b) >> 1 of b's own orbit.
+    """
+
+    def walk(x: int, steps: int) -> tuple[int, int]:
+        c = 0
+        for _ in range(steps):
+            c, x = (c + 1, (3 * x + 1) >> 1) if x & 1 else (c, x >> 1)
+        return x, c
+
+    tree = {}
+    for r in range(1, 1 << depth, 2):
+        tree[r] = None
+        if r % 8 == 5 and depth >= 3:
+            tree[r] = (5, 3, 0, 1, 0)
+            continue
+        for j in range(1, depth):
+            x, c = walk(r, j)
+            if x & 1 and 3**c <= rho * 2**j:
+                b = r % 2 ** (j + 1)
+                y, _ = walk(b, j)
+                tree[r] = (b, j + 1, c, 3**c, y >> 1)
+                break
+    return tree
 
 
 def assert_caps_keep_their_witnesses(ell: int, caps: range, worker_counts: tuple) -> None:
@@ -626,11 +670,13 @@ class TestVerifyRange:
     def test_split_fill_matches_brute_force_entry_by_entry(self, monkeypatch, jump_bits, bits,
                                                            parts):
         # every block split into parts that share one memo through the
-        # pool's initializer; the parts run one after another here
+        # pool's initializer; the parts run one after another here, and
+        # every class slice is cut into pieces of 5 starts and a shorter tail
         from collatzbin import analysis
 
         jump_bits(bits)
         monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(analysis, "_PIECE", 5)
         monkeypatch.setattr(analysis, "_shared", None)
         stops = brute_stops(15)
         for top in (1 << 15, (1 << 15) - 2002, 6146):
@@ -642,38 +688,146 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("n", [0, 1, 1000])
     def test_the_packed_add_matches_the_per_entry_add(self, n):
-        # each c of the fill and beyond, on the lane edges 0 and 0x7FFF - c,
+        # each c of the fill and beyond, on the lane edges 0 and 0x7FFF - c
+        # and on both sides of the threshold: y + c == below must not raise
+        # it, y + c == below + 1 must (one past 0x7FFF at below = 0x7FFF);
         # read from an array and from a strided memoryview as the fill does
         from collatzbin import analysis
 
         for c in range(1, 11):
-            ys = array("h", [(0, 0x7FFF - c, 1000 * c + i)[i % 3] for i in range(n)])
-            expected = array("h", map(c.__add__, ys))
-            assert analysis._add_lanes(ys, c) == expected
-            spread = array("h", [-1]) * (3 * n)
-            spread[1::3] = ys
-            assert analysis._add_lanes(memoryview(spread)[1::3], c) == expected
+            for below in (c, 1000, 0x7FFF - c, 0x7FFF):
+                edges = [y for y in (below - c, below - c + 1, 0, 0x7FFF - c) if 0 <= y <= below]
+                quiet = [y for y in edges if y + c <= below]
+                for lanes in (edges, quiet, [0, 0x7FFF - c, 1000 * c] if below == 0x7FFF else []):
+                    if not lanes:
+                        continue
+                    ys = array("h", [lanes[i % len(lanes)] for i in range(n)])
+                    sums = [y + c for y in ys]
+                    top = max(sums) if sums and max(sums) > below else -1
+                    spread = array("h", [-1]) * (3 * n)
+                    spread[1::3] = ys
+                    for source in (ys, memoryview(spread)[1::3]):
+                        added, found = analysis._add_lanes(source, c, below)
+                        assert found == top
+                        if top <= 0x7FFF:
+                            assert added == array("h", sums)
 
-    def test_a_class_past_int16_raises_before_it_wraps(self):
-        # every entry below the first K = 10 block seeded so that the class
-        # with the largest c reaches 0x7FFF, then one past it; a walk past
-        # the cap of 0x7FFE writes nothing, so only a class add can overflow,
-        # and only that class can reach the block's largest stop time
+    @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
+    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
+    def test_the_tree_partitions_the_odd_residues_by_its_rule(self, monkeypatch, jump_bits,
+                                                             bits, rho):
+        # at every depth M, the classes of depth at most M (each standing
+        # for its residues mod 2**M) and the residues open at M cover every
+        # odd residue exactly once, and each is what the rule makes of it;
+        # the tree reads its ratio from _FILL_RATIO, as the block schedule does
         from collatzbin import analysis
 
-        K, classes, _, _ = analysis._fill_plan()
-        top = max(c for _, c, _, _ in classes)
-        lo, hi = 6 << K, 7 << K
+        monkeypatch.setattr(analysis, "_FILL_RATIO", rho)
+        jump_bits(bits)
+        tree = brute_tree(16, rho)
+        for depth in range(3, 17):
+            classes, opens = analysis._fill_plan().level(depth)
+            classes, opens = list(classes), list(opens)
+            covered = [0] * (1 << depth)
+            for b, m, *_ in classes:
+                for r in range(b, 1 << depth, 1 << m):
+                    covered[r] += 1
+            for r in opens:
+                covered[r] += 1
+            assert covered[1::2] == [1] * (1 << (depth - 1))
+            assert sorted(classes) == sorted(
+                {k for k in tree.values() if k is not None and k[1] <= depth})
+            assert sorted(opens) == sorted(
+                {r % (1 << depth) for r, k in tree.items() if k is None or k[1] > depth})
+            assert [m for _, m, *_ in classes] == sorted(m for _, m, *_ in classes)
+
+    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
+    def test_every_class_takes_its_stop_time_from_its_memo_index(self, jump_bits, bits):
+        # stop(x) = c + stop(y), y the odd value at memo index stride A + offset,
+        # for every start x = 2**m A + b < 2**15 of every class with A >= 1
+        from collatzbin import analysis
+
+        jump_bits(bits)
+        stops = brute_stops(15)
+        classes, _ = analysis._fill_plan().level(16)
+        checked = 0
+        for b, m, c, stride, offset in classes:
+            for a in range(1, ((1 << 15) - b + (1 << m) - 1) >> m):
+                y = 2 * (stride * a + offset) + 1
+                assert stops[(a << m) + b] == c + stops.get(y, brute_stopping_time(y))
+                checked += 1
+        assert checked > 14000
+
+    def test_a_block_takes_the_deepest_depth_its_classes_fill(self):
+        # the deepest M at which a class holds 16 of [lo, h), but never
+        # 2**(M+1) > lo, and at least 1; far wider blocks than the fill
+        # makes, so the lo bound binds too
+        from collatzbin import analysis
+
+        for lo in (*range(4, 300), 6 << 10, (1 << 20) + 3):
+            for width in {*range(1, 70), *(w << k for w in (15, 16, 17) for k in range(12)),
+                          lo // 4, lo, 64 * lo}:
+                depth = 1
+                while 16 << (depth + 1) <= width and 4 << depth <= lo:
+                    depth += 1
+                assert analysis._fill_depth(lo, lo + width) == depth
+
+    @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
+    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
+    def test_every_class_read_of_every_block_lies_below_it(self, monkeypatch, jump_bits, bits,
+                                                          rho):
+        # the blocks _fill_memo makes up to 2**25, recorded without filling
+        # them, follow the documented rule; for each class of a block's depth,
+        # its first start has A >= 1 and its last start reads below lo
+        from collatzbin import analysis
+
+        monkeypatch.setattr(analysis, "_FILL_RATIO", rho)
+        jump_bits(bits)
+        blocks = []
+
+        def record(memo, lo, hi, depth, below, part, parts, step_cap):
+            blocks.append((lo, hi, depth))
+            return len(range(lo | 1, hi, 2)), -1, False
+
+        monkeypatch.setattr(analysis, "_fill_block", record)
+        memo = array("h", [-1]) * (1 << 14)
+        memo[0] = 0
+        analysis._fill_memo(memo, 1 << 25, 10**6)
+        assert blocks == list(brute_fill_blocks(1 << 25, rho))[1:]
+        for lo, hi, depth in blocks:
+            assert 2 << depth <= lo
+            assert hi % (1 << depth) == 0
+            classes, opens = analysis._fill_plan().level(depth)
+            for b, m, c, stride, offset in classes:
+                first, last = (lo - b + (1 << m) - 1) >> m, (hi - 1 - b) >> m
+                assert first >= 1
+                assert 2 * (stride * last + offset) + 1 < lo
+
+    def test_a_class_past_int16_raises_before_it_wraps(self):
+        # every entry below a block seeded so that the class with the largest
+        # c of the block's tree depth reaches 0x7FFF, then one past it; a
+        # walk past the cap of 0x7FFE writes nothing, so only a class add can
+        # overflow, and only that class can reach the block's largest stop time
+        from collatzbin import analysis
+
+        lo = 1 << 15
+        h = lo * 32 // 27
+        depth = analysis._fill_depth(lo, h)
+        hi = h >> depth << depth
+        classes = list(analysis._fill_plan().level(depth)[0])
+        top = max(c for _, _, c, _, _ in classes)
+        assert depth >= 8 and top >= 4
         for seed in (0x7FFF - top, 0x7FFF - top + 1):
             memo = array("h", [seed]) * (lo >> 1) + array("h", [-1]) * ((hi - lo) >> 1)
             if seed + top > 0x7FFF:
                 with pytest.raises(OverflowError):
-                    analysis._fill_block(memo, lo, hi, 0, 1, 0x7FFE)
+                    analysis._fill_block(memo, lo, hi, depth, seed, 0, 1, 0x7FFE)
                 continue
-            _, best, _ = analysis._fill_block(memo, lo, hi, 0, 1, 0x7FFE)
+            _, best, _ = analysis._fill_block(memo, lo, hi, depth, seed, 0, 1, 0x7FFE)
             assert best == 0x7FFF
-            for b, c, _, _ in classes:
-                assert set(memo[(lo + b) >> 1 : hi >> 1 : 1 << (K - 1)]) == {seed + c}
+            for b, m, c, _, _ in classes:
+                first = lo + (b - lo) % (1 << m)
+                assert set(memo[first >> 1 : hi >> 1 : 1 << (m - 1)]) == {seed + c}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("ell", [12, 13, 14, 15, 16])
@@ -700,12 +854,12 @@ class TestVerifyRange:
 
         fill_block = analysis._fill_block
 
-        def short(memo, lo, hi, part, parts, step_cap):
-            count, best, stopped = fill_block(memo, lo, hi, part, parts, step_cap)
+        def short(memo, lo, *block):
+            count, best, stopped = fill_block(memo, lo, *block)
             return count - (lo == 6144), best, stopped
 
         monkeypatch.setattr(analysis, "_fill_block", short)
-        message = r"^the memo fill of \[6144, 7168\) wrote 511 of its 512 odd values$"
+        message = r"^the memo fill of \[6144, 7232\) wrote 543 of its 544 odd values$"
         with pytest.raises(RuntimeError, match=message):
             verify_range(13)
 
