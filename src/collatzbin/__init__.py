@@ -6,13 +6,16 @@ companion, per-step length accounting, periodic-orbit exclusion scans,
 exhaustive and randomized orbit experiments, and PBM orbit rasters.
 """
 
-from . import analysis, exact, harness, maps, raster
+from . import analysis, exact, harness, maps, raster, verify
 from .analysis import *  # noqa: F403
 from .exact import *  # noqa: F403
 from .harness import *  # noqa: F403
 from .maps import *  # noqa: F403
 from .raster import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = sorted({name for m in (analysis, exact, harness, maps, raster) for name in m.__all__})
+__all__ = sorted(
+    {name for m in (analysis, exact, harness, maps, raster, verify) for name in m.__all__}
+)

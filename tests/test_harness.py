@@ -310,24 +310,24 @@ class RecordingPool:
 
 
 def test_worker_counts_are_clamped_to_the_cpu_count(monkeypatch):
-    from collatzbin import analysis, harness
+    from collatzbin import harness, verify
 
     serial_cell = run_cell(12, 30, 5, master_seed=99)
-    serial_range = analysis.verify_range(12)
+    serial_range = verify.verify_range(12)
     monkeypatch.setattr(RecordingPool, "requested", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     assert run_cell(12, 30, 5, master_seed=99, workers=1000) == serial_cell
     assert run_cell(12, 30, 2, master_seed=99, workers=1000).runs == 2
-    assert analysis.verify_range(12, workers=10**6) == serial_range
+    assert verify.verify_range(12, workers=10**6) == serial_range
     assert RecordingPool.requested == [3, 2, 3]
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    assert analysis.verify_range(12, workers=64) == serial_range
+    assert verify.verify_range(12, workers=64) == serial_range
     assert RecordingPool.requested == [3, 2, 3]
 
 
 def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch):
-    from collatzbin import analysis, harness
+    from collatzbin import harness, verify
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -343,11 +343,11 @@ def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch):
         assert RecordingPool.requested == [2]
         assert RecordingPool.mapped == [2]
     # and verify takes one pool for all its rounds, one task per worker in each
-    monkeypatch.setattr(analysis, "_SPLIT_WIDTH", 0)
-    serial_range = analysis.verify_range(16)
+    monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
+    serial_range = verify.verify_range(16)
     monkeypatch.setattr(RecordingPool, "requested", [])
     monkeypatch.setattr(RecordingPool, "mapped", [])
-    assert analysis.verify_range(16, workers=2) == serial_range
+    assert verify.verify_range(16, workers=2) == serial_range
     assert RecordingPool.requested == [2]
     assert len(RecordingPool.mapped) > 1
     assert set(RecordingPool.mapped) == {2}

@@ -1,7 +1,7 @@
 """The package's public names are exactly its modules' public names."""
 
 import collatzbin
-from collatzbin import analysis, exact, harness, maps, raster
+from collatzbin import analysis, exact, harness, maps, raster, verify
 
 
 def test_package_exports_every_module_export():
@@ -9,6 +9,6 @@ def test_package_exports_every_module_export():
 
     assert orbit_extents is maps.orbit_extents
     assert write_csv is harness.write_csv
-    modules = (analysis, exact, harness, maps, raster)
+    modules = (analysis, exact, harness, maps, raster, verify)
     assert set(collatzbin.__all__) == {name for m in modules for name in m.__all__}
     assert all(hasattr(collatzbin, name) for name in collatzbin.__all__)
