@@ -16,6 +16,4 @@ from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    {name for m in (analysis, exact, harness, maps, raster, verify) for name in m.__all__}
-)
+__all__ = sorted({n for m in (analysis, exact, harness, maps, raster, verify) for n in m.__all__})

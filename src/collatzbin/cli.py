@@ -21,19 +21,18 @@ from fractions import Fraction
 
 from .analysis import (
     AuditSummary,
-    DivergenceError,
     MapKind,
     audit_length_deltas,
     epsilon_bound,
     family_orbit_probe,
     kstar_scan,
     run_trajectory,
-    verify_range,
 )
 from .exact import BinaryFraction, to_decimal
 from .harness import ExperimentConfig, run_table, write_csv
 from .maps import STEP_CAP, Family, critical_point
 from .raster import orbit_rows, render_pbm
+from .verify import DivergenceError, verify_range
 
 __all__ = ["main"]
 

@@ -227,7 +227,11 @@ def process_pool(n: int, initializer=None, initargs: tuple = ()) -> ProcessPoolE
     """A pool of n worker processes, each running ``initializer(*initargs)`` first.
 
     The one place a pool is built, for :func:`fan_out` and for
-    :func:`~collatzbin.analysis.verify_range`'s rounds alike.
+    :func:`~collatzbin.verify.verify_range`'s rounds alike.  ``initargs``
+    hold what every task of the pool reads, such as verify's shared memo
+    and its one fill tree of the run: a forked worker inherits them, and
+    under the spawn and forkserver start methods they reach each worker by
+    pickle, once.
     """
     return ProcessPoolExecutor(max_workers=n, initializer=initializer, initargs=initargs)
 

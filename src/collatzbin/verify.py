@@ -8,19 +8,16 @@ not resolve, and those above the memo, are walked by the orbit kernel's jump
 table.  A pool of workers shares the memo and splits the wide blocks.
 """
 
-from __future__ import annotations
-
 import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import chain, repeat
 
 from . import maps
 from .harness import pool_size, process_pool, split
-from .maps import STEP_CAP
 
 __all__ = ["DivergenceError", "RangeVerification", "verify_range"]
 
@@ -54,7 +51,7 @@ class RangeVerification:
 # a state at or above 2**K (see _walk)
 _MEMO_BITS = 25
 # the memo fill copies a residue class as one slice when each start's stop
-# time follows from an iterate at most this share of it (see _fill_plan)
+# time follows from an iterate at most this share of it (see _FillTree)
 _FILL_RATIO = Fraction(27, 32)
 # a fill block takes the tree's classes down to the depth where one still
 # holds this many of its starts (see _fill_depth); 8 and 32 were no faster
@@ -108,63 +105,7 @@ def _walk(
 
 
 class _FillTree:
-    """The parity-vector tree of :func:`_fill_plan`, grown one level at a time.
-
-    ``fields`` holds the b, m, c and offset of every class (b, m, c, 3**c,
-    offset) found so far, one array each, in order of depth m; ``ends[M]``
-    counts the classes of depth at most M, and ``opens[M]`` holds the odd
-    residues mod 2**M that none of them covers.  For the deepest level M,
-    ``values`` holds T^M(b) and ``odds`` the count of odd values among
-    T^0(b), ..., T^(M-1)(b), for each b of ``opens[M]``.
-    """
-
-    def __init__(self) -> None:
-        # int32 holds every residue and offset of a tree less than 32 levels deep
-        self.fields = tuple(array("i") for _ in range(4))
-        self.ends = [0, 0]
-        self.opens = [array("i"), array("i", [1])]
-        self.values, self.odds = array("q", [2]), array("b", [1])
-
-    def level(self, depth: int, part: int = 0, parts: int = 1) -> tuple[Iterator, array]:
-        """The classes of depth at most ``depth`` and the residues open there.
-
-        Of each, every ``parts``-th from the ``part``-th; the tree grows
-        first if it is not yet that deep.
-        """
-        while len(self.opens) <= depth:
-            self._grow()
-        b, m, c, offset = (field[part : self.ends[depth] : parts] for field in self.fields)
-        return zip(b, m, c, map(pow, repeat(3), c), offset), self.opens[depth][part::parts]
-
-    def _grow(self) -> None:
-        """Split each open residue b mod 2**m into b and b + 2**m, mod 2**(m+1)."""
-        m = len(self.opens) - 1
-        num, den = _FILL_RATIO.numerator, _FILL_RATIO.denominator
-        opens, values, odds = array("i"), array("q"), array("b")
-        for b, v, c in zip(self.opens[m], self.values, self.odds):
-            power = 3**c
-            resolves = power * den <= num << m
-            # T^m(b + 2**m) = T^m(b) + 3**c: the two children differ in that parity only
-            for child, w in ((b, v), (b | 1 << m, v + power)):
-                if m == 2 and child == 5:
-                    found = (5, 3, 0, 0)
-                elif w & 1 and resolves:
-                    found = (child, m + 1, c, w >> 1)
-                else:
-                    opens.append(child)
-                    values.append((3 * w + 1) >> 1 if w & 1 else w >> 1)
-                    odds.append(c + (w & 1))
-                    continue
-                for field, value in zip(self.fields, found):
-                    field.append(value)
-        self.ends.append(len(self.fields[0]))
-        self.opens.append(opens)
-        self.values, self.odds = values, odds
-
-
-@cache
-def _fill_plan() -> _FillTree:
-    """The parity-vector tree that :func:`_fill_memo` fills its blocks by.
+    """The parity-vector tree at ``ratio`` that :func:`_fill_memo` fills by, ``depth`` deep.
 
     With T(n) = (3n+1)/2 on odd n and n/2 on even n, a residue b mod 2**m
     fixes the parities of T^j(x), j < m, for every x = 2**m A + b, and
@@ -179,17 +120,59 @@ def _fill_plan() -> _FillTree:
     * b = 5 mod 8, at m = 3: c = 0 and y = (x - 1)/4 = 2A + 1, so the
       stride is 1 and the offset 0;
     * otherwise at j = m - 1, the first j at which T^j(b) is odd and
-      3**c <= ``_FILL_RATIO`` 2**j (every earlier j was tested on b's
-      parent mod 2**(m-1), which stayed open): y = T^j(x) = 2 * 3**c A + T^j(b),
-      so the stride is 3**c and the offset T^j(b) >> 1.
+      3**c <= ``ratio`` 2**j (every earlier j was tested on b's parent mod
+      2**(m-1), which stayed open): y = T^j(x) = 2 * 3**c A + T^j(b), so
+      the stride is 3**c and the offset T^j(b) >> 1.
 
-    Every other residue stays open, and is split when a deeper level is
-    first asked for (:meth:`_FillTree.level`).  So the classes of depth at
-    most M, each standing for its 2**(M-m) residues mod 2**M, and the
-    residues open at M, partition the odd residues mod 2**M.  Built on the
-    first fill, not at import, and grown no deeper than a fill asks.
+    Every other residue stays open and is split again, down to ``depth``.
+    So the classes of depth at most M, each standing for its 2**(M-m)
+    residues mod 2**M, and the residues open at M, partition the odd
+    residues mod 2**M, for every M <= ``depth``.  The whole tree is built
+    here, once per run (see :func:`verify_range`); ``fields`` holds the b,
+    m, c and offset of every class, one array each, in order of depth m,
+    ``ends[M]`` counts the classes of depth at most M, and ``opens[M]``
+    holds the residues open at M.
     """
-    return _FillTree()
+
+    def __init__(self, ratio: Fraction, depth: int) -> None:
+        self.ratio = ratio
+        # int32 holds every residue and offset of a tree less than 32 levels deep
+        self.fields = tuple(array("i") for _ in range(4))
+        self.ends = [0, 0]
+        self.opens = [array("i"), array("i", [1])]
+        # T^m(b), and the count c of odd values among T^0(b), ..., T^(m-1)(b),
+        # for each b open at the deepest level m built so far
+        values, odds = array("q", [2]), array("b", [1])
+        for m in range(1, depth):
+            opens, next_values, next_odds = array("i"), array("q"), array("b")
+            for b, v, c in zip(self.opens[m], values, odds):
+                power = 3**c
+                resolves = power * ratio.denominator <= ratio.numerator << m
+                # T^m(b + 2**m) = T^m(b) + 3**c: the two children differ in that parity only
+                for child, w in ((b, v), (b | 1 << m, v + power)):
+                    if m == 2 and child == 5:
+                        found = (5, 3, 0, 0)
+                    elif w & 1 and resolves:
+                        found = (child, m + 1, c, w >> 1)
+                    else:
+                        opens.append(child)
+                        next_values.append((3 * w + 1) >> 1 if w & 1 else w >> 1)
+                        next_odds.append(c + (w & 1))
+                        continue
+                    for field, value in zip(self.fields, found):
+                        field.append(value)
+            self.ends.append(len(self.fields[0]))
+            self.opens.append(opens)
+            values, odds = next_values, next_odds
+
+    def level(self, depth: int, part: int = 0, parts: int = 1) -> tuple[Iterator, array]:
+        """The classes of depth at most ``depth`` and the residues open there.
+
+        Of each, every ``parts``-th from the ``part``-th.  A ``depth`` past
+        the tree's own raises IndexError.
+        """
+        b, m, c, offset = (field[part : self.ends[depth] : parts] for field in self.fields)
+        return zip(b, m, c, map(pow, repeat(3), c), offset), self.opens[depth][part::parts]
 
 
 def _fill_depth(lo: int, hi: int) -> int:
@@ -230,16 +213,16 @@ def _add_lanes(ys, c: int, below: int) -> tuple[array, int]:
 
 
 def _fill_block(
-    memo: array | memoryview, lo: int, hi: int, depth: int, below: int, part: int, parts: int,
-    step_cap: int
+    memo: array | memoryview, tree: _FillTree, lo: int, hi: int, depth: int, below: int,
+    part: int, parts: int, step_cap: int
 ) -> tuple[int, int, bool]:
     """Fill part ``part`` of ``parts`` of one block [lo, hi) of :func:`_fill_memo`.
 
-    The block's classes are those of :func:`_fill_plan`'s tree of depth at
-    most ``depth``, and the part copies every ``parts``-th of them, from
-    the ``part``-th, in pieces of at most ``_PIECE`` starts; it walks the
-    starts of every ``parts``-th residue still open at ``depth`` down below
-    lo by :func:`_walk`.  A class with c > 0 adds c to its source piece
+    The block's classes are those of ``tree`` of depth at most ``depth``,
+    and the part copies every ``parts``-th of them, from the ``part``-th,
+    in pieces of at most ``_PIECE`` starts; it walks the starts of every
+    ``parts``-th residue still open at ``depth`` down below lo by
+    :func:`_walk`.  A class with c > 0 adds c to its source piece
     in one packed add (:func:`_add_lanes`).  Every entry read lies below
     lo, so the fill has checked it to be in [0, ``below``], ``below`` the
     largest entry below lo; a piece whose largest sum, taken only when it
@@ -252,7 +235,7 @@ def _fill_block(
     at most ``below``, whether a walk passed ``step_cap``); such a walk
     leaves its start's entry at -1.
     """
-    classes, opens = _fill_plan().level(depth, part, parts)
+    classes, opens = tree.level(depth, part, parts)
     count, best = 0, -1
     for b, m, c, stride, offset in classes:
         step = 1 << (m - 1)  # the memo stride of one class
@@ -275,23 +258,40 @@ def _fill_block(
     return count + walks, max(best, peak), capped > 0
 
 
+def _blocks(top: int, ratio: Fraction) -> Iterator[tuple[int, int, int]]:
+    """The fill blocks (lo, hi, depth) of :func:`_fill_memo` at ``ratio``, from 2**K up to ``top``.
+
+    The first is [2**K, 2**K a0) at depth 1, a0 the smallest a with
+    floor(a / ratio) > a, and K = ``maps._JUMP_BITS``.  Each next block
+    [lo, hi) starts at the last one's end: with h = floor(lo / ratio),
+    its depth is M = ``_fill_depth(lo, h)``, and hi is h rounded down to a
+    multiple of 2**M.  Every hi is cut at ``top``, and the last block ends
+    there.
+    """
+    lo, hi, depth = 1 << maps._JUMP_BITS, -(-ratio // (1 - ratio)) << maps._JUMP_BITS, 1
+    while lo < top:
+        yield lo, min(hi, top), depth
+        lo, h = hi, hi // ratio
+        depth = _fill_depth(lo, h)
+        hi = h >> depth << depth
+
+
 def _fill_memo(
-    memo: array | memoryview, top: int, step_cap: int, pool=None, parts: int = 1
+    memo: array | memoryview, top: int, step_cap: int, tree: _FillTree, pool=None,
+    parts: int = 1
 ) -> tuple[int, int, range]:
     """Store the stop time of every odd value below ``top`` in ``memo``, from 1 up.
 
-    ``memo`` is as in :func:`_walk`, with 2 * len(memo) >= top.  Values
-    below 2**K (K = ``maps._JUMP_BITS``) are copied from the step column of
-    ``maps._end_table``, and the rest below 2**K a0 (a0 = 6, the smallest
-    a with floor(a / rho) > a, rho = ``_FILL_RATIO`` = 27/32) are walked
-    down below 2**K by :func:`_walk`.  Then each block [lo, hi) starts at
-    the last one's end and is filled by :func:`_fill_block`: with
-    h = floor(lo / rho) and M = ``_fill_depth(lo, h)``, the block takes the
-    classes of :func:`_fill_plan`'s tree of depth at most M and the
-    residues open at M, and hi is h rounded down to a multiple of 2**M (cut
-    at ``top``).  Every value below lo is already stored, and every y that
-    a class reads lies there.  A class (b, m, c, ...) covers the starts
-    x = 2**m A + b in the block, and m <= M:
+    ``memo`` is as in :func:`_walk`, with 2 * len(memo) >= top, but
+    nothing need be known yet.  Values below 2**K (K = ``maps._JUMP_BITS``),
+    memo[0] among them, are copied from the step column of
+    ``maps._end_table``.  Then each block (lo, hi, M) of
+    ``_blocks(top, rho)``, rho = ``tree.ratio``, is filled by
+    :func:`_fill_block` from the classes of ``tree`` of depth at most M and
+    the residues open at M; ``tree`` must be at least as deep as every M.
+    Every value below lo is already stored, and every y that a class reads
+    lies there.  A class (b, m, c, ...) covers the starts x = 2**m A + b in
+    the block, and m <= M:
 
     * A >= 1 for every start: x >= lo >= 2**(M+1) and b < 2**m <= 2**M, so
       2**m A = x - b > 2**M.
@@ -307,6 +307,11 @@ def _fill_memo(
       y < 3**c 2**(m-j) (A + 1) <= rho 2**m (A + 1) <= lo.
     * The open residues are walked down below lo by :func:`_walk`.
 
+    The first block, [2**K, 2**K a0), may be wider than lo / rho: at depth
+    1 the tree has no class and its one open residue, 1 mod 2, holds every
+    odd start, so the whole block is walked, and a walk needs only that
+    every value below lo is stored.
+
     So no entry of a block depends on another entry of it, and every entry
     it reads was checked below to be in [0, ``step_cap``]; the largest of
     them, ``below``, is the largest stop time found so far.  A class can
@@ -314,31 +319,24 @@ def _fill_memo(
     y + c > ``below``, which :func:`_add_lanes`'s packed test finds, and
     only there is the exact maximum taken; no lane of its add carries, and
     a sum past 0x7FFF raises OverflowError.  With ``parts`` > 1, ``memo``
-    is the memo every worker of ``pool`` shares (see :func:`_share_memo`),
-    and a block at least ``_SPLIT_WIDTH`` values wide is filled as
-    ``parts`` parts, one pool task each, all done before the next block
-    starts; the other blocks are filled here.
+    is the memo and ``tree`` the tree that every worker of ``pool`` shares
+    (see :func:`_share_memo`), and a block at least ``_SPLIT_WIDTH`` values
+    wide is filled as ``parts`` parts, one pool task each, all done before
+    the next block starts; the other blocks are filled here.
 
     Returns the number of entries written, the largest stop time below
-    ``top`` and the range of values (those below 2**K a0, or a block)
-    where it first occurs.  A range whose largest entry passes ``step_cap``,
-    or that holds a capped walk, raises :class:`DivergenceError` for its
-    smallest odd value whose entry is -1 or above the cap: the smallest
-    witness, as every smaller value is known and within the cap.  A range
-    whose parts wrote other than one entry per odd value in it raises
-    RuntimeError naming it, so no entry is left unknown and the memo is
-    never scanned for one.
+    ``top`` and the range of values (those below 2**K, or a block) where it
+    first occurs.  A range whose largest entry passes ``step_cap``, or that
+    holds a capped walk, raises :class:`DivergenceError` for its smallest
+    odd value whose entry is -1 or above the cap: the smallest witness, as
+    every smaller value is known and within the cap.  A range whose parts
+    wrote other than one entry per odd value in it raises RuntimeError
+    naming it, so no entry is left unknown and the memo is never scanned
+    for one.
     """
-    K = maps._JUMP_BITS
-    num, den = _FILL_RATIO.numerator, _FILL_RATIO.denominator
-    lo, low, hi = 1, min(top, 1 << K), min(top, -(-num // (den - num)) << K)
-    ys = array("h", [s for s, _ in maps._end_table()[1:low:2]])
-    memo[: len(ys)] = ys
-    count, peak, _, capped = _walk(memo, range(low + 1, hi, 2), low, step_cap)
-    done = [(len(ys) + count, max(max(ys), peak), capped > 0)]
-    total, best, where = 0, -1, range(0)
-    fill_part = partial(_fill_part, step_cap=step_cap)
-    while True:
+
+    def checked(lo: int, hi: int, done: list[tuple[int, int, bool]]) -> tuple[int, int]:
+        """(count, peak) of the parts ``done`` of [lo, hi), once they pass its checks."""
         count = sum(n for n, _, _ in done)
         peak = max(s for _, s, _ in done)
         odd = range(lo | 1, hi, 2)
@@ -348,20 +346,24 @@ def _fill_memo(
         if count != len(odd):
             raise RuntimeError(f"the memo fill of [{lo}, {hi}) wrote {count} of its {len(odd)} "
                                "odd values")
+        return count, peak
+
+    low = min(top, 1 << maps._JUMP_BITS)
+    ys = array("h", [s for s, _ in maps._end_table()[1:low:2]])
+    memo[: len(ys)] = ys
+    total, best = checked(1, low, [(len(ys), max(ys), False)])
+    where = range(1, low)
+    for lo, hi, depth in _blocks(top, tree.ratio):
+        block = (lo, hi, depth, best)
+        if parts > 1 and hi - lo >= _SPLIT_WIDTH:
+            done = list(pool.map(_fill_part, [(*block, i, parts, step_cap) for i in range(parts)]))
+        else:
+            done = [_fill_block(memo, tree, *block, 0, 1, step_cap)]
+        count, peak = checked(lo, hi, done)
         total += count
         if peak > best:
             best, where = peak, range(lo, hi)
-        if hi == top:
-            return total, best, where
-        lo = hi
-        hi = lo * den // num
-        depth = _fill_depth(lo, hi)
-        hi = min(hi >> depth << depth, top)
-        block = (lo, hi, depth, best)
-        if parts > 1 and hi - lo >= _SPLIT_WIDTH:
-            done = list(pool.map(fill_part, [(*block, i, parts) for i in range(parts)]))
-        else:
-            done = [_fill_block(memo, *block, 0, 1, step_cap)]
+    return total, best, where
 
 
 def _first_start(memo: array | memoryview, stop: int, values: range) -> int:
@@ -383,8 +385,8 @@ def _shared_memo(bound: int) -> tuple[object, memoryview]:
 
     ``arena`` is one mmap of ``bound`` bytes that pool workers inherit or
     reopen (see :func:`_share_memo`); ``memo`` is its int16 view, as in
-    :func:`_walk`.  It is filled with -1 a piece at a time, then
-    memo[0] = 0.
+    :func:`_walk` once :func:`_fill_memo` has stored memo[0] = 0 with the
+    rest of the end table.  It is filled with -1 a piece at a time.
     """
     # imported here, not with the module: only a pool shares a memo
     from multiprocessing.heap import Arena
@@ -394,23 +396,27 @@ def _shared_memo(bound: int) -> tuple[object, memoryview]:
     unknown = array("h", [-1]) * min(len(memo), 1 << 15)
     for at in range(0, len(memo), len(unknown)):
         memo[at : at + len(unknown)] = unknown
-    memo[0] = 0
     return arena, memo
 
 
-# a pool worker's view of the memo that every worker shares, set by _share_memo
+# a pool worker's view of the memo that every worker shares, and the run's
+# fill tree, both set by _share_memo
 _shared: memoryview | None = None
+_tree: _FillTree | None = None
 
 
-def _share_memo(arena) -> None:
-    """Pool initializer: view the int16 memo that ``arena`` holds."""
-    global _shared
-    _shared = memoryview(arena.buffer).cast("h")
+def _share_memo(arena, tree: _FillTree) -> None:
+    """Pool initializer: view the int16 memo that ``arena`` holds, and keep the run's ``tree``."""
+    global _shared, _tree
+    _shared, _tree = memoryview(arena.buffer).cast("h"), tree
 
 
-def _fill_part(block: tuple[int, int, int, int, int, int], step_cap: int) -> tuple[int, int, bool]:
-    """:func:`_fill_block` of (lo, hi, depth, below, part, parts) on the shared memo."""
-    return _fill_block(_shared, *block, step_cap)
+def _fill_part(block: tuple[int, ...]) -> tuple[int, int, bool]:
+    """:func:`_fill_block` on the shared memo and tree.
+
+    ``block`` is (lo, hi, depth, below, part, parts, step_cap).
+    """
+    return _fill_block(_shared, _tree, *block)
 
 
 def _walk_part(starts: range, step_cap: int) -> tuple[int, int, int, int]:
@@ -418,17 +424,17 @@ def _walk_part(starts: range, step_cap: int) -> tuple[int, int, int, int]:
     return _walk(_shared, starts, len(_shared) << 1, step_cap)
 
 
-def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeVerification:
+def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> RangeVerification:
     """Prove every odd start below 2**ell reaches the ground state.
 
     Reduced-map stopping times are held in one int16 memo of the odd
     values below 2**min(ell, 25), at most 32 MiB; the worst start is the
     smallest one attaining the maximum.  The memo is filled from 1 up,
     block by block, by the classes of one parity-vector tree (see
-    ``_fill_plan`` and ``_fill_memo``): a residue mod 2**m becomes a class
-    as soon as its first parities give every start's stop time from a
-    smaller value's, and each block takes the tree down to the depth at
-    which a class still holds about 16 of its starts.  At ell 22 a quarter
+    ``_FillTree``, ``_blocks`` and ``_fill_memo``): a residue mod 2**m
+    becomes a class as soon as its first parities give every start's stop
+    time from a smaller value's, and each block takes the tree down to the
+    depth at which a class still holds about 16 of its starts.  At ell 22 a quarter
     of the starts (5 mod 8) copy a smaller value's stop time in strided
     slices, about 62% add a constant to one in a single int add over
     packed int16 lanes, and only the other 13% are walked, by jumps of 10
@@ -439,9 +445,11 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
     raises OverflowError.  Starts at or above 2**25 are then walked the
     same way down to 2**25, reading the memo.
 
-    With one worker all of this runs in this process on an ``array``.
-    With n > 1 workers (clamped to the CPU count) the memo is one shared
-    buffer that a pool of n processes maps once, through its initializer.
+    The tree is built once per run, as deep as the deepest block, before
+    any pool.  With one worker all of this runs in this process on an
+    ``array``.  With n > 1 workers (clamped to the CPU count) the memo is
+    one shared buffer that a pool of n processes maps once, through its
+    initializer, which also hands each worker the run's tree.
     Every fill block at least 2**13 values wide is split into n parts
     that take turns on its classes and open residues, and the starts at
     or above 2**25 are walked in n contiguous slices.
@@ -462,21 +470,20 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = STEP_CAP) -> RangeV
         raise ValueError("step_cap must be >= 1")
     n = pool_size(workers)
     bound = 1 << min(ell, _MEMO_BITS)
+    tree = _FillTree(_FILL_RATIO, max((d for _, _, d in _blocks(bound, _FILL_RATIO)), default=1))
     if n == 1:
-        memo = array("h", [-1]) * (bound >> 1)
-        memo[0] = 0
-        return _verify(ell, memo, step_cap)
+        return _verify(ell, array("h", [-1]) * (bound >> 1), step_cap, tree)
     arena, memo = _shared_memo(bound)
-    with process_pool(n, _share_memo, (arena,)) as pool:
-        return _verify(ell, memo, step_cap, pool, n)
+    with process_pool(n, _share_memo, (arena, tree)) as pool:
+        return _verify(ell, memo, step_cap, tree, pool, n)
 
 
 def _verify(
-    ell: int, memo: array | memoryview, step_cap: int, pool=None, parts: int = 1
+    ell: int, memo: array | memoryview, step_cap: int, tree: _FillTree, pool=None, parts: int = 1
 ) -> RangeVerification:
-    """:func:`verify_range` on an empty memo; ``pool`` and ``parts`` as in :func:`_fill_memo`."""
+    """:func:`verify_range` on an empty memo; the rest as in :func:`_fill_memo`."""
     bound = len(memo) << 1
-    count, best, where = _fill_memo(memo, bound, step_cap, pool, parts)
+    count, best, where = _fill_memo(memo, bound, step_cap, tree, pool, parts)
     worst = _first_start(memo, best, where)
     above = range(bound + 1, 1 << ell, 2)
     if above:  # walked down to the memo's bound, reading the filled memo

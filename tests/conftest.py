@@ -6,9 +6,9 @@ import pytest
 @pytest.fixture
 def jump_bits(monkeypatch):
     """Sets K = maps._JUMP_BITS for one test and rebuilds the tables that depend on it."""
-    from collatzbin import maps, verify
+    from collatzbin import maps
 
-    tables = (maps._jump_table, maps._end_table, verify._fill_plan)
+    tables = (maps._jump_table, maps._end_table)
 
     def clear() -> None:
         for table in tables:

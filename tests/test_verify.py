@@ -33,9 +33,10 @@ def brute_stops(ell: int) -> dict[int, int]:
 
 
 def brute_fill_blocks(top: int, rho: Fraction = Fraction(27, 32)):
-    """The fill's ranges below ``top``, by the block rule of ``_fill_memo``'s docstring.
+    """The fill's ranges below ``top``, by the block rule of ``_blocks``'s docstring.
 
-    [1, 2**K a0), a0 the smallest a >= 1 with floor(a / rho) > a; then each
+    [1, 2**K), copied from the end table, at depth None; [2**K, 2**K a0) at
+    depth 1, a0 the smallest a >= 1 with floor(a / rho) > a; then each
     block [lo, hi) as (lo, hi, M): with h = floor(lo / rho), M is the deepest
     depth, at least 1, with 16 * 2**M <= h - lo and 2**(M+1) <= lo, and hi
     is h rounded down to a multiple of 2**M, each cut at ``top``.
@@ -45,11 +46,10 @@ def brute_fill_blocks(top: int, rho: Fraction = Fraction(27, 32)):
     a = 1
     while floor(a / rho) <= a:
         a += 1
-    lo, hi, depth = 1, a << maps._JUMP_BITS, None
-    while True:
+    yield 1, min(top, 1 << maps._JUMP_BITS), None
+    lo, hi, depth = 1 << maps._JUMP_BITS, a << maps._JUMP_BITS, 1
+    while lo < top:
         yield lo, min(hi, top), depth
-        if hi >= top:
-            return
         lo, h = hi, floor(hi / rho)
         depth = 1
         while 16 << (depth + 1) <= h - lo and 4 << depth <= lo:
@@ -246,10 +246,10 @@ class TestVerifyRange:
 
         jump_bits(bits)
         stops = brute_stops(15)
+        tree = verify._FillTree(Fraction(27, 32), 16)
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             memo = array("h", [-1]) * (1 << 14)
-            memo[0] = 0
-            count, best, where = verify._fill_memo(memo, top, 10**6)
+            count, best, where = verify._fill_memo(memo, top, 10**6, tree)
             assert (count, best, where) == (top >> 1, *brute_fill_maximum(top))
             assert list(memo[: top >> 1]) == [stops[x] for x in range(1, top, 2)]
 
@@ -290,11 +290,13 @@ class TestVerifyRange:
         monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
         monkeypatch.setattr(verify, "_PIECE", 5)
         monkeypatch.setattr(verify, "_shared", None)
+        monkeypatch.setattr(verify, "_tree", None)
         stops = brute_stops(15)
+        tree = verify._FillTree(Fraction(27, 32), 16)
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             arena, memo = verify._shared_memo(1 << 15)
-            pool = RecordingPool(parts, verify._share_memo, (arena,))
-            count, best, where = verify._fill_memo(memo, top, 10**6, pool, parts)
+            pool = RecordingPool(parts, verify._share_memo, (arena, tree))
+            count, best, where = verify._fill_memo(memo, top, 10**6, tree, pool, parts)
             assert (count, best, where) == (top >> 1, *brute_fill_maximum(top))
             assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
 
@@ -326,19 +328,18 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
-    def test_the_tree_partitions_the_odd_residues_by_its_rule(self, monkeypatch, jump_bits,
-                                                             bits, rho):
+    def test_the_tree_partitions_the_odd_residues_by_its_rule(self, jump_bits, bits, rho):
         # at every depth M, the classes of depth at most M (each standing
         # for its residues mod 2**M) and the residues open at M cover every
-        # odd residue exactly once, and each is what the rule makes of it;
-        # the tree reads its ratio from _FILL_RATIO, as the block schedule does
+        # odd residue exactly once, and each is what the rule makes of it
+        # at the tree's own ratio
         from collatzbin import verify
 
-        monkeypatch.setattr(verify, "_FILL_RATIO", rho)
         jump_bits(bits)
         tree = brute_tree(16, rho)
+        fill_tree = verify._FillTree(rho, 16)
         for depth in range(3, 17):
-            classes, opens = verify._fill_plan().level(depth)
+            classes, opens = fill_tree.level(depth)
             classes, opens = list(classes), list(opens)
             covered = [0] * (1 << depth)
             for b, m, *_ in classes:
@@ -361,7 +362,7 @@ class TestVerifyRange:
 
         jump_bits(bits)
         stops = brute_stops(15)
-        classes, _ = verify._fill_plan().level(16)
+        classes, _ = verify._FillTree(Fraction(27, 32), 16).level(16)
         checked = 0
         for b, m, c, stride, offset in classes:
             for a in range(1, ((1 << 15) - b + (1 << m) - 1) >> m):
@@ -386,30 +387,20 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
-    def test_every_class_read_of_every_block_lies_below_it(self, monkeypatch, jump_bits, bits,
-                                                          rho):
-        # the blocks _fill_memo makes up to 2**25, recorded without filling
-        # them, follow the documented rule; for each class of a block's depth,
-        # its first start has A >= 1 and its last start reads below lo
+    def test_every_class_read_of_every_block_lies_below_it(self, jump_bits, bits, rho):
+        # the blocks up to 2**25 follow the documented rule; for each class
+        # of a block's depth, its first start has A >= 1 and its last start
+        # reads below lo
         from collatzbin import verify
 
-        monkeypatch.setattr(verify, "_FILL_RATIO", rho)
         jump_bits(bits)
-        blocks = []
-
-        def record(memo, lo, hi, depth, below, part, parts, step_cap):
-            blocks.append((lo, hi, depth))
-            return len(range(lo | 1, hi, 2)), -1, False
-
-        monkeypatch.setattr(verify, "_fill_block", record)
-        memo = array("h", [-1]) * (1 << 14)
-        memo[0] = 0
-        verify._fill_memo(memo, 1 << 25, 10**6)
+        blocks = list(verify._blocks(1 << 25, rho))
         assert blocks == list(brute_fill_blocks(1 << 25, rho))[1:]
+        tree = verify._FillTree(rho, max(depth for _, _, depth in blocks))
         for lo, hi, depth in blocks:
             assert 2 << depth <= lo
             assert hi % (1 << depth) == 0
-            classes, opens = verify._fill_plan().level(depth)
+            classes, opens = tree.level(depth)
             for b, m, c, stride, offset in classes:
                 first, last = (lo - b + (1 << m) - 1) >> m, (hi - 1 - b) >> m
                 assert first >= 1
@@ -426,16 +417,17 @@ class TestVerifyRange:
         h = lo * 32 // 27
         depth = verify._fill_depth(lo, h)
         hi = h >> depth << depth
-        classes = list(verify._fill_plan().level(depth)[0])
+        tree = verify._FillTree(verify._FILL_RATIO, depth)
+        classes = list(tree.level(depth)[0])
         top = max(c for _, _, c, _, _ in classes)
         assert depth >= 8 and top >= 4
         for seed in (0x7FFF - top, 0x7FFF - top + 1):
             memo = array("h", [seed]) * (lo >> 1) + array("h", [-1]) * ((hi - lo) >> 1)
             if seed + top > 0x7FFF:
                 with pytest.raises(OverflowError):
-                    verify._fill_block(memo, lo, hi, depth, seed, 0, 1, 0x7FFE)
+                    verify._fill_block(memo, tree, lo, hi, depth, seed, 0, 1, 0x7FFE)
                 continue
-            _, best, _ = verify._fill_block(memo, lo, hi, depth, seed, 0, 1, 0x7FFE)
+            _, best, _ = verify._fill_block(memo, tree, lo, hi, depth, seed, 0, 1, 0x7FFE)
             assert best == 0x7FFF
             for b, m, c, _, _ in classes:
                 first = lo + (b - lo) % (1 << m)
@@ -466,8 +458,8 @@ class TestVerifyRange:
 
         fill_block = verify._fill_block
 
-        def short(memo, lo, *block):
-            count, best, stopped = fill_block(memo, lo, *block)
+        def short(memo, tree, lo, *block):
+            count, best, stopped = fill_block(memo, tree, lo, *block)
             return count - (lo == 6144), best, stopped
 
         monkeypatch.setattr(verify, "_fill_block", short)
@@ -499,6 +491,73 @@ class TestVerifyRange:
         if shm:
             assert set(os.listdir("/dev/shm")) <= shm
 
+    def test_one_tree_per_run_reaches_the_workers(self, monkeypatch):
+        # verify_range builds one tree, as deep as the run's deepest block,
+        # before the pool, and the pool's initializer hands it to the
+        # workers; every split part fills from it, and none builds its own
+        from collatzbin import harness, verify
+
+        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        fill_tree, share_memo, fill_block = verify._FillTree, verify._share_memo, verify._fill_block
+        built, given, used = [], [], []
+
+        class CountedTree(fill_tree):
+            def __init__(self, ratio, depth):
+                built.append((ratio, depth))
+                super().__init__(ratio, depth)
+
+        def share(arena, tree):
+            given.append((tree, len(tree.opens) - 1))
+            share_memo(arena, tree)
+
+        def fill(memo, tree, *block):
+            used.append(tree)
+            return fill_block(memo, tree, *block)
+
+        monkeypatch.setattr(verify, "_FillTree", CountedTree)
+        monkeypatch.setattr(verify, "_share_memo", share)
+        monkeypatch.setattr(verify, "_fill_block", fill)
+        stops = brute_stops(16)
+        best = max(stops.values())
+        result = verify_range(16, workers=2)
+        assert (result.max_stopping_time, result.worst_start) == (
+            best, min(x for x, s in stops.items() if s == best))
+        deepest = max(depth for _, _, depth in list(brute_fill_blocks(1 << 16))[1:])
+        assert built == [(Fraction(27, 32), deepest)]
+        [(tree, depth)] = given
+        assert depth == deepest
+        assert len(used) > 2 and all(t is tree for t in used)
+        tree.level(deepest)
+        with pytest.raises(IndexError):
+            tree.level(deepest + 1)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_from_a_fresh_import_keep_the_summary_and_the_witness(self, method):
+        # such workers inherit nothing: the memo and the tree reach them by
+        # pickle, through the pool's initializer; every block is split, and
+        # with a memo of 2**14 the starts above it are walked in the workers
+        stops = brute_stops(16)
+        step_cap = max(stops.values()) - 3
+        code = (
+            "import multiprocessing\n"
+            "from collatzbin import harness, verify\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "harness.os.cpu_count = lambda: 2\n"
+            "verify._SPLIT_WIDTH = 0\n"
+            "verify._MEMO_BITS = 14\n"
+            "assert verify.verify_range(16, workers=2) == verify.verify_range(16)\n"
+            "try:\n"
+            f"    verify.verify_range(16, workers=2, step_cap={step_cap})\n"
+            "except verify.DivergenceError as exc:\n"
+            "    print(exc.start)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{min(x for x, s in stops.items() if s > step_cap)}\n"
+
     def test_the_shared_memo_is_not_imported_with_the_cli(self):
         code = (
             "import sys, collatzbin.cli\n"
@@ -515,11 +574,9 @@ class TestVerifyRange:
         code = (
             "import collatzbin, collatzbin.cli\n"
             "from collatzbin import maps, verify\n"
-            "assert verify._fill_plan.cache_info().currsize == 0\n"
             "assert maps._jump_table.cache_info().currsize == 0\n"
             "verify.verify_range(14)\n"
             "verify.verify_range(15)\n"
-            "assert verify._fill_plan.cache_info().misses == 1\n"
             "assert maps._jump_table.cache_info().misses == 1\n"
             "assert maps._end_table.cache_info().misses == 1\n"
         )
