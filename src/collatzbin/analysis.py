@@ -6,7 +6,7 @@ bounding per-step length changes, exact error bounds between the interval
 map and its circle-map companion, the scan for the first horizon k* where
 those bounds stop excluding periodic points, and probes of the structured
 start families.  The exhaustive convergence checks live in
-:mod:`collatzbin.verify`, whose public names are re-exported here.
+:mod:`collatzbin.verify`.
 """
 
 from __future__ import annotations
@@ -30,17 +30,14 @@ from .maps import (
     orbit_extents,
     reduced_step,
 )
-from .verify import DivergenceError, RangeVerification, verify_range
 
 __all__ = [
     "AuditSummary",
     "DELTA_TABLE",
-    "DivergenceError",
     "FamilyProbe",
     "HeadTailReport",
     "KStarReport",
     "MapKind",
-    "RangeVerification",
     "TrajectoryRecord",
     "audit_length_deltas",
     "epsilon_bound",
@@ -48,7 +45,6 @@ __all__ = [
     "head_tail_classify",
     "kstar_scan",
     "run_trajectory",
-    "verify_range",
 ]
 
 

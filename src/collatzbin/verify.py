@@ -13,7 +13,6 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain, repeat
 
 from . import maps
@@ -59,30 +58,34 @@ _CLASS_STARTS = 16
 # the most starts of a class copied in one slice, so no slice is large
 _PIECE = 1 << 12
 # with n > 1 workers, a fill block at least this many values wide is split
-# into n parts that fill their residue classes at once (see _fill_memo)
+# into n parts that fill their residue classes, or walk their slices above
+# the memo, at once (see _fill_memo)
 _SPLIT_WIDTH = 1 << 13
 
 
 def _walk(
     memo: array | memoryview, starts, floor: int, step_cap: int
 ) -> tuple[int, int, int, int]:
-    """Walk odd starts down below ``floor``; returns (count, best, worst, first capped).
+    """Walk odd starts down below ``floor``; a part's (count, peak, smallest start at it, capped).
 
     ``memo`` is an int16 ``array`` or memoryview holding the stop time of
     each odd v below its bound, 2 * len(memo), at index v >> 1, or -1 if
-    not yet known, and memo[0] = 0 for the value 1.  Every odd value below
-    ``floor`` must be known, and ``floor`` >= 2**K.  A start jumps K steps
-    of T from every state, odd or even, through ``maps._jump_table``, each
-    count of reduced steps exact as in :func:`maps.orbit_extents`, until it
-    falls below ``floor``; that state's odd part adds its memo entry, and a
-    start below the bound stores its stop time.  A start whose stop time
-    passes ``step_cap`` is skipped with its entry left at -1, and the last
-    value returned is the first such start walked, or 0.
+    not yet known, and memo[0] = 0 for the value 1.  ``floor`` is clamped
+    to that bound, every odd value below it must be known, and it must be
+    at least 2**K.  A start jumps K steps of T from every state, odd or
+    even, through ``maps._jump_table``, each count of reduced steps exact
+    as in :func:`maps.orbit_extents`, until it falls below ``floor``; that
+    state's odd part adds its memo entry, and a start below the bound
+    stores its stop time.  A start whose stop time passes ``step_cap`` is
+    skipped with its entry left at -1.  The starts may come in any order:
+    the start returned at the peak is the smallest that reaches it, and the
+    last value the smallest skipped start, or 0 if none is.
     """
     K = maps._JUMP_BITS
     mask = (1 << K) - 1
     table = maps._jump_table()
     bound = len(memo) << 1
+    floor = min(floor, bound)
     count, best, worst, capped = 0, -1, 0, 0
     for x in starts:
         v, s = x, 0
@@ -94,14 +97,46 @@ def _walk(
             # the odd part of v is v >> t, t its trailing zeros, at index v >> (t + 1)
             s += memo[v >> (v & -v).bit_length()]
         if s > step_cap:
-            capped = capped or x
+            if not capped or x < capped:
+                capped = x
             continue
         if x < bound:
             memo[x >> 1] = s
         count += 1
-        if s > best:
+        if s >= best and (s > best or x < worst):
             best, worst = s, x
     return count, best, worst, capped
+
+
+def _merge(parts: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
+    """The (count, peak, smallest start at the peak, smallest capped start or 0) of ``parts``.
+
+    Each part reports those four of a set of starts, the sets disjoint, and
+    0 where it has no capped start.  A start that reaches the joint peak
+    reaches its own part's peak, so the smallest of them is the smallest
+    of the starts that the parts at the peak report, whatever order the
+    parts come in; likewise the smallest capped start.
+    """
+    peak = max(p for _, p, _, _ in parts)
+    return (
+        sum(n for n, _, _, _ in parts),
+        peak,
+        min(x for _, p, x, _ in parts if p == peak),
+        min((x for _, _, _, x in parts if x), default=0),
+    )
+
+
+def _found(ys: array, top: int, start: int, gap: int, step_cap: int) -> tuple[int, int]:
+    """(the smallest start whose stop time is ``top``, the smallest past ``step_cap``, or 0).
+
+    ``ys`` holds the stop times of the starts ``start``, ``start + gap``,
+    ... in order, and ``top`` is its largest entry; the capped start is
+    the first sum past the cap, sought only when ``top`` passes it.
+    """
+    capped = 0
+    if top > step_cap:
+        capped = start + gap * next(i for i, s in enumerate(ys) if s > step_cap)
+    return start + gap * ys.index(top), capped
 
 
 class _FillTree:
@@ -215,7 +250,7 @@ def _add_lanes(ys, c: int, below: int) -> tuple[array, int]:
 def _fill_block(
     memo: array | memoryview, tree: _FillTree, lo: int, hi: int, depth: int, below: int,
     part: int, parts: int, step_cap: int
-) -> tuple[int, int, bool]:
+) -> tuple[int, int, int, int]:
     """Fill part ``part`` of ``parts`` of one block [lo, hi) of :func:`_fill_memo`.
 
     The block's classes are those of ``tree`` of depth at most ``depth``,
@@ -230,13 +265,19 @@ def _fill_block(
     stored, as ``array("h")`` does.  A class with no start in the block is
     skipped.  The part writes only the entries of its own starts in
     [lo, hi) and reads only entries below lo, so the parts of a block can
-    run at once on one shared memo.  Returns (how many entries it wrote,
-    the largest stop time it wrote if that passes ``below``, and otherwise
-    at most ``below``, whether a walk passed ``step_cap``); such a walk
-    leaves its start's entry at -1.
+    run at once on one shared memo.
+
+    Returns, as :func:`_merge` of the walk and the pieces whose largest
+    sum passes ``below`` (each by :func:`_found`), (how many entries it
+    wrote, its peak, the smallest start at the peak, the smallest capped
+    start or 0).  A start of a piece that stays at most ``below`` can
+    neither pass the cap nor raise the largest stop time found so far, so
+    the peak and its start are exact whenever the peak passes ``below``.
+    A capped walk leaves its start's entry at -1, and a capped piece stores
+    its sums; either way the fill stops at this block.
     """
     classes, opens = tree.level(depth, part, parts)
-    count, best = 0, -1
+    count, found = 0, []
     for b, m, c, stride, offset in classes:
         step = 1 << (m - 1)  # the memo stride of one class
         first, end = (lo - b + (1 << m) - 1) >> m, (hi - b + (1 << m) - 1) >> m
@@ -249,13 +290,14 @@ def _fill_block(
                 if top > 0x7FFF:
                     raise OverflowError(f"stop time {top} of the class {b} mod 2**{m} "
                                         "passes int16")
-                best = max(best, top)
+                if top > below:
+                    found.append((0, top, *_found(ys, top, 2 * x + 1, 2 * step, step_cap)))
             memo[x : x + n * step : step] = ys
         count += end - first
     mask = (1 << depth) - 1
     starts = chain.from_iterable(range(lo + (b - lo & mask), hi, mask + 1) for b in opens)
-    walks, peak, _, capped = _walk(memo, starts, lo, step_cap)
-    return count + walks, max(best, peak), capped > 0
+    walks, *walked = _walk(memo, starts, lo, step_cap)
+    return _merge([(count + walks, *walked), *found])
 
 
 def _blocks(top: int, ratio: Fraction) -> Iterator[tuple[int, int, int]]:
@@ -279,14 +321,14 @@ def _blocks(top: int, ratio: Fraction) -> Iterator[tuple[int, int, int]]:
 def _fill_memo(
     memo: array | memoryview, top: int, step_cap: int, tree: _FillTree, pool=None,
     parts: int = 1
-) -> tuple[int, int, range]:
-    """Store the stop time of every odd value below ``top`` in ``memo``, from 1 up.
+) -> tuple[int, int, int]:
+    """Check every odd start below ``top``, from 1 up; store those below the memo's bound.
 
-    ``memo`` is as in :func:`_walk`, with 2 * len(memo) >= top, but
-    nothing need be known yet.  Values below 2**K (K = ``maps._JUMP_BITS``),
+    ``memo`` is as in :func:`_walk`, with bound 2 * len(memo), but nothing
+    need be known yet.  Values below 2**K (K = ``maps._JUMP_BITS``),
     memo[0] among them, are copied from the step column of
     ``maps._end_table``.  Then each block (lo, hi, M) of
-    ``_blocks(top, rho)``, rho = ``tree.ratio``, is filled by
+    ``_blocks(min(top, bound), rho)``, rho = ``tree.ratio``, is filled by
     :func:`_fill_block` from the classes of ``tree`` of depth at most M and
     the residues open at M; ``tree`` must be at least as deep as every M.
     Every value below lo is already stored, and every y that a class reads
@@ -310,7 +352,9 @@ def _fill_memo(
     The first block, [2**K, 2**K a0), may be wider than lo / rho: at depth
     1 the tree has no class and its one open residue, 1 mod 2, holds every
     odd start, so the whole block is walked, and a walk needs only that
-    every value below lo is stored.
+    every value below lo is stored.  The starts in [bound, ``top``), if
+    any, are the last round: a block at depth 1, whose starts are walked
+    down to the bound and not stored.
 
     So no entry of a block depends on another entry of it, and every entry
     it reads was checked below to be in [0, ``step_cap``]; the largest of
@@ -322,62 +366,56 @@ def _fill_memo(
     is the memo and ``tree`` the tree that every worker of ``pool`` shares
     (see :func:`_share_memo`), and a block at least ``_SPLIT_WIDTH`` values
     wide is filled as ``parts`` parts, one pool task each, all done before
-    the next block starts; the other blocks are filled here.
+    the next block starts: inside the memo each part takes its turns of
+    the block's classes and open residues, and the last round is cut into
+    ``parts`` contiguous slices, each a whole block of its own.  The other
+    blocks are filled here.
 
-    Returns the number of entries written, the largest stop time below
-    ``top`` and the range of values (those below 2**K, or a block) where it
-    first occurs.  A range whose largest entry passes ``step_cap``, or that
-    holds a capped walk, raises :class:`DivergenceError` for its smallest
-    odd value whose entry is -1 or above the cap: the smallest witness, as
-    every smaller value is known and within the cap.  A range whose parts
-    wrote other than one entry per odd value in it raises RuntimeError
-    naming it, so no entry is left unknown and the memo is never scanned
-    for one.
+    Every part reports (count, peak, smallest start at the peak, smallest
+    capped start or 0), and the parts of a range (those below 2**K, or a
+    block) are merged by :func:`_merge`, so the order of the starts, the
+    parts and the pieces never matters.  A range with a capped start
+    raises :class:`DivergenceError` for the smallest: the smallest
+    witness, as every smaller start is known and within the cap.  A range
+    whose parts wrote other than one entry per odd value in it raises
+    RuntimeError naming it, so no entry is left unknown.  The ranges
+    ascend, so the first range whose peak passes every earlier one holds
+    the smallest start at the largest stop time.  Returns (the number of
+    starts checked, the largest stop time below ``top``, its smallest
+    start).
     """
 
-    def checked(lo: int, hi: int, done: list[tuple[int, int, bool]]) -> tuple[int, int]:
-        """(count, peak) of the parts ``done`` of [lo, hi), once they pass its checks."""
-        count = sum(n for n, _, _ in done)
-        peak = max(s for _, s, _ in done)
+    def checked(lo: int, hi: int, done: list[tuple[int, int, int, int]]) -> tuple[int, int, int]:
+        """(count, peak, smallest start at it) of the parts ``done`` of [lo, hi), once checked."""
+        count, peak, start, capped = _merge(done)
+        if capped:
+            raise DivergenceError(capped, step_cap)
         odd = range(lo | 1, hi, 2)
-        if peak > step_cap or any(stopped for _, _, stopped in done):
-            over = next(x for x in odd if not 0 <= memo[x >> 1] <= step_cap)
-            raise DivergenceError(over, step_cap)
         if count != len(odd):
             raise RuntimeError(f"the memo fill of [{lo}, {hi}) wrote {count} of its {len(odd)} "
                                "odd values")
-        return count, peak
+        return count, peak, start
 
-    low = min(top, 1 << maps._JUMP_BITS)
+    low, bound = min(top, 1 << maps._JUMP_BITS), len(memo) << 1
     ys = array("h", [s for s, _ in maps._end_table()[1:low:2]])
     memo[: len(ys)] = ys
-    total, best = checked(1, low, [(len(ys), max(ys), False)])
-    where = range(1, low)
-    for lo, hi, depth in _blocks(top, tree.ratio):
-        block = (lo, hi, depth, best)
-        if parts > 1 and hi - lo >= _SPLIT_WIDTH:
-            done = list(pool.map(_fill_part, [(*block, i, parts, step_cap) for i in range(parts)]))
+    top_ys = max(ys)
+    total, best, worst = checked(1, low, [(len(ys), top_ys, *_found(ys, top_ys, 1, 2, step_cap))])
+    above = [(bound, top, 1)] if top > bound else []
+    for lo, hi, depth in chain(_blocks(min(top, bound), tree.ratio), above):
+        if parts == 1 or hi - lo < _SPLIT_WIDTH:
+            done = [_fill_block(memo, tree, lo, hi, depth, best, 0, 1, step_cap)]
+        elif lo < bound:
+            done = pool.map(_fill_part, [(lo, hi, depth, best, i, parts, step_cap)
+                                         for i in range(parts)])
         else:
-            done = [_fill_block(memo, tree, *block, 0, 1, step_cap)]
-        count, peak = checked(lo, hi, done)
+            done = pool.map(_fill_part, [(r.start, r.stop, 1, best, 0, 1, step_cap)
+                                         for r in split(range(lo, hi), parts)])
+        count, peak, start = checked(lo, hi, list(done))
         total += count
         if peak > best:
-            best, where = peak, range(lo, hi)
-    return total, best, where
-
-
-def _first_start(memo: array | memoryview, stop: int, values: range) -> int:
-    """The smallest odd value in ``values`` whose memo entry is ``stop``.
-
-    Reads 2**12 entries at a time, so the memo is never copied whole.
-    """
-    view = memoryview(memo)
-    entries = range(values.start >> 1, (values.stop + 1) >> 1)
-    for at in entries[:: 1 << 12]:
-        piece = view[at : min(at + (1 << 12), entries.stop)].tolist()
-        if stop in piece:
-            return 2 * (at + piece.index(stop)) + 1
-    raise ValueError(f"no odd value in {values} has stop time {stop}")
+            best, worst = peak, start
+    return total, best, worst
 
 
 def _shared_memo(bound: int) -> tuple[object, memoryview]:
@@ -411,17 +449,12 @@ def _share_memo(arena, tree: _FillTree) -> None:
     _shared, _tree = memoryview(arena.buffer).cast("h"), tree
 
 
-def _fill_part(block: tuple[int, ...]) -> tuple[int, int, bool]:
+def _fill_part(block: tuple[int, ...]) -> tuple[int, int, int, int]:
     """:func:`_fill_block` on the shared memo and tree.
 
     ``block`` is (lo, hi, depth, below, part, parts, step_cap).
     """
     return _fill_block(_shared, _tree, *block)
-
-
-def _walk_part(starts: range, step_cap: int) -> tuple[int, int, int, int]:
-    """:func:`_walk` of a slice of starts above the shared memo's bound, down to it."""
-    return _walk(_shared, starts, len(_shared) << 1, step_cap)
 
 
 def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> RangeVerification:
@@ -442,8 +475,9 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     carries: every entry read is checked to be in [0, step_cap].  One more
     packed add tests whether a sum passes the largest stop time below the
     block; only then is the slice's maximum taken, and a sum past 0x7FFF
-    raises OverflowError.  Starts at or above 2**25 are then walked the
-    same way down to 2**25, reading the memo.
+    raises OverflowError.  The starts at or above 2**25 are the fill's
+    last round: they are walked the same way down to 2**25, reading the
+    memo, and not stored.
 
     The tree is built once per run, as deep as the deepest block, before
     any pool.  With one worker all of this runs in this process on an
@@ -455,14 +489,17 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     or above 2**25 are walked in n contiguous slices.
 
     ``verified_count`` counts the memo entries the fill wrote and the
-    starts walked above 2**25, and a fill block that leaves an odd value
-    unknown raises RuntimeError naming the block.
-    A start whose stopping time exceeds the step cap raises
-    :class:`DivergenceError`, with the smallest such start as witness: a
-    fill block that holds one is scanned for it, and the slices above 2**25
-    ascend, so it is the first capped start of the first slice with one.
-    Worker count affects speed only, never the summary or the witness; it
-    must be >= 1.
+    starts walked above 2**25, and a block that leaves an odd value
+    unknown raises RuntimeError naming the block.  Every part of a block
+    reports its count, its peak, its smallest start at the peak and its
+    smallest capped start, and the parts merge by sum, max, the minimum
+    at the max and the minimum: a start that reaches the block's peak
+    reaches its own part's, so the minimum over the parts at the max is
+    the block's smallest start at its peak, and the blocks ascend.  So a
+    start whose stopping time exceeds the step cap raises
+    :class:`DivergenceError` with the smallest such start as witness, and
+    the memo is never scanned.  Worker count affects speed only, never
+    the summary or the witness; it must be >= 1.
     """
     if not 1 <= ell <= 34:
         raise ValueError("verify_range supports 1 <= ell <= 34")
@@ -472,36 +509,10 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     bound = 1 << min(ell, _MEMO_BITS)
     tree = _FillTree(_FILL_RATIO, max((d for _, _, d in _blocks(bound, _FILL_RATIO)), default=1))
     if n == 1:
-        return _verify(ell, array("h", [-1]) * (bound >> 1), step_cap, tree)
-    arena, memo = _shared_memo(bound)
-    with process_pool(n, _share_memo, (arena, tree)) as pool:
-        return _verify(ell, memo, step_cap, tree, pool, n)
-
-
-def _verify(
-    ell: int, memo: array | memoryview, step_cap: int, tree: _FillTree, pool=None, parts: int = 1
-) -> RangeVerification:
-    """:func:`verify_range` on an empty memo; the rest as in :func:`_fill_memo`."""
-    bound = len(memo) << 1
-    count, best, where = _fill_memo(memo, bound, step_cap, tree, pool, parts)
-    worst = _first_start(memo, best, where)
-    above = range(bound + 1, 1 << ell, 2)
-    if above:  # walked down to the memo's bound, reading the filled memo
-        if pool is None:
-            results = [_walk(memo, above, bound, step_cap)]
-        else:
-            results = pool.map(partial(_walk_part, step_cap=step_cap), split(above, parts))
-        # slices ascend, so the first maximum is the smallest start, and the
-        # first capped start is the smallest witness
-        for walked, stop, start, capped in results:
-            if capped:
-                raise DivergenceError(capped, step_cap)
-            count += walked
-            if stop > best:
-                best, worst = stop, start
-    return RangeVerification(
-        ell=ell,
-        verified_count=count,
-        max_stopping_time=best,
-        worst_start=worst,
-    )
+        count, best, worst = _fill_memo(array("h", [-1]) * (bound >> 1), 1 << ell, step_cap, tree)
+    else:
+        arena, memo = _shared_memo(bound)
+        with process_pool(n, _share_memo, (arena, tree)) as pool:
+            count, best, worst = _fill_memo(memo, 1 << ell, step_cap, tree, pool, n)
+    return RangeVerification(ell=ell, verified_count=count, max_stopping_time=best,
+                             worst_start=worst)

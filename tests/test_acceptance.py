@@ -19,7 +19,6 @@ from collatzbin.analysis import (
     family_orbit_probe,
     kstar_scan,
     run_trajectory,
-    verify_range,
 )
 from collatzbin.cli import main
 from collatzbin.exact import GROUND_STATE, to_decimal
@@ -38,6 +37,7 @@ from collatzbin.maps import (
     reduced_step,
 )
 from collatzbin.raster import parse_pbm
+from collatzbin.verify import verify_range
 
 PI_DIGITS_START = 31415926535897932384626433832795028800
 

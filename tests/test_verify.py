@@ -57,13 +57,11 @@ def brute_fill_blocks(top: int, rho: Fraction = Fraction(27, 32)):
         hi = h - h % (1 << depth)
 
 
-def brute_fill_maximum(top: int) -> tuple[int, range]:
-    """The largest stop time below ``top`` and the fill range of its smallest start."""
+def brute_fill_maximum(top: int) -> tuple[int, int]:
+    """The largest stop time below ``top`` and its smallest start."""
     stops = {x: s for x, s in brute_stops(15).items() if x < top}
     best = max(stops.values())
-    worst = min(x for x, s in stops.items() if s == best)
-    lo, hi = next((lo, hi) for lo, hi, _ in brute_fill_blocks(top) if worst < hi)
-    return best, range(lo, hi)
+    return best, min(x for x, s in stops.items() if s == best)
 
 
 @cache
@@ -249,8 +247,7 @@ class TestVerifyRange:
         tree = verify._FillTree(Fraction(27, 32), 16)
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             memo = array("h", [-1]) * (1 << 14)
-            count, best, where = verify._fill_memo(memo, top, 10**6, tree)
-            assert (count, best, where) == (top >> 1, *brute_fill_maximum(top))
+            assert verify._fill_memo(memo, top, 10**6, tree) == (top >> 1, *brute_fill_maximum(top))
             assert list(memo[: top >> 1]) == [stops[x] for x in range(1, top, 2)]
 
     @pytest.mark.parametrize("bits", [10, 4])
@@ -296,8 +293,8 @@ class TestVerifyRange:
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             arena, memo = verify._shared_memo(1 << 15)
             pool = RecordingPool(parts, verify._share_memo, (arena, tree))
-            count, best, where = verify._fill_memo(memo, top, 10**6, tree, pool, parts)
-            assert (count, best, where) == (top >> 1, *brute_fill_maximum(top))
+            assert verify._fill_memo(memo, top, 10**6, tree, pool, parts) == (
+                top >> 1, *brute_fill_maximum(top))
             assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
 
     @pytest.mark.parametrize("n", [0, 1, 1000])
@@ -327,15 +324,13 @@ class TestVerifyRange:
                             assert added == array("h", sums)
 
     @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
-    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
-    def test_the_tree_partitions_the_odd_residues_by_its_rule(self, jump_bits, bits, rho):
+    def test_the_tree_partitions_the_odd_residues_by_its_rule(self, rho):
         # at every depth M, the classes of depth at most M (each standing
         # for its residues mod 2**M) and the residues open at M cover every
         # odd residue exactly once, and each is what the rule makes of it
-        # at the tree's own ratio
+        # at the tree's own ratio; the tree never reads K
         from collatzbin import verify
 
-        jump_bits(bits)
         tree = brute_tree(16, rho)
         fill_tree = verify._FillTree(rho, 16)
         for depth in range(3, 17):
@@ -354,13 +349,11 @@ class TestVerifyRange:
                 {r % (1 << depth) for r, k in tree.items() if k is None or k[1] > depth})
             assert [m for _, m, *_ in classes] == sorted(m for _, m, *_ in classes)
 
-    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
-    def test_every_class_takes_its_stop_time_from_its_memo_index(self, jump_bits, bits):
+    def test_every_class_takes_its_stop_time_from_its_memo_index(self):
         # stop(x) = c + stop(y), y the odd value at memo index stride A + offset,
         # for every start x = 2**m A + b < 2**15 of every class with A >= 1
         from collatzbin import verify
 
-        jump_bits(bits)
         stops = brute_stops(15)
         classes, _ = verify._FillTree(Fraction(27, 32), 16).level(16)
         checked = 0
@@ -427,7 +420,7 @@ class TestVerifyRange:
                 with pytest.raises(OverflowError):
                     verify._fill_block(memo, tree, lo, hi, depth, seed, 0, 1, 0x7FFE)
                 continue
-            _, best, _ = verify._fill_block(memo, tree, lo, hi, depth, seed, 0, 1, 0x7FFE)
+            _, best, _, _ = verify._fill_block(memo, tree, lo, hi, depth, seed, 0, 1, 0x7FFE)
             assert best == 0x7FFF
             for b, m, c, _, _ in classes:
                 first = lo + (b - lo) % (1 << m)
@@ -459,13 +452,132 @@ class TestVerifyRange:
         fill_block = verify._fill_block
 
         def short(memo, tree, lo, *block):
-            count, best, stopped = fill_block(memo, tree, lo, *block)
-            return count - (lo == 6144), best, stopped
+            count, *found = fill_block(memo, tree, lo, *block)
+            return count - (lo == 6144), *found
 
         monkeypatch.setattr(verify, "_fill_block", short)
         message = r"^the memo fill of \[6144, 7232\) wrote 543 of its 544 odd values$"
         with pytest.raises(RuntimeError, match=message):
             verify_range(13)
+
+    def test_a_walk_keeps_its_smallest_start_in_any_order(self):
+        # two starts with one stop time, the larger first: the peak's start
+        # is the smaller, and so is the capped start at a cap just below it
+        from collatzbin import verify
+
+        stops = brute_stops(12)
+        x, y = next((x, y) for x in range(1025, 1 << 12, 2) for y in range(x + 2, 1 << 12, 2)
+                    if stops[x] == stops[y])
+        memo = array("h", [-1]) * (1 << 11)
+        for v in range(1, 1 << 10, 2):
+            memo[v >> 1] = stops[v]
+        assert verify._walk(memo, [y, x], 1 << 10, 10**6) == (2, stops[x], x, 0)
+        assert verify._walk(memo, [y, x], 1 << 10, stops[x] - 1) == (0, -1, 0, x)
+
+    def test_a_block_keeps_its_smallest_start_whichever_part_of_it_holds_it(self, monkeypatch):
+        # the block [4096, 4832) at depth 5 with every entry below it 0,
+        # except those that raise two starts to one stop time above every
+        # other: the first start of one source and the last of another, for
+        # every ordered pair of sources among the classes 1 mod 8 (c = 1) and
+        # 19 mod 32 (c = 2), in pieces of 5 starts, and the walked residues
+        # 3 and 27 mod 32.  So in every pairing of a class piece, another
+        # piece or a walk with another, the smaller start comes first in one
+        # run and last in another; it is the block's start at the peak, and
+        # its smallest capped start at a cap just below the peak
+        from collections import defaultdict
+
+        from collatzbin import verify
+
+        monkeypatch.setattr(verify, "_PIECE", 5)
+        lo, hi, depth, top = 4096, 4832, 5, 200
+        h = lo * 32 // 27  # the block _blocks would make at lo
+        assert verify._fill_depth(lo, h) == depth and h >> depth << depth == hi
+        tree = verify._FillTree(verify._FILL_RATIO, depth)
+        classes, opens = tree.level(depth)
+        # each start's memo index and what it adds to the entry there; a
+        # walk's index is read off two walks, over memos of 0 and of each index
+        reads, sources = {}, {}
+        for b, m, c, stride, offset in classes:
+            sources[b, m, c] = range(lo + (b - lo) % (1 << m), hi, 1 << m)
+            reads.update({x: (stride * ((x - b) >> m) + offset, c) for x in sources[b, m, c]})
+        zero, index = array("h", [0]) * (lo >> 1), array("h", range(lo >> 1))
+        for r in opens:
+            sources[r] = range(lo + (r - lo) % (1 << depth), hi, 1 << depth)
+            for x in sources[r]:
+                s = verify._walk(zero, [x], lo, 10**6)[1]
+                reads[x] = verify._walk(index, [x], lo, 10**6)[1] - s, s
+        assert max(add for _, add in reads.values()) < top
+        adds = defaultdict(list)
+        for at, add in reads.values():
+            adds[at].append(add)
+
+        def raised_alone(x: int) -> bool:
+            """Whether every other start that reads x's entry adds less, so x rises alone."""
+            at, add = reads[x]
+            return max(adds[at]) == add and adds[at].count(add) == 1
+
+        alone = [list(filter(raised_alone, sources[key])) for key in ((1, 3, 1), (19, 5, 2), 3, 27)]
+        assert all(len(starts) > 1 for starts in alone)
+        for first in alone:
+            for last in alone:
+                if first is last:
+                    continue
+                pair = (first[0], last[-1])
+                for step_cap in (10**4, top - 1):
+                    memo = array("h", [0]) * (lo >> 1) + array("h", [-1]) * ((hi - lo) >> 1)
+                    for x in pair:
+                        at, add = reads[x]
+                        memo[at] = top - add
+                    found = verify._fill_block(memo, tree, lo, hi, depth, max(memo[: lo >> 1]), 0,
+                                               1, step_cap)
+                    entries = {x: memo[x >> 1] for x in range(lo | 1, hi, 2)}
+                    if step_cap > top:
+                        assert max(entries.values()) == top
+                        assert [x for x, s in entries.items() if s == top] == sorted(pair)
+                        assert found == (len(entries), top, min(pair), 0)
+                    else:
+                        over = [x for x, s in entries.items() if not 0 <= s <= step_cap]
+                        assert over == sorted(pair)
+                        assert found[3] == min(pair)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_parts_that_tie_at_the_peak_keep_the_smallest_start(self, monkeypatch, jump_bits,
+                                                                order):
+        # 17647 and 17673 share the largest stop time below the end of their
+        # block, 102; split in 3, the class 17673 falls to part 0 and the
+        # walk 17647 to part 2.  With a memo of 2**4 and K = 4, 27 and 55
+        # share the largest below 2**6, in the two slices above the memo.
+        # The pool returns the parts in order and reversed, so the smaller
+        # start comes back first in one run and last in the other
+        from collatzbin import harness, verify
+
+        class OrderedPool(RecordingPool):
+            def map(self, fn, jobs):
+                return super().map(fn, jobs)[::order]
+
+        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
+        monkeypatch.setattr(verify, "_shared", None)
+        monkeypatch.setattr(verify, "_tree", None)
+        stops = brute_stops(15)
+        lo, hi, depth = next(b for b in verify._blocks(1 << 15, verify._FILL_RATIO)
+                             if b[0] < 17647 < b[1])
+        tree = verify._FillTree(verify._FILL_RATIO, depth)
+        classes, _ = tree.level(depth, 0, 3)
+        _, opens = tree.level(depth, 2, 3)
+        assert any(17673 % (1 << m) == b for b, m, *_ in classes)
+        assert 17647 % (1 << depth) in opens
+        assert [x for x in range(1, hi, 2) if stops[x] == 102] == [17647, 17673]
+        assert max(stops[x] for x in range(1, hi, 2)) == 102
+        arena, memo = verify._shared_memo(1 << 15)
+        pool = OrderedPool(3, verify._share_memo, (arena, tree))
+        assert verify._fill_memo(memo, hi, 10**6, tree, pool, 3) == (hi >> 1, 102, 17647)
+        jump_bits(4)
+        monkeypatch.setattr(verify, "_MEMO_BITS", 4)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", OrderedPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        assert [x for x, s in brute_stops(6).items() if s == 41] == [27, 55]
+        result = verify_range(6, workers=2)
+        assert (result.verified_count, result.max_stopping_time, result.worst_start) == (32, 41, 27)
 
     def test_a_real_pool_shares_one_memo(self, monkeypatch):
         # two worker processes fill the split blocks of one memo; a worker
