@@ -324,13 +324,16 @@ class TestVerifyRange:
                             assert added == array("h", sums)
 
     @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
-    def test_the_tree_partitions_the_odd_residues_by_its_rule(self, rho):
+    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
+    def test_the_tree_partitions_the_odd_residues_by_its_rule(self, jump_bits, bits, rho):
         # at every depth M, the classes of depth at most M (each standing
         # for its residues mod 2**M) and the residues open at M cover every
         # odd residue exactly once, and each is what the rule makes of it
-        # at the tree's own ratio; the tree never reads K
+        # at the tree's own ratio; the tree never reads K, so it is the
+        # same tree at every K
         from collatzbin import verify
 
+        jump_bits(bits)
         tree = brute_tree(16, rho)
         fill_tree = verify._FillTree(rho, 16)
         for depth in range(3, 17):
@@ -349,11 +352,14 @@ class TestVerifyRange:
                 {r % (1 << depth) for r, k in tree.items() if k is None or k[1] > depth})
             assert [m for _, m, *_ in classes] == sorted(m for _, m, *_ in classes)
 
-    def test_every_class_takes_its_stop_time_from_its_memo_index(self):
+    @pytest.mark.parametrize("bits", [10, 3, 4, 6])
+    def test_every_class_takes_its_stop_time_from_its_memo_index(self, jump_bits, bits):
         # stop(x) = c + stop(y), y the odd value at memo index stride A + offset,
-        # for every start x = 2**m A + b < 2**15 of every class with A >= 1
+        # for every start x = 2**m A + b < 2**15 of every class with A >= 1,
+        # at every K
         from collatzbin import verify
 
+        jump_bits(bits)
         stops = brute_stops(15)
         classes, _ = verify._FillTree(Fraction(27, 32), 16).level(16)
         checked = 0
