@@ -223,19 +223,6 @@ def pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def process_pool(n: int, initializer=None, initargs: tuple = ()) -> ProcessPoolExecutor:
-    """A pool of n worker processes, each running ``initializer(*initargs)`` first.
-
-    The one place a pool is built, for :func:`fan_out` and for
-    :func:`~collatzbin.verify.verify_range`'s rounds alike.  ``initargs``
-    hold what every task of the pool reads, such as verify's shared memo
-    and its one fill tree of the run: a forked worker inherits them, and
-    under the spawn and forkserver start methods they reach each worker by
-    pickle, once.
-    """
-    return ProcessPoolExecutor(max_workers=n, initializer=initializer, initargs=initargs)
-
-
 def split(items: range, n: int) -> list[range]:
     """n contiguous slices of ``items``, in order, whose lengths differ by at most 1."""
     return [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
@@ -251,7 +238,7 @@ def fan_out(fn, items: range, workers: int) -> list:
     n = min(pool_size(workers), len(items))
     slices = split(items, n)
     if n > 1:
-        with process_pool(n) as pool:
+        with ProcessPoolExecutor(max_workers=n) as pool:
             return list(pool.map(fn, slices))
     return [fn(part) for part in slices]
 

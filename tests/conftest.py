@@ -20,3 +20,26 @@ def jump_bits(monkeypatch):
 
     yield patch
     clear()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes that ``multiprocessing.Process`` starts during one test, as they start.
+
+    Each keeps its ``args`` as ``given``.
+    """
+    import multiprocessing
+
+    starts = []
+
+    class Recorded(multiprocessing.Process):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.given = kwargs.get("args", ())
+
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(multiprocessing, "Process", Recorded)
+    return starts

@@ -285,18 +285,13 @@ class TestTable:
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and job counts, runs jobs in-process.
-
-    The initializer, if any, runs once, in this process, as one worker's would.
-    """
+    """Stands in for ProcessPoolExecutor: records max_workers and job counts, runs jobs here."""
 
     requested: list[int] = []
     mapped: list[int] = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers):
         self.requested.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -309,24 +304,35 @@ class RecordingPool:
         return [fn(job) for job in jobs]
 
 
-def test_worker_counts_are_clamped_to_the_cpu_count(monkeypatch):
+def test_worker_counts_are_clamped_to_the_cpu_count(monkeypatch, started):
+    # verify fills in n = min(workers, cpus) parts: this process and n - 1 children
     from collatzbin import harness, verify
 
     serial_cell = run_cell(12, 30, 5, master_seed=99)
     serial_range = verify.verify_range(12)
+    parts = []
+
+    class CountedParts(verify._Parts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            parts.append(self.n)
+
+    monkeypatch.setattr(verify, "_Parts", CountedParts)
     monkeypatch.setattr(RecordingPool, "requested", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     assert run_cell(12, 30, 5, master_seed=99, workers=1000) == serial_cell
     assert run_cell(12, 30, 2, master_seed=99, workers=1000).runs == 2
     assert verify.verify_range(12, workers=10**6) == serial_range
-    assert RecordingPool.requested == [3, 2, 3]
+    assert RecordingPool.requested == [3, 2]
+    assert (parts, len(started)) == ([3], 2)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert verify.verify_range(12, workers=64) == serial_range
-    assert RecordingPool.requested == [3, 2, 3]
+    assert RecordingPool.requested == [3, 2]
+    assert (parts, len(started)) == ([3], 2)
 
 
-def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch):
+def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch, started):
     from collatzbin import harness, verify
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
@@ -342,15 +348,22 @@ def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch):
         assert run_table(cfg, workers=2) == serial
         assert RecordingPool.requested == [2]
         assert RecordingPool.mapped == [2]
-    # and verify takes one pool for all its rounds, one task per worker in each
-    monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
+    # and verify starts one child for all its blocks, and fills each block in two parts
+    mapped = []
+
+    class CountedParts(verify._Parts):
+        def map(self, jobs):
+            mapped.append(len(jobs))
+            return super().map(jobs)
+
+    monkeypatch.setattr(verify, "_Parts", CountedParts)
     serial_range = verify.verify_range(16)
     monkeypatch.setattr(RecordingPool, "requested", [])
-    monkeypatch.setattr(RecordingPool, "mapped", [])
     assert verify.verify_range(16, workers=2) == serial_range
-    assert RecordingPool.requested == [2]
-    assert len(RecordingPool.mapped) > 1
-    assert set(RecordingPool.mapped) == {2}
+    assert RecordingPool.requested == []
+    assert len(started) == 1
+    assert len(mapped) > 1
+    assert set(mapped) == {2}
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

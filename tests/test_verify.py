@@ -1,11 +1,15 @@
 """Tests for exhaustive range verification: the memo fill, its parity-vector
-tree and block schedule, the walks, the shared memo and the worker pool.
+tree and block schedule, the walks, the shared memo and the parts that fill it.
 
 Every memoized or class-copied stop time is checked against a plain
 brute-force route that takes one reduced step at a time."""
 
+import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -16,7 +20,69 @@ import pytest
 
 from collatzbin.maps import reduced_step
 from collatzbin.verify import DivergenceError, verify_range
-from test_harness import RecordingPool
+
+
+class ThreadParts:
+    """Stands in for ``verify._Parts``: each part of a block fills one memo in a thread of its own.
+
+    ``mapped`` records the job count of each block, and ``order`` = -1
+    returns each block's results reversed.  A part's exception is raised
+    once every part has ended.
+    """
+
+    mapped: list[int] = []
+    order = 1
+
+    def __init__(self, arena, memo, tree, n):
+        self.memo, self.tree, self.n = memo, tree, n
+
+    def close(self):
+        pass
+
+    def map(self, jobs):
+        from collatzbin import verify
+
+        self.mapped.append(len(jobs))
+        done = [None] * len(jobs)
+
+        def fill(i):
+            try:
+                done[i] = verify._fill_block(self.memo, self.tree, *jobs[i])
+            except Exception as exc:  # raised below, in the thread that maps
+                done[i] = exc
+
+        threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        for result in done:
+            if isinstance(result, Exception):
+                raise result
+        return done[:: self.order]
+
+
+@pytest.fixture
+def thread_parts(monkeypatch):
+    """Runs verify's parts as :class:`ThreadParts`, with fresh records, on the given CPU count."""
+    from collatzbin import harness, verify
+
+    monkeypatch.setattr(ThreadParts, "mapped", [])
+    monkeypatch.setattr(verify, "_Parts", ThreadParts)
+
+    def cpus(count: int) -> None:
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+
+    return cpus
+
+
+def run_python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter, which must exit 0 within ``timeout`` seconds."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def brute_stopping_time(x: int) -> int:
@@ -123,11 +189,9 @@ class TestVerifyRange:
         assert (two.verified_count, two.max_stopping_time, two.worst_start) == (2, 2, 3)
 
     def test_matches_brute_force_at_small_lengths(self, monkeypatch):
-        # two chunks even on a one-CPU machine; ell 6 ties 27 and 55 across
-        # the chunks, ell 8 ties 231 and 235 inside one
+        # ell 6 ties 27 and 55, ell 8 ties 231 and 235, all in the end table
         from collatzbin import harness
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         for ell in (5, 6, 8, 10):
             stops = {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
@@ -138,15 +202,32 @@ class TestVerifyRange:
                 assert result.max_stopping_time == best
                 assert result.worst_start == min(x for x, s in stops.items() if s == best)
 
-    @pytest.mark.parametrize("memo_bits", [10, 11])
-    def test_capped_memo_matches_brute_force(self, monkeypatch, memo_bits):
-        # starts at or above 2**memo_bits are walked down to it, not stored;
-        # the walk needs memo_bits >= K = 10
+    @pytest.mark.parametrize("bits", [10, 4])
+    def test_no_block_starts_no_process_and_shares_no_memo(self, monkeypatch, jump_bits, started,
+                                                           bits):
+        # up to ell = K the end table holds every start, so two workers have
+        # no block to split; one length more starts one child on a shared memo
         from collatzbin import harness, verify
 
-        monkeypatch.setattr(verify, "_MEMO_BITS", memo_bits)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        jump_bits(bits)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        shared, share = [], verify._shared_memo
+        monkeypatch.setattr(verify, "_shared_memo", lambda bound: shared.append(bound) or
+                            share(bound))
+        for ell in range(1, bits + 1):
+            assert verify_range(ell, workers=2) == verify_range(ell)
+        assert (started, shared) == ([], [])
+        assert verify_range(bits + 1, workers=2) == verify_range(bits + 1)
+        assert len(started) == 1 and shared == [2 << bits]
+
+    @pytest.mark.parametrize("memo_bits", [10, 11])
+    def test_capped_memo_matches_brute_force(self, monkeypatch, thread_parts, memo_bits):
+        # starts at or above 2**memo_bits are walked down to it, not stored;
+        # the walk needs memo_bits >= K = 10
+        from collatzbin import verify
+
+        monkeypatch.setattr(verify, "_MEMO_BITS", memo_bits)
+        thread_parts(2)
         for ell in (8, 10, 12):
             stops = {x: brute_stopping_time(x) for x in range(1, 1 << ell, 2)}
             best = max(stops.values())
@@ -205,32 +286,27 @@ class TestVerifyRange:
         assert str(exc_info.value) == "orbit of 9 exceeded the step cap of 5"
 
     @pytest.mark.parametrize("bits", [10, 4])
-    def test_step_cap_bounds_the_stopping_time_at_any_worker_count(self, monkeypatch, jump_bits,
+    def test_step_cap_bounds_the_stopping_time_at_any_worker_count(self, jump_bits, thread_parts,
                                                                    bits):
         # the cap applies to each start's stopping time, not to the part of
         # its walk that a block's fill has not seen yet; at ell 14 the memo
         # fill runs, and with K = 4 it runs at every length and its walks
         # stop at caps near the maximum; every block is split among the workers
-        from collatzbin import harness, verify
-
         jump_bits(bits)
-        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        thread_parts(3)
         for ell, first_cap in ((8, 1), (10, 1), (14, 85)):
             caps = range(first_cap, max(brute_stops(ell).values()) + 2)
             assert_caps_keep_their_witnesses(ell, caps, (1, 2, 3))
 
     @pytest.mark.parametrize("ell", [12, 13])
     def test_a_start_above_the_memo_that_passes_the_cap_keeps_its_witness(self, monkeypatch,
-                                                                         ell):
+                                                                         thread_parts, ell):
         # with a memo bound of 2**10 the longest orbits start above it, so at
         # caps near the maximum the witness is a capped start of a slice
-        from collatzbin import harness, verify
+        from collatzbin import verify
 
         monkeypatch.setattr(verify, "_MEMO_BITS", 10)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        thread_parts(3)
         best = max(brute_stops(ell).values())
         assert max(brute_stops(10).values()) < best - 8
         assert_caps_keep_their_witnesses(ell, range(best - 8, best + 2), (1, 2, 3))
@@ -251,51 +327,53 @@ class TestVerifyRange:
             assert list(memo[: top >> 1]) == [stops[x] for x in range(1, top, 2)]
 
     @pytest.mark.parametrize("bits", [10, 4])
-    def test_slices_match_the_per_start_loop(self, monkeypatch, jump_bits, bits):
+    def test_slices_match_the_per_start_loop(self, monkeypatch, jump_bits, thread_parts, bits):
         # the oracle takes every start's stopping time by single reduced
         # steps; with a memo bound of 2**14, the starts above it are walked
         # in one slice per worker, reading the memo the split blocks filled
-        from collatzbin import harness, verify
+        from collatzbin import verify
 
         jump_bits(bits)
         monkeypatch.setattr(verify, "_MEMO_BITS", 14)
-        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        thread_parts(4)
         for ell in (13, 14, 15, 16):
             stops = brute_stops(ell)
             count, best = len(stops), max(stops.values())
             worst = min(x for x, s in stops.items() if s == best)
             for workers in (1, 2, 3, 4):
-                monkeypatch.setattr(RecordingPool, "mapped", [])
+                monkeypatch.setattr(ThreadParts, "mapped", [])
                 result = verify_range(ell, workers=workers)
                 assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
                     count, best, worst)
+                assert set(ThreadParts.mapped) == ({workers} if workers > 1 else set())
                 if workers > 1 and ell > 14:
-                    assert RecordingPool.mapped[-1] == workers  # the slices above 2**14
+                    assert len(ThreadParts.mapped) > 1  # the slices above 2**14 come last
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
     def test_split_fill_matches_brute_force_entry_by_entry(self, monkeypatch, jump_bits, bits,
                                                            parts):
-        # every block split into parts that share one memo through the
-        # pool's initializer; the parts run one after another here, and
-        # every class slice is cut into pieces of 5 starts and a shorter tail
+        # every block split into parts, each a thread of its own on one
+        # shared memo, switching every microsecond, so a part that read an
+        # entry of its own block or lost a write would show; every class
+        # slice is cut into pieces of 5 starts and a shorter tail
         from collatzbin import verify
 
         jump_bits(bits)
-        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
         monkeypatch.setattr(verify, "_PIECE", 5)
-        monkeypatch.setattr(verify, "_shared", None)
-        monkeypatch.setattr(verify, "_tree", None)
         stops = brute_stops(15)
         tree = verify._FillTree(Fraction(27, 32), 16)
-        for top in (1 << 15, (1 << 15) - 2002, 6146):
-            arena, memo = verify._shared_memo(1 << 15)
-            pool = RecordingPool(parts, verify._share_memo, (arena, tree))
-            assert verify._fill_memo(memo, top, 10**6, tree, pool, parts) == (
-                top >> 1, *brute_fill_maximum(top))
-            assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for top in (1 << 15, (1 << 15) - 2002, 6146):
+                arena, memo = verify._shared_memo(1 << 15)
+                assert verify._fill_memo(memo, top, 10**6, tree,
+                                         ThreadParts(arena, memo, tree, parts)) == (
+                    top >> 1, *brute_fill_maximum(top))
+                assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("n", [0, 1, 1000])
     def test_the_packed_add_matches_the_per_entry_add(self, n):
@@ -434,16 +512,12 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("ell", [12, 13, 14, 15, 16])
-    def test_the_count_is_what_the_fill_wrote(self, monkeypatch, jump_bits, ell, workers):
+    def test_the_count_is_what_the_fill_wrote(self, jump_bits, thread_parts, ell, workers):
         # a fill that leaves entries unknown must not pass as a summary: the
         # count is summed from what each part wrote and checked block by
         # block; K = 4 fills blocks at every length, and every block is split
-        from collatzbin import harness, verify
-
         jump_bits(4)
-        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        thread_parts(3)
         stops = brute_stops(ell)
         best = max(stops.values())
         worst = min(x for x, s in stops.items() if s == best)
@@ -548,22 +622,16 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_parts_that_tie_at_the_peak_keep_the_smallest_start(self, monkeypatch, jump_bits,
-                                                                order):
+                                                                thread_parts, order):
         # 17647 and 17673 share the largest stop time below the end of their
         # block, 102; split in 3, the class 17673 falls to part 0 and the
         # walk 17647 to part 2.  With a memo of 2**4 and K = 4, 27 and 55
         # share the largest below 2**6, in the two slices above the memo.
-        # The pool returns the parts in order and reversed, so the smaller
-        # start comes back first in one run and last in the other
-        from collatzbin import harness, verify
+        # The parts come back in order and reversed, so the smaller start
+        # comes back first in one run and last in the other
+        from collatzbin import verify
 
-        class OrderedPool(RecordingPool):
-            def map(self, fn, jobs):
-                return super().map(fn, jobs)[::order]
-
-        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
-        monkeypatch.setattr(verify, "_shared", None)
-        monkeypatch.setattr(verify, "_tree", None)
+        monkeypatch.setattr(ThreadParts, "order", order)
         stops = brute_stops(15)
         lo, hi, depth = next(b for b in verify._blocks(1 << 15, verify._FILL_RATIO)
                              if b[0] < 17647 < b[1])
@@ -575,26 +643,25 @@ class TestVerifyRange:
         assert [x for x in range(1, hi, 2) if stops[x] == 102] == [17647, 17673]
         assert max(stops[x] for x in range(1, hi, 2)) == 102
         arena, memo = verify._shared_memo(1 << 15)
-        pool = OrderedPool(3, verify._share_memo, (arena, tree))
-        assert verify._fill_memo(memo, hi, 10**6, tree, pool, 3) == (hi >> 1, 102, 17647)
+        parts = ThreadParts(arena, memo, tree, 3)
+        assert verify._fill_memo(memo, hi, 10**6, tree, parts) == (hi >> 1, 102, 17647)
         jump_bits(4)
         monkeypatch.setattr(verify, "_MEMO_BITS", 4)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", OrderedPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        thread_parts(2)
         assert [x for x, s in brute_stops(6).items() if s == 41] == [27, 55]
         result = verify_range(6, workers=2)
         assert (result.verified_count, result.max_stopping_time, result.worst_start) == (32, 41, 27)
 
-    def test_a_real_pool_shares_one_memo(self, monkeypatch):
-        # two worker processes fill the split blocks of one memo; a worker
-        # that filled a copy would leave the parent's entries at -1.  Nothing
-        # is left running, and no file is left behind, after a return or a raise
+    def test_a_real_child_shares_one_memo(self, monkeypatch, started):
+        # this process and one child fill the split blocks of one memo; a
+        # child that filled a copy would leave the parent's entries at -1.
+        # Nothing is left running, and no file is left behind, after a return
+        # or a raise
         import multiprocessing
         import os
 
-        from collatzbin import harness, verify
+        from collatzbin import harness
 
-        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         shm = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
         stops = brute_stops(16)
@@ -606,36 +673,37 @@ class TestVerifyRange:
             verify_range(16, workers=2, step_cap=step_cap)
         assert exc_info.value.start == min(over)
         assert multiprocessing.active_children() == []
+        assert len(started) == 2  # one child per run
         if shm:
             assert set(os.listdir("/dev/shm")) <= shm
 
-    def test_one_tree_per_run_reaches_the_workers(self, monkeypatch):
+    def test_one_tree_per_run_reaches_the_workers(self, monkeypatch, started):
         # verify_range builds one tree, as deep as the run's deepest block,
-        # before the pool, and the pool's initializer hands it to the
-        # workers; every split part fills from it, and none builds its own
+        # before the parts, and hands it to them; every split part fills
+        # from it, and none builds its own.  A real child gets it as an
+        # argument of its process
         from collatzbin import harness, verify
 
-        monkeypatch.setattr(verify, "_SPLIT_WIDTH", 0)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        fill_tree, share_memo, fill_block = verify._FillTree, verify._share_memo, verify._fill_block
+        fill_tree, fill_block, real_parts = verify._FillTree, verify._fill_block, verify._Parts
         built, given, used = [], [], []
 
         class CountedTree(fill_tree):
             def __init__(self, ratio, depth):
-                built.append((ratio, depth))
                 super().__init__(ratio, depth)
+                built.append(self)
 
-        def share(arena, tree):
-            given.append((tree, len(tree.opens) - 1))
-            share_memo(arena, tree)
+        class GivenParts(ThreadParts):
+            def __init__(self, arena, memo, tree, n):
+                given.append(tree)
+                super().__init__(arena, memo, tree, n)
 
         def fill(memo, tree, *block):
             used.append(tree)
             return fill_block(memo, tree, *block)
 
         monkeypatch.setattr(verify, "_FillTree", CountedTree)
-        monkeypatch.setattr(verify, "_share_memo", share)
+        monkeypatch.setattr(verify, "_Parts", GivenParts)
         monkeypatch.setattr(verify, "_fill_block", fill)
         stops = brute_stops(16)
         best = max(stops.values())
@@ -643,19 +711,26 @@ class TestVerifyRange:
         assert (result.max_stopping_time, result.worst_start) == (
             best, min(x for x, s in stops.items() if s == best))
         deepest = max(depth for _, _, depth in list(brute_fill_blocks(1 << 16))[1:])
-        assert built == [(Fraction(27, 32), deepest)]
-        [(tree, depth)] = given
-        assert depth == deepest
+        [tree] = built
+        assert (tree.ratio, len(tree.opens) - 1) == (Fraction(27, 32), deepest)
+        assert given == [tree]
         assert len(used) > 2 and all(t is tree for t in used)
         tree.level(deepest)
         with pytest.raises(IndexError):
             tree.level(deepest + 1)
+        built.clear()
+        monkeypatch.setattr(verify, "_Parts", real_parts)
+        monkeypatch.setattr(verify, "_fill_block", fill_block)
+        assert verify_range(16, workers=2) == verify_range(16)
+        [tree, _] = built
+        [child] = started
+        assert tree in child.given
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_workers_from_a_fresh_import_keep_the_summary_and_the_witness(self, method):
-        # such workers inherit nothing: the memo and the tree reach them by
-        # pickle, through the pool's initializer; every block is split, and
-        # with a memo of 2**14 the starts above it are walked in the workers
+        # such children inherit nothing: the memo and the tree reach them by
+        # pickle, as arguments of their process; every block is split, and
+        # with a memo of 2**14 the starts above it are walked by both parts
         stops = brute_stops(16)
         step_cap = max(stops.values()) - 3
         code = (
@@ -663,7 +738,6 @@ class TestVerifyRange:
             "from collatzbin import harness, verify\n"
             f"multiprocessing.set_start_method({method!r})\n"
             "harness.os.cpu_count = lambda: 2\n"
-            "verify._SPLIT_WIDTH = 0\n"
             "verify._MEMO_BITS = 14\n"
             "assert verify.verify_range(16, workers=2) == verify.verify_range(16)\n"
             "try:\n"
@@ -671,10 +745,69 @@ class TestVerifyRange:
             "except verify.DivergenceError as exc:\n"
             "    print(exc.start)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        proc = run_python(code)
         assert proc.stdout == f"{min(x for x, s in stops.items() if s > step_cap)}\n"
+
+    # each run below patches _fill_block, which a forked child inherits, to
+    # fail in part 1 (the child) or part 0 (this process) of a block above
+    # 2**16 at ell 20; the run must raise, not wait for ever, and leave no
+    # child and no /dev/shm entry behind
+    FAILING_RUN = (
+        "import multiprocessing, os, signal, time\n"
+        "from collatzbin import harness, verify\n"
+        "harness.os.cpu_count = lambda: 2\n"
+        "shm = set(os.listdir('/dev/shm')) if os.path.isdir('/dev/shm') else None\n"
+        "fill_block = verify._fill_block\n"
+        "def fill(memo, tree, lo, hi, depth, below, part, *rest):\n"
+        "    if lo > 1 << 16:\n"
+        "        {fail}\n"
+        "    return fill_block(memo, tree, lo, hi, depth, below, part, *rest)\n"
+        "verify._fill_block = fill\n"
+        "try:\n"
+        "    verify.verify_range(20, workers=2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "assert multiprocessing.active_children() == []\n"
+        "assert shm is None or set(os.listdir('/dev/shm')) <= shm\n"
+    )
+
+    def test_a_child_that_raises_makes_the_run_raise(self):
+        fail = "if part == 1: raise ZeroDivisionError('part 1 fails')"
+        proc = run_python(self.FAILING_RUN.format(fail=fail), timeout=30)
+        assert proc.stdout == "part 1 of the memo fill ended with exit code 1\n"
+        assert "ZeroDivisionError: part 1 fails" in proc.stderr
+
+    @pytest.mark.parametrize("fail", [
+        # the child, in the middle of a block
+        "if part == 1: os.kill(os.getpid(), signal.SIGKILL)",
+        # the child, once it has sent its part and waits for the next block
+        "if part == 0 and multiprocessing.active_children(): "
+        "[child] = multiprocessing.active_children(); time.sleep(0.5); "
+        "os.kill(child.pid, signal.SIGKILL); child.join()",
+    ], ids=["in-a-block", "between-blocks"])
+    def test_a_killed_child_makes_the_run_raise(self, fail):
+        proc = run_python(self.FAILING_RUN.format(fail=fail), timeout=30)
+        assert proc.stdout == "part 1 of the memo fill ended with exit code -9\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_a_child_ends_when_its_parent_is_killed(self):
+        # this process is killed in its part 0 of a block, with its child at work
+        fail = ("if part == 0: print(multiprocessing.active_children()[0].pid, flush=True); "
+                "os.kill(os.getpid(), signal.SIGKILL)")
+        proc = subprocess.run([sys.executable, "-c", self.FAILING_RUN.format(fail=fail)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == -signal.SIGKILL
+        pid = int(proc.stdout)
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                        break  # ended, and not yet reaped by its new parent
+            except FileNotFoundError:
+                break
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
 
     def test_the_shared_memo_is_not_imported_with_the_cli(self):
         code = (
