@@ -8,7 +8,9 @@ deterministic given the flags.
 
 Exit codes: 0 success, 1 property violation or counterexample, 2 usage
 error (one ``usage error:`` line, no argument shown past 30 characters),
-3 I/O error.  main() returns the code; only -h exits, with 0, after help.
+3 I/O error, 4 a run that failed to finish (one ``error:`` line: a worker
+process that failed or was killed, or a memo fill block left short).
+main() returns the code; only -h exits, with 0, after help.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_FAILED = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Randomness comes from a small splitmix64 generator with per-sample seeds
 derived from (master seed, run index, sample index), so results are
 identical across platforms and across worker counts: every sample is a pure
 function of its coordinates, and cell statistics are maxima and sums, which
-merge in any order.  :func:`fan_out` gives each worker one contiguous slice.
+merge in any order.  :func:`fan_out` gives each worker one contiguous slice,
+as one job of :class:`Parts`, the package's one process fan-out, which
+range verification uses too.
 
 The sampler runs splitmix64 on many states at once.  Each state sits in its
 own 128-bit lane of one Python int, and one round of big-int operations
@@ -23,16 +25,17 @@ memory stays flat at any sample count.
 
 from __future__ import annotations
 
+import multiprocessing.connection
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import repeat
 
 from .exact import BinaryFraction
-from .maps import STEP_CAP, orbit_extents
+from .maps import STEP_CAP, _end_table, _jump_table, orbit_extents
 
 __all__ = [
     "CSV_HEADER",
@@ -228,19 +231,95 @@ def split(items: range, n: int) -> list[range]:
     return [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
 
 
+def _part_loop(fn, end) -> None:
+    """A child of :class:`Parts`: send back ``fn(*job)`` of each job that its pipe ``end`` brings.
+
+    The child waits on its pipe and on its parent's sentinel at once, so it
+    ends when its parent does, even by a signal.
+    """
+    while end in multiprocessing.connection.wait([end, multiprocessing.parent_process().sentinel]):
+        end.send(fn(*end.recv()))
+
+
+class Parts:
+    """The one process fan-out: n parts, this process part 0 and n - 1 children the others.
+
+    Child i (:func:`_part_loop`) keeps ``fn``: a forked child inherits it,
+    with the orbit kernel's jump and end tables built here first, and under
+    the spawn and forkserver start methods it reaches the child as an
+    argument of its process, by pickle, once; so ``fn`` must then pickle, as
+    a module-level function or a :func:`functools.partial` of one does.
+    Each child has its own pipe, and this process keeps only its own end of
+    it, so the pipe reads as closed as soon as the child ends, by an error
+    or a signal.  :meth:`map` sends each child its job, runs job 0 here
+    meanwhile, and waits for the children's results; :meth:`close` ends and
+    reaps every child.  With n = 1 no child starts, and nothing is pickled.
+    No part waits on a lock that another part holds, so no part's end can
+    leave the others waiting, as a ``multiprocessing.Barrier`` would: one of
+    its parties killed while it waits leaves every later wait, and even
+    ``abort``, blocked for ever.
+    """
+
+    def __init__(self, fn, n: int) -> None:
+        self.fn, self.n = fn, n
+        self.links, self.children = [], []
+        _jump_table(), _end_table()  # built before any fork, so that no child builds its own
+        try:
+            for _ in range(n - 1):
+                link, end = multiprocessing.Pipe()
+                self.links.append(link)
+                child = multiprocessing.Process(target=_part_loop, args=(fn, end))
+                child.start()
+                self.children.append(child)
+                end.close()
+        except BaseException:
+            self.close()
+            raise
+
+    def map(self, jobs: list[tuple]) -> list:
+        """``fn(*job)`` of every job, in order, job i run by part i; at most n jobs."""
+        for part, job in enumerate(jobs[1:], 1):
+            self._call(part, "send", job)
+        return [self.fn(*jobs[0])] + [self._call(part, "recv") for part in range(1, len(jobs))]
+
+    def _call(self, part: int, method: str, *args):
+        """``method(*args)`` on the pipe of child ``part``.
+
+        A pipe whose child has ended reads as closed or breaks, and that
+        raises RuntimeError naming the part and its exit code.
+        """
+        try:
+            return getattr(self.links[part - 1], method)(*args)
+        except (EOFError, OSError):
+            child = self.children[part - 1]
+            child.join()
+            raise RuntimeError(f"part {part} of {self.n} ended with exit code "
+                               f"{child.exitcode}") from None
+
+    def close(self) -> None:
+        """Kill and reap every child.
+
+        A child holds no lock and no file of its own, and between jobs it
+        only waits, so SIGKILL, which it can neither catch nor ignore, ends
+        it at once whether the run finished or failed.
+        """
+        for child in self.children:
+            child.kill()
+        for child in self.children:
+            child.join()
+        for link in self.links:
+            link.close()
+
+
 def fan_out(fn, items: range, workers: int) -> list:
     """fn of each of n contiguous slices of ``items``, in order.
 
-    n is :func:`pool_size` of ``workers``, clamped to ``len(items)``.
-    With n > 1 each slice is one pool task, so ``fn`` must pickle: a
-    module-level function or a :func:`functools.partial` of one.
+    n is :func:`pool_size` of ``workers``, clamped to ``len(items)``; each
+    slice is one job of one :class:`Parts`, so with n > 1 under the spawn
+    or forkserver start method ``fn`` must pickle.
     """
-    n = min(pool_size(workers), len(items))
-    slices = split(items, n)
-    if n > 1:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, slices))
-    return [fn(part) for part in slices]
+    with closing(Parts(fn, min(pool_size(workers), len(items)))) as parts:
+        return parts.map([(part,) for part in split(items, parts.n)])
 
 
 @dataclass

@@ -5,22 +5,22 @@ ground state, with the largest stopping time and its smallest start.  Stop
 times are memoized in one int16 memo, filled block by block from the
 parity-vector classes of Terras's block identity; the starts the classes do
 not resolve, and those above the memo, are walked by the orbit kernel's jump
-table.  With n > 1 workers, this process and n - 1 children fill every
-block in n parts of one shared memo, in lockstep.
+table.  With n > 1 workers, this process and n - 1 children, the parts of
+:class:`harness.Parts`, fill every block in n parts of one shared memo, in
+lockstep.
 """
 
-import multiprocessing
 import sys
 from array import array
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, repeat
-from multiprocessing.connection import wait
 
 from . import maps
-from .harness import pool_size, split
+from .harness import Parts, pool_size, split
 
 __all__ = ["DivergenceError", "RangeVerification", "verify_range"]
 
@@ -318,9 +318,13 @@ def _blocks(top: int, ratio: Fraction) -> Iterator[tuple[int, int, int]]:
         hi = h >> depth << depth
 
 
+def _fill_arena(arena, tree: _FillTree, *job) -> tuple[int, int, int, int]:
+    """:func:`_fill_block` of one job on the shared int16 memo that ``arena`` holds."""
+    return _fill_block(memoryview(arena.buffer).cast("h"), tree, *job)
+
+
 def _fill_memo(
-    memo: array | memoryview, top: int, step_cap: int, tree: _FillTree,
-    parts: "_Parts | None" = None
+    memo: array | memoryview, top: int, step_cap: int, tree: _FillTree, parts: Parts
 ) -> tuple[int, int, int]:
     """Check every odd start below ``top``, from 1 up; store those below the memo's bound.
 
@@ -362,13 +366,14 @@ def _fill_memo(
     raise the maximum, pass the cap or pass 0x7FFF only where some
     y + c > ``below``, which :func:`_add_lanes`'s packed test finds, and
     only there is the exact maximum taken; no lane of its add carries, and
-    a sum past 0x7FFF raises OverflowError.  Without ``parts`` every block
-    is filled here, whole.  With ``parts`` (see :class:`_Parts`), ``memo``
-    is the memo that all n = ``parts.n`` of them share, and every block
-    is filled as n parts at once, all done before the next block starts:
-    inside the memo each part takes its turns of the block's classes and
-    open residues, and the last round is cut into n contiguous slices,
-    each a whole block of its own.
+    a sum past 0x7FFF raises OverflowError.  ``parts`` (see
+    :class:`harness.Parts`) fills the blocks by :func:`_fill_block` on
+    ``tree`` and on ``memo``, or, with n = ``parts.n`` > 1, on the shared
+    memo that ``memo`` views in this process.  Every block is filled as n
+    parts at once, all done before the next block starts: inside the memo
+    each part takes its turns of the block's classes and open residues,
+    and the last round is cut into n contiguous slices, each a whole block
+    of its own.  With n = 1 the one part fills every block here, whole.
 
     Every part reports (count, peak, smallest start at the peak, smallest
     capped start or 0), and the parts of a range (those below 2**K, or a
@@ -401,14 +406,13 @@ def _fill_memo(
     top_ys = max(ys)
     total, best, worst = checked(1, low, [(len(ys), top_ys, *_found(ys, top_ys, 1, 2, step_cap))])
     above = [(bound, top, 1)] if top > bound else []
-    n = parts.n if parts else 1
+    n = parts.n
     for lo, hi, depth in chain(_blocks(min(top, bound), tree.ratio), above):
         if lo < bound:
             jobs = [(lo, hi, depth, best, part, n, step_cap) for part in range(n)]
         else:
             jobs = [(r.start, r.stop, 1, best, 0, 1, step_cap) for r in split(range(lo, hi), n)]
-        done = parts.map(jobs) if parts else [_fill_block(memo, tree, *jobs[0])]
-        count, peak, start = checked(lo, hi, done)
+        count, peak, start = checked(lo, hi, parts.map(jobs))
         total += count
         if peak > best:
             best, worst = peak, start
@@ -419,7 +423,7 @@ def _shared_memo(bound: int) -> tuple[object, memoryview]:
     """(arena, memo): an empty memo of the odd values below ``bound`` in shared memory.
 
     ``arena`` is one mmap of ``bound`` bytes that the children of
-    :class:`_Parts` inherit or reopen; ``memo`` is its int16 view, as in
+    :class:`harness.Parts` inherit or reopen; ``memo`` is its int16 view, as in
     :func:`_walk` once :func:`_fill_memo` has stored memo[0] = 0 with the
     rest of the end table.  It is filled with -1 a piece at a time.
     """
@@ -432,90 +436,6 @@ def _shared_memo(bound: int) -> tuple[object, memoryview]:
     for at in range(0, len(memo), len(unknown)):
         memo[at : at + len(unknown)] = unknown
     return arena, memo
-
-
-def _part_loop(arena, tree: _FillTree, link) -> None:
-    """A child of :class:`_Parts`: fill each job that ``link`` brings, and send back its result.
-
-    A job is the arguments of :func:`_fill_block` after the memo, which
-    ``arena`` holds, and the tree.  The child waits on ``link`` and on its
-    parent's sentinel at once, so it ends when its parent does, even by a
-    signal.
-    """
-    memo = memoryview(arena.buffer).cast("h")
-    ends = [link, multiprocessing.parent_process().sentinel]
-    while link in wait(ends):
-        link.send(_fill_block(memo, tree, *link.recv()))
-
-
-class _Parts:
-    """The n parts of a run: this process fills part 0 of every block, n - 1 children the rest.
-
-    ``memo`` is this process's view of the int16 memo that ``arena`` holds.
-    Child i (:func:`_part_loop`) views the same memo and keeps the run's
-    ``tree``: a forked child inherits both, with the jump table built here
-    first, and under the spawn and forkserver start methods they reach it
-    as arguments of its process, by pickle, once.  Each child has its own
-    pipe, and this process keeps only its own end of it, so the pipe reads
-    as closed as soon as the child ends, by an error or a signal.
-    :meth:`map` sends each child its job of a block, fills job 0 here
-    meanwhile, and waits for the children's results; :meth:`close` ends
-    and reaps every child.  No part waits on a lock that another part
-    holds, so no part's end can leave the others waiting, as a
-    ``multiprocessing.Barrier`` would: one of its parties killed while it
-    waits leaves every later wait, and even ``abort``, blocked for ever.
-    """
-
-    def __init__(self, arena, memo: memoryview, tree: _FillTree, n: int) -> None:
-        self.memo, self.tree, self.n = memo, tree, n
-        self.links, self.children = [], []
-        maps._jump_table()  # built before any fork, so that no child builds its own
-        try:
-            for _ in range(n - 1):
-                link, end = multiprocessing.Pipe()
-                self.links.append(link)
-                child = multiprocessing.Process(target=_part_loop, args=(arena, tree, end))
-                child.start()
-                self.children.append(child)
-                end.close()
-        except BaseException:
-            self.close()
-            raise
-
-    def map(self, jobs: list[tuple]) -> list[tuple[int, int, int, int]]:
-        """The results of the jobs of one block, in order, job i filled by part i."""
-        for part, job in enumerate(jobs[1:], 1):
-            self._call(part, "send", job)
-        done = [_fill_block(self.memo, self.tree, *jobs[0])]
-        return done + [self._call(part, "recv") for part in range(1, len(jobs))]
-
-    def _call(self, part: int, method: str, *args):
-        """``method(*args)`` on the pipe of child ``part``.
-
-        A pipe whose child has ended reads as closed or breaks, and that
-        raises RuntimeError naming the part and its exit code.
-        """
-        try:
-            return getattr(self.links[part - 1], method)(*args)
-        except (EOFError, OSError):
-            child = self.children[part - 1]
-            child.join()
-            raise RuntimeError(f"part {part} of the memo fill ended with exit code "
-                               f"{child.exitcode}") from None
-
-    def close(self) -> None:
-        """Kill and reap every child.
-
-        A child holds no lock and no file of its own, and between jobs it
-        only waits, so SIGKILL, which it can neither catch nor ignore, ends
-        it at once whether the run finished or failed.
-        """
-        for child in self.children:
-            child.kill()
-        for child in self.children:
-            child.join()
-        for link in self.links:
-            link.close()
 
 
 def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> RangeVerification:
@@ -541,14 +461,14 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     memo, and not stored.
 
     The tree is built once per run, as deep as the deepest block, before
-    any child starts.  With one worker, or at ell <= 10, where the end
-    table holds every start and there is no block to split, all of this
+    any child starts.  The blocks are filled by one ``harness.Parts``.
+    With one worker, or at ell <= 10, where the end table holds every
+    start and there is no block to split, it has one part, and all of this
     runs in this process on an ``array``.  Otherwise, with n > 1 workers
     (clamped to the CPU count), the memo is one shared buffer, and this
-    process and n - 1 child processes fill every block in lockstep (see
-    ``_Parts``): this process sends each child its part of the block and
-    fills part 0 meanwhile, and the next block starts once every part has
-    reported.  Inside the memo the n parts take turns on the block's
+    process and n - 1 child processes fill every block in lockstep: this
+    process sends each child its part of the block and fills part 0
+    meanwhile, and the next block starts once every part has reported.  Inside the memo the n parts take turns on the block's
     classes and open residues, and the starts at or above 2**25 are walked
     in n contiguous slices.  A child that fails or is killed makes the run
     raise RuntimeError, and no child outlives the run.
@@ -574,10 +494,12 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     bound = 1 << min(ell, _MEMO_BITS)
     tree = _FillTree(_FILL_RATIO, max((d for _, _, d in _blocks(bound, _FILL_RATIO)), default=1))
     if n == 1 or ell <= maps._JUMP_BITS:
-        count, best, worst = _fill_memo(array("h", [-1]) * (bound >> 1), 1 << ell, step_cap, tree)
+        n, memo = 1, array("h", [-1]) * (bound >> 1)
+        fill = partial(_fill_block, memo, tree)
     else:
         arena, memo = _shared_memo(bound)
-        with closing(_Parts(arena, memo, tree, n)) as parts:
-            count, best, worst = _fill_memo(memo, 1 << ell, step_cap, tree, parts)
+        fill = partial(_fill_arena, arena, tree)
+    with closing(Parts(fill, n)) as parts:
+        count, best, worst = _fill_memo(memo, 1 << ell, step_cap, tree, parts)
     return RangeVerification(ell=ell, verified_count=count, max_stopping_time=best,
                              worst_start=worst)

@@ -1,6 +1,10 @@
-"""Tests for the experiment harness: seeding, sampling, cells, and CSV."""
+"""Tests for the experiment harness: seeding, sampling, cells, CSV, and the
+process fan-out that a table and range verification share."""
 
 import hashlib
+import multiprocessing
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -284,84 +288,67 @@ class TestTable:
         assert RNG_ID in data.decode("utf-8")
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and job counts, runs jobs here."""
+def counted_parts(monkeypatch):
+    """``harness.Parts``, counted: each one's part count, and each map's job count, in order."""
+    from collatzbin import harness, verify
 
-    requested: list[int] = []
-    mapped: list[int] = []
+    parts, mapped = [], []
 
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
+    class CountedParts(harness.Parts):
+        def __init__(self, fn, n):
+            super().__init__(fn, n)
+            parts.append(n)
 
-    def __enter__(self):
-        return self
+        def map(self, jobs):
+            mapped.append(len(jobs))
+            return super().map(jobs)
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        self.mapped.append(len(jobs))
-        return [fn(job) for job in jobs]
+    monkeypatch.setattr(harness, "Parts", CountedParts)
+    monkeypatch.setattr(verify, "Parts", CountedParts)
+    return parts, mapped
 
 
 def test_worker_counts_are_clamped_to_the_cpu_count(monkeypatch, started):
-    # verify fills in n = min(workers, cpus) parts: this process and n - 1 children
+    # a table and verify each run in n = min(workers, cpus) parts: this
+    # process and n - 1 children; a table's n is clamped to its pairs too
     from collatzbin import harness, verify
 
     serial_cell = run_cell(12, 30, 5, master_seed=99)
     serial_range = verify.verify_range(12)
-    parts = []
-
-    class CountedParts(verify._Parts):
-        def __init__(self, *args):
-            super().__init__(*args)
-            parts.append(self.n)
-
-    monkeypatch.setattr(verify, "_Parts", CountedParts)
-    monkeypatch.setattr(RecordingPool, "requested", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    parts, _ = counted_parts(monkeypatch)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     assert run_cell(12, 30, 5, master_seed=99, workers=1000) == serial_cell
     assert run_cell(12, 30, 2, master_seed=99, workers=1000).runs == 2
+    assert (parts, len(started)) == ([3, 2], 3)
     assert verify.verify_range(12, workers=10**6) == serial_range
-    assert RecordingPool.requested == [3, 2]
-    assert (parts, len(started)) == ([3], 2)
+    assert (parts, len(started)) == ([3, 2, 3], 5)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert verify.verify_range(12, workers=64) == serial_range
-    assert RecordingPool.requested == [3, 2]
-    assert (parts, len(started)) == ([3], 2)
+    assert (parts, len(started)) == ([3, 2, 3, 1], 5)
 
 
 def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch, started):
     from collatzbin import harness, verify
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    parts, mapped = counted_parts(monkeypatch)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    # one pool task per worker, however many (length, run) pairs there are
+    # one job per worker, however many (length, run) pairs there are
     for cfg in (
         ExperimentConfig(lengths=(8, 12), samples=50, runs=2),
         ExperimentConfig(lengths=(8, 12), samples=1, runs=1000),
     ):
         serial = run_table(cfg)
-        monkeypatch.setattr(RecordingPool, "requested", [])
-        monkeypatch.setattr(RecordingPool, "mapped", [])
+        for record in (parts, mapped, started):
+            record.clear()
         assert run_table(cfg, workers=2) == serial
-        assert RecordingPool.requested == [2]
-        assert RecordingPool.mapped == [2]
+        assert (parts, mapped, len(started)) == ([2], [2], 1)
+        assert multiprocessing.active_children() == []
     # and verify starts one child for all its blocks, and fills each block in two parts
-    mapped = []
-
-    class CountedParts(verify._Parts):
-        def map(self, jobs):
-            mapped.append(len(jobs))
-            return super().map(jobs)
-
-    monkeypatch.setattr(verify, "_Parts", CountedParts)
     serial_range = verify.verify_range(16)
-    monkeypatch.setattr(RecordingPool, "requested", [])
+    for record in (parts, mapped, started):
+        record.clear()
     assert verify.verify_range(16, workers=2) == serial_range
-    assert RecordingPool.requested == []
-    assert len(started) == 1
+    assert (parts, len(started)) == ([2], 1)
     assert len(mapped) > 1
     assert set(mapped) == {2}
 
@@ -379,17 +366,67 @@ def test_a_table_starts_one_pool_for_all_its_lengths(monkeypatch, started):
     ],
     ids=["mid-run", "one-length-a-slice", "capped"],
 )
-def test_uneven_slices_merge_to_the_serial_table(monkeypatch, cfg, cpus):
-    from collatzbin import harness
-
+def test_uneven_slices_merge_to_the_serial_table(thread_parts, cfg, cpus):
     serial = run_table(cfg)
-    monkeypatch.setattr(RecordingPool, "mapped", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    threads = thread_parts(cpus)
     assert run_table(cfg, workers=cpus) == serial
-    assert RecordingPool.mapped == [min(cpus, cfg.runs * len(cfg.lengths))]
+    assert threads.mapped == [min(cpus, cfg.runs * len(cfg.lengths))]
     if cfg.step_cap == 10:
         assert serial.cells[0].capped_count > 0
+
+
+# patches _run_slice, which a forked child inherits, to fail in the child's
+# slice of a two-worker table; what runs next must end at once, not wait for
+# ever, and leave no child behind
+FAILING_SLICE = (
+    "import multiprocessing, os, signal\n"
+    "from collatzbin import cli, harness\n"
+    "harness.os.cpu_count = lambda: 2\n"
+    "run_slice = harness._run_slice\n"
+    "def run(pairs, config):\n"
+    "    if pairs.start:\n"
+    "        {fail}\n"
+    "    return run_slice(pairs, config)\n"
+    "harness._run_slice = run\n"
+)
+TABLE_RUN = (
+    "try:\n"
+    "    harness.run_table(harness.ExperimentConfig(), workers=2)\n"
+    "except RuntimeError as exc:\n"
+    "    print(exc)\n"
+    "assert multiprocessing.active_children() == []\n"
+)
+RAISE = "raise ZeroDivisionError('part 1 fails')"
+KILL = "os.kill(os.getpid(), signal.SIGKILL)"
+
+
+def run_code(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30)
+
+
+def test_a_child_that_raises_makes_the_table_raise():
+    proc = run_code(FAILING_SLICE.format(fail=RAISE) + TABLE_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "part 1 of 2 ended with exit code 1\n"
+    assert "ZeroDivisionError: part 1 fails" in proc.stderr
+
+
+def test_a_killed_child_makes_the_table_raise():
+    proc = run_code(FAILING_SLICE.format(fail=KILL) + TABLE_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "part 1 of 2 ended with exit code -9\n"
+
+
+def test_a_killed_child_ends_table1_with_exit_code_4():
+    # one stderr line, and the code for a run that failed, not for a counterexample
+    proc = run_code(FAILING_SLICE.format(fail=KILL) + (
+        "code = cli.main(['table1', '--workers', '2'])\n"
+        "assert multiprocessing.active_children() == []\n"
+        "raise SystemExit(code)\n"
+    ))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: part 1 of 2 ended with exit code -9\n"
 
 
 def test_a_serial_tables_memory_does_not_grow_with_its_runs():

@@ -1,5 +1,6 @@
 """Tests for exhaustive range verification: the memo fill, its parity-vector
-tree and block schedule, the walks, the shared memo and the parts that fill it.
+tree and block schedule, the walks, the shared memo and the parts that fill it
+(``harness.Parts``, or the ``thread_parts`` fixture's threads in its place).
 
 Every memoized or class-copied stop time is checked against a plain
 brute-force route that takes one reduced step at a time."""
@@ -8,73 +9,17 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from array import array
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import floor
 
 import pytest
 
 from collatzbin.maps import reduced_step
 from collatzbin.verify import DivergenceError, verify_range
-
-
-class ThreadParts:
-    """Stands in for ``verify._Parts``: each part of a block fills one memo in a thread of its own.
-
-    ``mapped`` records the job count of each block, and ``order`` = -1
-    returns each block's results reversed.  A part's exception is raised
-    once every part has ended.
-    """
-
-    mapped: list[int] = []
-    order = 1
-
-    def __init__(self, arena, memo, tree, n):
-        self.memo, self.tree, self.n = memo, tree, n
-
-    def close(self):
-        pass
-
-    def map(self, jobs):
-        from collatzbin import verify
-
-        self.mapped.append(len(jobs))
-        done = [None] * len(jobs)
-
-        def fill(i):
-            try:
-                done[i] = verify._fill_block(self.memo, self.tree, *jobs[i])
-            except Exception as exc:  # raised below, in the thread that maps
-                done[i] = exc
-
-        threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(jobs))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-            assert not thread.is_alive()
-        for result in done:
-            if isinstance(result, Exception):
-                raise result
-        return done[:: self.order]
-
-
-@pytest.fixture
-def thread_parts(monkeypatch):
-    """Runs verify's parts as :class:`ThreadParts`, with fresh records, on the given CPU count."""
-    from collatzbin import harness, verify
-
-    monkeypatch.setattr(ThreadParts, "mapped", [])
-    monkeypatch.setattr(verify, "_Parts", ThreadParts)
-
-    def cpus(count: int) -> None:
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
-
-    return cpus
 
 
 def run_python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
@@ -317,13 +262,16 @@ class TestVerifyRange:
         # blocks and classes; the smaller tops end inside a block, where most
         # classes have no start
         from collatzbin import verify
+        from collatzbin.harness import Parts
 
         jump_bits(bits)
         stops = brute_stops(15)
         tree = verify._FillTree(Fraction(27, 32), 16)
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             memo = array("h", [-1]) * (1 << 14)
-            assert verify._fill_memo(memo, top, 10**6, tree) == (top >> 1, *brute_fill_maximum(top))
+            parts = Parts(partial(verify._fill_block, memo, tree), 1)
+            assert verify._fill_memo(memo, top, 10**6, tree, parts) == (
+                top >> 1, *brute_fill_maximum(top))
             assert list(memo[: top >> 1]) == [stops[x] for x in range(1, top, 2)]
 
     @pytest.mark.parametrize("bits", [10, 4])
@@ -335,24 +283,24 @@ class TestVerifyRange:
 
         jump_bits(bits)
         monkeypatch.setattr(verify, "_MEMO_BITS", 14)
-        thread_parts(4)
+        threads = thread_parts(4)
         for ell in (13, 14, 15, 16):
             stops = brute_stops(ell)
             count, best = len(stops), max(stops.values())
             worst = min(x for x, s in stops.items() if s == best)
             for workers in (1, 2, 3, 4):
-                monkeypatch.setattr(ThreadParts, "mapped", [])
+                monkeypatch.setattr(threads, "mapped", [])
                 result = verify_range(ell, workers=workers)
                 assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
                     count, best, worst)
-                assert set(ThreadParts.mapped) == ({workers} if workers > 1 else set())
+                assert set(threads.mapped) == {workers}
                 if workers > 1 and ell > 14:
-                    assert len(ThreadParts.mapped) > 1  # the slices above 2**14 come last
+                    assert len(threads.mapped) > 1  # the slices above 2**14 come last
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
-    def test_split_fill_matches_brute_force_entry_by_entry(self, monkeypatch, jump_bits, bits,
-                                                           parts):
+    def test_split_fill_matches_brute_force_entry_by_entry(self, monkeypatch, jump_bits,
+                                                           thread_parts, bits, parts):
         # every block split into parts, each a thread of its own on one
         # shared memo, switching every microsecond, so a part that read an
         # entry of its own block or lost a write would show; every class
@@ -361,6 +309,7 @@ class TestVerifyRange:
 
         jump_bits(bits)
         monkeypatch.setattr(verify, "_PIECE", 5)
+        threads = thread_parts(parts)
         stops = brute_stops(15)
         tree = verify._FillTree(Fraction(27, 32), 16)
         interval = sys.getswitchinterval()
@@ -368,8 +317,8 @@ class TestVerifyRange:
         try:
             for top in (1 << 15, (1 << 15) - 2002, 6146):
                 arena, memo = verify._shared_memo(1 << 15)
-                assert verify._fill_memo(memo, top, 10**6, tree,
-                                         ThreadParts(arena, memo, tree, parts)) == (
+                fill = threads(partial(verify._fill_arena, arena, tree), parts)
+                assert verify._fill_memo(memo, top, 10**6, tree, fill) == (
                     top >> 1, *brute_fill_maximum(top))
                 assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
         finally:
@@ -631,7 +580,8 @@ class TestVerifyRange:
         # comes back first in one run and last in the other
         from collatzbin import verify
 
-        monkeypatch.setattr(ThreadParts, "order", order)
+        threads = thread_parts(2)
+        monkeypatch.setattr(threads, "order", order)
         stops = brute_stops(15)
         lo, hi, depth = next(b for b in verify._blocks(1 << 15, verify._FILL_RATIO)
                              if b[0] < 17647 < b[1])
@@ -643,11 +593,10 @@ class TestVerifyRange:
         assert [x for x in range(1, hi, 2) if stops[x] == 102] == [17647, 17673]
         assert max(stops[x] for x in range(1, hi, 2)) == 102
         arena, memo = verify._shared_memo(1 << 15)
-        parts = ThreadParts(arena, memo, tree, 3)
+        parts = threads(partial(verify._fill_arena, arena, tree), 3)
         assert verify._fill_memo(memo, hi, 10**6, tree, parts) == (hi >> 1, 102, 17647)
         jump_bits(4)
         monkeypatch.setattr(verify, "_MEMO_BITS", 4)
-        thread_parts(2)
         assert [x for x, s in brute_stops(6).items() if s == 41] == [27, 55]
         result = verify_range(6, workers=2)
         assert (result.verified_count, result.max_stopping_time, result.worst_start) == (32, 41, 27)
@@ -677,15 +626,15 @@ class TestVerifyRange:
         if shm:
             assert set(os.listdir("/dev/shm")) <= shm
 
-    def test_one_tree_per_run_reaches_the_workers(self, monkeypatch, started):
+    def test_one_tree_per_run_reaches_the_workers(self, monkeypatch, started, thread_parts):
         # verify_range builds one tree, as deep as the run's deepest block,
         # before the parts, and hands it to them; every split part fills
         # from it, and none builds its own.  A real child gets it as an
         # argument of its process
-        from collatzbin import harness, verify
+        from collatzbin import verify
 
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        fill_tree, fill_block, real_parts = verify._FillTree, verify._fill_block, verify._Parts
+        fill_tree, fill_block, real_parts = verify._FillTree, verify._fill_block, verify.Parts
+        threads = thread_parts(2)
         built, given, used = [], [], []
 
         class CountedTree(fill_tree):
@@ -693,17 +642,17 @@ class TestVerifyRange:
                 super().__init__(ratio, depth)
                 built.append(self)
 
-        class GivenParts(ThreadParts):
-            def __init__(self, arena, memo, tree, n):
-                given.append(tree)
-                super().__init__(arena, memo, tree, n)
+        class GivenParts(threads):
+            def __init__(self, fn, n):
+                given.append(fn.args[1])
+                super().__init__(fn, n)
 
         def fill(memo, tree, *block):
             used.append(tree)
             return fill_block(memo, tree, *block)
 
         monkeypatch.setattr(verify, "_FillTree", CountedTree)
-        monkeypatch.setattr(verify, "_Parts", GivenParts)
+        monkeypatch.setattr(verify, "Parts", GivenParts)
         monkeypatch.setattr(verify, "_fill_block", fill)
         stops = brute_stops(16)
         best = max(stops.values())
@@ -719,12 +668,12 @@ class TestVerifyRange:
         with pytest.raises(IndexError):
             tree.level(deepest + 1)
         built.clear()
-        monkeypatch.setattr(verify, "_Parts", real_parts)
+        monkeypatch.setattr(verify, "Parts", real_parts)
         monkeypatch.setattr(verify, "_fill_block", fill_block)
         assert verify_range(16, workers=2) == verify_range(16)
         [tree, _] = built
         [child] = started
-        assert tree in child.given
+        assert tree in child.given[0].args
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_workers_from_a_fresh_import_keep_the_summary_and_the_witness(self, method):
@@ -774,7 +723,7 @@ class TestVerifyRange:
     def test_a_child_that_raises_makes_the_run_raise(self):
         fail = "if part == 1: raise ZeroDivisionError('part 1 fails')"
         proc = run_python(self.FAILING_RUN.format(fail=fail), timeout=30)
-        assert proc.stdout == "part 1 of the memo fill ended with exit code 1\n"
+        assert proc.stdout == "part 1 of 2 ended with exit code 1\n"
         assert "ZeroDivisionError: part 1 fails" in proc.stderr
 
     @pytest.mark.parametrize("fail", [
@@ -787,7 +736,7 @@ class TestVerifyRange:
     ], ids=["in-a-block", "between-blocks"])
     def test_a_killed_child_makes_the_run_raise(self, fail):
         proc = run_python(self.FAILING_RUN.format(fail=fail), timeout=30)
-        assert proc.stdout == "part 1 of the memo fill ended with exit code -9\n"
+        assert proc.stdout == "part 1 of 2 ended with exit code -9\n"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_a_child_ends_when_its_parent_is_killed(self):
@@ -813,6 +762,7 @@ class TestVerifyRange:
         code = (
             "import sys, collatzbin.cli\n"
             "assert 'multiprocessing.heap' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules\n"
             "from collatzbin import harness, verify\n"
             "harness.os.cpu_count = lambda: 2\n"
             "verify.verify_range(12, workers=2)\n"
