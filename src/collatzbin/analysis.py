@@ -345,6 +345,23 @@ class KStarReport:
         return self.k_star is None
 
 
+def _gap_bits_floor(p: int, top: int) -> int:
+    """A lower bound on (2**top - p).bit_length() for p >= 1 of ``top`` bits, read from 64 of them.
+
+    Past 64 bits, p = W 2**(top-64) + r with W = p >> (top - 64), its top
+    64 bits, and 0 <= r < 2**(top-64).  Then 2**top - p =
+    (2**64 - W) 2**(top-64) - r > g 2**(top-64), g = 2**64 - W - 1, so the
+    gap has at least top - 64 + g.bit_length() bits when g > 0.  When
+    top <= 64, or when g = 0 (an all-ones window bounds the gap only by 1),
+    the gap is small and its bit length is taken exactly.
+    """
+    if top > 64:
+        g = 0xFFFF_FFFF_FFFF_FFFF - (p >> (top - 64))
+        if g:
+            return top - 64 + g.bit_length()
+    return ((1 << top) - p).bit_length()
+
+
 def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KStarReport:
     """Find the first k where the error bound can reach past the critical point.
 
@@ -358,35 +375,40 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     multiplying the margin c_k - 1/2 - epsilon_bound(k, ell) by
     3**k * 2**(s+1) turns ``margin < 0`` into
 
-        (2**(mu+1) - 3**k) * 2**s < E,
+        gap * 2**s < E,  gap = 2**(mu+1) - 3**k,
         E = 14 * 9**n * (9**n - 8**n)              for even k,
         E = 3**k * (15 * (9**n - 8**n) + 8**n)      for odd k,
 
-    and 3**k, 9**n and 8**n are running products updated by small factors.
-    Where the left side has more bits than E can have, the margin is
-    positive and E is never multiplied out.  ``collect_margins`` returns
-    each margin as the integer difference of the two sides over
-    3**k * 2**(s+1), equal to the Fraction expression above.
+    where 2**(mu+1) = 2**top, top the bit length of 3**k.  Only 3**k is a
+    running product; 9**n is 3**k at even k and 3**k // 3 at odd k, and 8**n
+    is 1 << 3n.  Both forms are below 16 * 3**(2k) < 2**(2 top + 4):
+    E = 14 * 3**k * (3**k - 8**n) at even k and 3**k * (5 * 3**k - 14 * 8**n)
+    at odd k.  A gap of at least b bits makes gap * 2**s >= 2**(b + s - 1),
+    so wherever b + s > 2 top + 4 the margin is positive.  The scan takes b
+    from 3**k's top 64 bits (:func:`_gap_bits_floor`, never more than the
+    gap's true bit length), so a skipped k costs one multiplication by 3
+    and forms neither the gap nor E.  Only a k that fails this test forms
+    the exact numerator gap * 2**s - E, which decides its sign.
+    ``collect_margins`` takes that exact route at every k and returns each
+    margin as the numerator over 3**k * 2**(s+1), equal to the Fraction
+    expression above.
     """
     if ell < 1:
         raise ValueError("kstar_scan needs ell >= 1")
     if k_max < 1:
         raise ValueError("kstar_scan needs k_max >= 1")
     margins: list[Fraction] | None = [] if collect_margins else None
-    p3 = p9 = p8 = 1
+    p3 = 1
     for k in range(1, k_max + 1):
         p3 *= 3
-        n, odd = divmod(k, 2)
-        if not odd:
-            p9 *= 9
-            p8 *= 8
-        s = 3 * n + ell
-        gap = (2 << (p3.bit_length() - 1)) - p3
-        factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
-        # a product of i-bit and j-bit numbers has at most i + j bits
-        if margins is None and gap.bit_length() + s > factor.bit_length() + cofactor.bit_length():
+        s = 3 * (k >> 1) + ell
+        top = p3.bit_length()
+        if margins is None and _gap_bits_floor(p3, top) + s > 2 * top + 4:
             continue
-        numerator = (gap << s) - factor * cofactor
+        odd = k & 1
+        p9, p8 = (p3 // 3 if odd else p3), 1 << (s - ell)
+        factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
+        numerator = (((1 << top) - p3) << s) - factor * cofactor
         if margins is not None:
             margins.append(Fraction(numerator, p3 << (s + 1)))
         if numerator < 0:

@@ -16,7 +16,6 @@ main() returns the code; only -h exits, with 0, after help.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -112,6 +111,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     rows = [(i, v, f"{v:b}", v.bit_length()) for i, v in enumerate(record.states)]
     # rendered whole before printing, so a row that cannot be formatted prints nothing
     if args.format == "json":
+        import json  # only this branch prints JSON, so the other commands skip the import
+
         steps = [dict(zip(_COLUMNS, row)) for row in rows]
         text = json.dumps({"map": kind.value, **summary, "steps": steps})
     else:

@@ -203,11 +203,13 @@ class _FillTree:
     def level(self, depth: int, part: int = 0, parts: int = 1) -> tuple[Iterator, array]:
         """The classes of depth at most ``depth`` and the residues open there.
 
-        Of each, every ``parts``-th from the ``part``-th.  A ``depth`` past
-        the tree's own raises IndexError.
+        Of the classes, every ``parts``-th from the ``part``-th; every open
+        residue, as each part walks its share of each one's starts (see
+        :func:`_fill_block`).  A ``depth`` past the tree's own raises
+        IndexError.
         """
         b, m, c, offset = (field[part : self.ends[depth] : parts] for field in self.fields)
-        return zip(b, m, c, map(pow, repeat(3), c), offset), self.opens[depth][part::parts]
+        return zip(b, m, c, map(pow, repeat(3), c), offset), self.opens[depth]
 
 
 def _fill_depth(lo: int, hi: int) -> int:
@@ -255,9 +257,10 @@ def _fill_block(
 
     The block's classes are those of ``tree`` of depth at most ``depth``,
     and the part copies every ``parts``-th of them, from the ``part``-th,
-    in pieces of at most ``_PIECE`` starts; it walks the starts of every
-    ``parts``-th residue still open at ``depth`` down below lo by
-    :func:`_walk`.  A class with c > 0 adds c to its source piece
+    in pieces of at most ``_PIECE`` starts; of every residue still open at
+    ``depth`` it walks every ``parts``-th start in the block, from the
+    ``part``-th, down below lo by :func:`_walk`, so the first block's one
+    residue is shared too.  A class with c > 0 adds c to its source piece
     in one packed add (:func:`_add_lanes`).  Every entry read lies below
     lo, so the fill has checked it to be in [0, ``below``], ``below`` the
     largest entry below lo; a piece whose largest sum, taken only when it
@@ -295,7 +298,8 @@ def _fill_block(
             memo[x : x + n * step : step] = ys
         count += end - first
     mask = (1 << depth) - 1
-    starts = chain.from_iterable(range(lo + (b - lo & mask), hi, mask + 1) for b in opens)
+    head, period = lo + part * (mask + 1), parts * (mask + 1)
+    starts = chain.from_iterable(range(head + (b - lo & mask), hi, period) for b in opens)
     walks, *walked = _walk(memo, starts, lo, step_cap)
     return _merge([(count + walks, *walked), *found])
 
@@ -468,10 +472,11 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     (clamped to the CPU count), the memo is one shared buffer, and this
     process and n - 1 child processes fill every block in lockstep: this
     process sends each child its part of the block and fills part 0
-    meanwhile, and the next block starts once every part has reported.  Inside the memo the n parts take turns on the block's
-    classes and open residues, and the starts at or above 2**25 are walked
-    in n contiguous slices.  A child that fails or is killed makes the run
-    raise RuntimeError, and no child outlives the run.
+    meanwhile, and the next block starts once every part has reported.
+    Inside the memo the n parts take turns on the block's classes and on
+    the starts of each open residue, and the starts at or above 2**25 are
+    walked in n contiguous slices.  A child that fails or is killed makes
+    the run raise RuntimeError, and no child outlives the run.
 
     ``verified_count`` counts the memo entries the fill wrote and the
     starts walked above 2**25, and a block that leaves an odd value

@@ -9,13 +9,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from collatzbin.analysis import (
     DELTA_TABLE,
     Branch,
     MapKind,
+    _gap_bits_floor,
     audit_length_deltas,
     epsilon_bound,
     family_orbit_probe,
@@ -37,6 +38,25 @@ def bf(bits: str) -> BinaryFraction:
 
 def fraction_margin(k: int, ell: int) -> Fraction:
     return critical_point(k) - Fraction(1, 2) - epsilon_bound(k, ell)
+
+
+def running_products_kstar(ell: int, k_max: int) -> int | None:
+    """k* by the integer scan with running 3**k, 9**n and 8**n and an exact bit-length prefilter."""
+    p3 = p9 = p8 = 1
+    for k in range(1, k_max + 1):
+        p3 *= 3
+        n, odd = divmod(k, 2)
+        if not odd:
+            p9 *= 9
+            p8 *= 8
+        s = 3 * n + ell
+        gap = (1 << p3.bit_length()) - p3
+        factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
+        if gap.bit_length() + s > factor.bit_length() + cofactor.bit_length():
+            continue
+        if (gap << s) < factor * cofactor:
+            return k
+    return None
 
 
 class TestRunTrajectory:
@@ -392,6 +412,49 @@ class TestKStarScan:
             assert report.k_star == k_star
             assert report.critical == critical_point(k_star)
             assert report.epsilon == epsilon_bound(k_star, ell)
+
+    @pytest.mark.parametrize("ell", [*range(1, 65), 100, 500, 1000])
+    def test_window_scan_matches_the_running_products(self, ell):
+        # the scan keeps only 3**k and skips a k by 64 bits of it; the
+        # reference forms the gap and all three products at every k
+        k_star = running_products_kstar(ell, 12 * ell + 100)
+        assert k_star is not None
+        if k_star > 1:
+            assert kstar_scan(ell, k_star - 1).k_star is None
+        for k_max in (k_star, k_star + 1, 2 * k_star + 10):
+            report = kstar_scan(ell, k_max)
+            assert report.k_star == k_star
+            assert report.critical == critical_point(k_star)
+            assert report.epsilon == epsilon_bound(k_star, ell)
+
+    @given(st.one_of(
+        st.integers(min_value=1, max_value=2**64),
+        st.integers(min_value=1, max_value=2**3000),
+        # an all-ones top window over any tail, and windows just below it
+        st.integers(0, 300).flatmap(lambda r: st.builds(
+            lambda below, tail: (2**64 - 1 - below) << r | tail,
+            st.integers(0, 3), st.integers(0, (1 << r) - 1))),
+    ))
+    @example(2**64 - 1)
+    @example(2**64)
+    @example(2**80 - 1)
+    @example((2**64 - 1) << 10 | 1)
+    def test_the_window_bound_never_passes_the_gap(self, p):
+        top = p.bit_length()
+        exact = ((1 << top) - p).bit_length()
+        # a lower bound, and at most one bit short of the gap
+        assert exact - 1 <= _gap_bits_floor(p, top) <= exact
+
+    def test_a_huge_length_skips_every_horizon_in_bounded_memory(self):
+        # a gap shifted by s >= 10**12 bits would take over 100 GiB
+        tracemalloc.start()
+        try:
+            report = kstar_scan(10**12, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.excluded_all
+        assert peak < 2**20
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -474,6 +474,26 @@ class TestVerifyRange:
         assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
             len(stops), best, worst)
 
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_parts_share_the_starts_of_an_open_residue(self, parts):
+        # the first block has no class and one open residue, 1 mod 2: each
+        # part walks every n-th of its starts, so no part is left idle, and
+        # together the parts write every entry of the block once
+        from collatzbin import verify
+
+        lo, hi, depth = next(verify._blocks(1 << 16, verify._FILL_RATIO))
+        assert depth == 1
+        stops = brute_stops(hi.bit_length())
+        tree = verify._FillTree(verify._FILL_RATIO, depth)
+        memo = array("h", [stops.get(v, 0) for v in range(1, lo, 2)]) + array("h", [-1]) * (
+            (hi - lo) >> 1)
+        below = max(memo)
+        counts = [verify._fill_block(memo, tree, lo, hi, depth, below, part, parts, 10**6)[0]
+                  for part in range(parts)]
+        assert sum(counts) == (hi - lo) >> 1
+        assert max(counts) - min(counts) <= 1
+        assert memo[lo >> 1 :].tolist() == [stops[x] for x in range(lo | 1, hi, 2)]
+
     def test_a_block_left_short_is_named(self, monkeypatch):
         # a part that writes one entry too few in its block raises, naming it
         from collatzbin import verify
@@ -573,8 +593,9 @@ class TestVerifyRange:
     def test_parts_that_tie_at_the_peak_keep_the_smallest_start(self, monkeypatch, jump_bits,
                                                                 thread_parts, order):
         # 17647 and 17673 share the largest stop time below the end of their
-        # block, 102; split in 3, the class 17673 falls to part 0 and the
-        # walk 17647 to part 2.  With a memo of 2**4 and K = 4, 27 and 55
+        # block, 102; split in 3, the class 17673 falls to part 0, and 17647,
+        # the start of index 7 of its open residue in the block, to part 1.
+        # With a memo of 2**4 and K = 4, 27 and 55
         # share the largest below 2**6, in the two slices above the memo.
         # The parts come back in order and reversed, so the smaller start
         # comes back first in one run and last in the other
@@ -586,10 +607,10 @@ class TestVerifyRange:
         lo, hi, depth = next(b for b in verify._blocks(1 << 15, verify._FILL_RATIO)
                              if b[0] < 17647 < b[1])
         tree = verify._FillTree(verify._FILL_RATIO, depth)
-        classes, _ = tree.level(depth, 0, 3)
-        _, opens = tree.level(depth, 2, 3)
+        classes, opens = tree.level(depth, 0, 3)
         assert any(17673 % (1 << m) == b for b, m, *_ in classes)
         assert 17647 % (1 << depth) in opens
+        assert ((17647 - lo) >> depth) % 3 == 1
         assert [x for x in range(1, hi, 2) if stops[x] == 102] == [17647, 17673]
         assert max(stops[x] for x in range(1, hi, 2)) == 102
         arena, memo = verify._shared_memo(1 << 15)
@@ -763,6 +784,7 @@ class TestVerifyRange:
             "import sys, collatzbin.cli\n"
             "assert 'multiprocessing.heap' not in sys.modules\n"
             "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules\n"
+            "assert 'json' not in sys.modules\n"
             "from collatzbin import harness, verify\n"
             "harness.os.cpu_count = lambda: 2\n"
             "verify.verify_range(12, workers=2)\n"
