@@ -5,9 +5,9 @@ ground state, with the largest stopping time and its smallest start.  Stop
 times are memoized in one int16 memo, filled block by block from the
 parity-vector classes of Terras's block identity; the starts the classes do
 not resolve, and those above the memo, are walked by the orbit kernel's jump
-table.  With n > 1 workers, this process and n - 1 children, the parts of
-:class:`harness.Parts`, fill every block in n parts of one shared memo, in
-lockstep.
+table.  The memo is one shared buffer at any worker count: this process
+and n - 1 children, the n parts of :class:`harness.Parts`, fill every block
+in n parts of it, in lockstep.
 """
 
 import sys
@@ -20,7 +20,7 @@ from functools import partial
 from itertools import chain, repeat
 
 from . import maps
-from .harness import Parts, pool_size, split
+from .harness import Parts, pool_size
 
 __all__ = ["DivergenceError", "RangeVerification", "verify_range"]
 
@@ -372,12 +372,10 @@ def _fill_memo(
     only there is the exact maximum taken; no lane of its add carries, and
     a sum past 0x7FFF raises OverflowError.  ``parts`` (see
     :class:`harness.Parts`) fills the blocks by :func:`_fill_block` on
-    ``tree`` and on ``memo``, or, with n = ``parts.n`` > 1, on the shared
-    memo that ``memo`` views in this process.  Every block is filled as n
-    parts at once, all done before the next block starts: inside the memo
-    each part takes its turns of the block's classes and open residues,
-    and the last round is cut into n contiguous slices, each a whole block
-    of its own.  With n = 1 the one part fills every block here, whole.
+    ``tree`` and on the memo that ``memo`` views in this process.  Every
+    block, the last round too, is filled as n = ``parts.n`` parts at once,
+    all done before the next block starts: inside the memo each part takes
+    its turns of the block's classes and open residues.
 
     Every part reports (count, peak, smallest start at the peak, smallest
     capped start or 0), and the parts of a range (those below 2**K, or a
@@ -412,10 +410,7 @@ def _fill_memo(
     above = [(bound, top, 1)] if top > bound else []
     n = parts.n
     for lo, hi, depth in chain(_blocks(min(top, bound), tree.ratio), above):
-        if lo < bound:
-            jobs = [(lo, hi, depth, best, part, n, step_cap) for part in range(n)]
-        else:
-            jobs = [(r.start, r.stop, 1, best, 0, 1, step_cap) for r in split(range(lo, hi), n)]
+        jobs = [(lo, hi, depth, best, part, n, step_cap) for part in range(n)]
         count, peak, start = checked(lo, hi, parts.map(jobs))
         total += count
         if peak > best:
@@ -431,7 +426,7 @@ def _shared_memo(bound: int) -> tuple[object, memoryview]:
     :func:`_walk` once :func:`_fill_memo` has stored memo[0] = 0 with the
     rest of the end table.  It is filled with -1 a piece at a time.
     """
-    # imported here, not with the module: only a run of several parts shares a memo
+    # imported here, not with the module, so that only a run that fills a memo loads it
     from multiprocessing.heap import Arena
 
     arena = Arena(bound)
@@ -465,18 +460,17 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     memo, and not stored.
 
     The tree is built once per run, as deep as the deepest block, before
-    any child starts.  The blocks are filled by one ``harness.Parts``.
-    With one worker, or at ell <= 10, where the end table holds every
-    start and there is no block to split, it has one part, and all of this
-    runs in this process on an ``array``.  Otherwise, with n > 1 workers
-    (clamped to the CPU count), the memo is one shared buffer, and this
-    process and n - 1 child processes fill every block in lockstep: this
-    process sends each child its part of the block and fills part 0
-    meanwhile, and the next block starts once every part has reported.
-    Inside the memo the n parts take turns on the block's classes and on
-    the starts of each open residue, and the starts at or above 2**25 are
-    walked in n contiguous slices.  A child that fails or is killed makes
-    the run raise RuntimeError, and no child outlives the run.
+    any child starts.  The memo is one shared buffer at any worker count,
+    and its blocks are filled by one ``harness.Parts`` of n parts, n the
+    worker count clamped to the CPU count, or 1 at ell <= 10, where the end
+    table holds every start and there is no block to split.  This process
+    and n - 1 child processes fill every block in lockstep: this process
+    sends each child its part of the block and fills part 0 meanwhile, and
+    the next block starts once every part has reported.  Inside the memo
+    the n parts take turns on the block's classes and on the starts of
+    each open residue, the starts at or above 2**25 among them.  A child
+    that fails or is killed makes the run raise RuntimeError, and no child
+    outlives the run.
 
     ``verified_count`` counts the memo entries the fill wrote and the
     starts walked above 2**25, and a block that leaves an odd value
@@ -498,13 +492,10 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     n = pool_size(workers)
     bound = 1 << min(ell, _MEMO_BITS)
     tree = _FillTree(_FILL_RATIO, max((d for _, _, d in _blocks(bound, _FILL_RATIO)), default=1))
-    if n == 1 or ell <= maps._JUMP_BITS:
-        n, memo = 1, array("h", [-1]) * (bound >> 1)
-        fill = partial(_fill_block, memo, tree)
-    else:
-        arena, memo = _shared_memo(bound)
-        fill = partial(_fill_arena, arena, tree)
-    with closing(Parts(fill, n)) as parts:
+    if ell <= maps._JUMP_BITS:
+        n = 1
+    arena, memo = _shared_memo(bound)
+    with closing(Parts(partial(_fill_arena, arena, tree), n)) as parts:
         count, best, worst = _fill_memo(memo, 1 << ell, step_cap, tree, parts)
     return RangeVerification(ell=ell, verified_count=count, max_stopping_time=best,
                              worst_start=worst)

@@ -108,6 +108,15 @@ def brute_tree(depth: int, rho: Fraction) -> dict[int, tuple | None]:
     return tree
 
 
+def kept_memos(monkeypatch) -> list:
+    """The (arena, memo) of every ``verify_range`` run from now on, kept past the run."""
+    from collatzbin import verify
+
+    kept, share = [], verify._shared_memo
+    monkeypatch.setattr(verify, "_shared_memo", lambda bound: kept.append(share(bound)) or kept[-1])
+    return kept
+
+
 def assert_caps_keep_their_witnesses(ell: int, caps: range, worker_counts: tuple) -> None:
     """verify_range at each cap and worker count: the true summary, or the smallest witness."""
     stops = brute_stops(ell)
@@ -148,22 +157,18 @@ class TestVerifyRange:
                 assert result.worst_start == min(x for x, s in stops.items() if s == best)
 
     @pytest.mark.parametrize("bits", [10, 4])
-    def test_no_block_starts_no_process_and_shares_no_memo(self, monkeypatch, jump_bits, started,
-                                                           bits):
+    def test_no_block_starts_no_process(self, monkeypatch, jump_bits, started, bits):
         # up to ell = K the end table holds every start, so two workers have
-        # no block to split; one length more starts one child on a shared memo
-        from collatzbin import harness, verify
+        # no block to split; one length more starts one child
+        from collatzbin import harness
 
         jump_bits(bits)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        shared, share = [], verify._shared_memo
-        monkeypatch.setattr(verify, "_shared_memo", lambda bound: shared.append(bound) or
-                            share(bound))
         for ell in range(1, bits + 1):
             assert verify_range(ell, workers=2) == verify_range(ell)
-        assert (started, shared) == ([], [])
+        assert started == []
         assert verify_range(bits + 1, workers=2) == verify_range(bits + 1)
-        assert len(started) == 1 and shared == [2 << bits]
+        assert len(started) == 1
 
     @pytest.mark.parametrize("memo_bits", [10, 11])
     def test_capped_memo_matches_brute_force(self, monkeypatch, thread_parts, memo_bits):
@@ -184,13 +189,15 @@ class TestVerifyRange:
 
     def test_memo_stays_bounded_at_the_largest_length(self, monkeypatch):
         # the fill is stopped at once; the 2**24-entry int16 memo is 32 MiB,
-        # where 2**33 entries would be 16 GiB
+        # where 2**33 entries would be 16 GiB.  The memo is an mmap, which
+        # tracemalloc does not see, so its size is taken from its arena, and
+        # the traced peak bounds the run's Python allocations
         from collatzbin import verify
 
         class Stop(Exception):
             pass
 
-        sizes = []
+        sizes, memos = [], kept_memos(monkeypatch)
 
         def stop(memo, *args):
             sizes.append(len(memo))
@@ -205,6 +212,7 @@ class TestVerifyRange:
         finally:
             tracemalloc.stop()
         assert sizes == [1 << 24]
+        assert [arena.size for arena, _ in memos] == [1 << 25]
         assert peak < 40 * 2**20
         x = 2**33 + 1
         memo = array("h", [-1]) * (1 << 24)
@@ -212,6 +220,35 @@ class TestVerifyRange:
             memo[v >> 1] = brute_stopping_time(v)
         assert verify._walk(memo, range(x, x + 2, 2), 1 << 10, 10**6) == (
             1, brute_stopping_time(x), x, 0)
+
+    def test_every_memo_entry_follows_from_the_reduced_map(self, monkeypatch):
+        # a fill that corrupts stop times but keeps the maximum passes every
+        # summary pin, so the memo of ell 22 is checked entry by entry from
+        # the reduced map alone, never the fill's tree or jump table: entry
+        # i is s + memo[v >> 1], v the first value below the memo's bound
+        # that reduced steps reach from 2i + 1 and s their count.  Along
+        # every orbit this fixes each entry from memo[0] = 0.  One worker's
+        # memo is checked so, and two workers' must match it byte for byte
+        from collatzbin import harness
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        memos = kept_memos(monkeypatch)
+        for workers in (1, 2):
+            result = verify_range(22, workers=workers)
+            assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
+                1 << 21, 222, 3732423)
+        [(_, one), (_, two)] = memos
+        assert one.tobytes() == two.tobytes()
+        bound = len(one) << 1
+        wrong = []
+        for x in range(3, bound, 2):
+            v, s = reduced_step(x), 1
+            while v >= bound:
+                v, s = reduced_step(v), s + 1
+            if one[x >> 1] != s + one[v >> 1]:
+                wrong.append(x)
+        assert one[0] == 0
+        assert not wrong, f"{len(wrong)} entries break the recurrence, the first at {wrong[:5]}"
 
     def test_known_worst_cases(self):
         five = verify_range(5)
@@ -247,7 +284,7 @@ class TestVerifyRange:
     def test_a_start_above_the_memo_that_passes_the_cap_keeps_its_witness(self, monkeypatch,
                                                                          thread_parts, ell):
         # with a memo bound of 2**10 the longest orbits start above it, so at
-        # caps near the maximum the witness is a capped start of a slice
+        # caps near the maximum the witness is a capped start of the last round
         from collatzbin import verify
 
         monkeypatch.setattr(verify, "_MEMO_BITS", 10)
@@ -278,7 +315,7 @@ class TestVerifyRange:
     def test_slices_match_the_per_start_loop(self, monkeypatch, jump_bits, thread_parts, bits):
         # the oracle takes every start's stopping time by single reduced
         # steps; with a memo bound of 2**14, the starts above it are walked
-        # in one slice per worker, reading the memo the split blocks filled
+        # by every worker in turn, reading the memo the split blocks filled
         from collatzbin import verify
 
         jump_bits(bits)
@@ -295,7 +332,7 @@ class TestVerifyRange:
                     count, best, worst)
                 assert set(threads.mapped) == {workers}
                 if workers > 1 and ell > 14:
-                    assert len(threads.mapped) > 1  # the slices above 2**14 come last
+                    assert len(threads.mapped) > 1  # the starts above 2**14 come last
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
@@ -780,18 +817,21 @@ class TestVerifyRange:
             time.sleep(0.05)
 
     def test_the_shared_memo_is_not_imported_with_the_cli(self):
-        code = (
-            "import sys, collatzbin.cli\n"
-            "assert 'multiprocessing.heap' not in sys.modules\n"
-            "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules\n"
-            "assert 'json' not in sys.modules\n"
-            "from collatzbin import harness, verify\n"
-            "harness.os.cpu_count = lambda: 2\n"
-            "verify.verify_range(12, workers=2)\n"
-            "assert 'multiprocessing.heap' in sys.modules\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        # a run loads the memo's module when it runs, at one worker as at two
+        for workers in (1, 2):
+            code = (
+                "import sys, collatzbin.cli\n"
+                "assert 'multiprocessing.heap' not in sys.modules\n"
+                "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules\n"
+                "assert 'json' not in sys.modules\n"
+                "from collatzbin import harness, verify\n"
+                "assert 'multiprocessing.heap' not in sys.modules\n"
+                "harness.os.cpu_count = lambda: 2\n"
+                f"verify.verify_range(12, workers={workers})\n"
+                "assert 'multiprocessing.heap' in sys.modules\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
 
     def test_fill_tables_are_built_on_first_use(self):
         code = (
