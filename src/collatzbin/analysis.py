@@ -27,6 +27,7 @@ from .maps import (
     critical_point,
     embed,
     family_member,
+    log2_3_bounds,
     orbit_extents,
     reduced_step,
 )
@@ -362,44 +363,21 @@ def _gap_bits_floor(p: int, top: int) -> int:
     return ((1 << top) - p).bit_length()
 
 
-def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KStarReport:
-    """Find the first k where the error bound can reach past the critical point.
+# the exact route forms 3**k only up to this k, where 3**k has under 2**28
+# bits (32 MiB): k log2(3) < 2**27 * 1.585 < 2**28
+_MAX_POWER_K = 1 << 27
 
-    For each k the scan compares 1/2 + epsilon_bound(k, ell) against the
-    critical point c_k = 2**mu / 3**k exactly.  While the sum stays at or
-    below c_k, no orbit of a length-ell start can close up in k steps; the
-    first strict reversal is k*, returned with its critical point and bound.
-    If no reversal occurs by k_max the report says every k was excluded.
 
-    The comparison is done in integers.  With n = k // 2 and s = 3n + ell,
-    multiplying the margin c_k - 1/2 - epsilon_bound(k, ell) by
-    3**k * 2**(s+1) turns ``margin < 0`` into
+def _window_scan(ell: int, k0: int, k1: int, p3: int, margins: list | None = None) -> int | None:
+    """The first k in [k0, k1) with a negative margin, or None; p3 is 3**(k0 - 1).
 
-        gap * 2**s < E,  gap = 2**(mu+1) - 3**k,
-        E = 14 * 9**n * (9**n - 8**n)              for even k,
-        E = 3**k * (15 * (9**n - 8**n) + 8**n)      for odd k,
-
-    where 2**(mu+1) = 2**top, top the bit length of 3**k.  Only 3**k is a
-    running product; 9**n is 3**k at even k and 3**k // 3 at odd k, and 8**n
-    is 1 << 3n.  Both forms are below 16 * 3**(2k) < 2**(2 top + 4):
-    E = 14 * 3**k * (3**k - 8**n) at even k and 3**k * (5 * 3**k - 14 * 8**n)
-    at odd k.  A gap of at least b bits makes gap * 2**s >= 2**(b + s - 1),
-    so wherever b + s > 2 top + 4 the margin is positive.  The scan takes b
-    from 3**k's top 64 bits (:func:`_gap_bits_floor`, never more than the
-    gap's true bit length), so a skipped k costs one multiplication by 3
-    and forms neither the gap nor E.  Only a k that fails this test forms
-    the exact numerator gap * 2**s - E, which decides its sign.
-    ``collect_margins`` takes that exact route at every k and returns each
-    margin as the numerator over 3**k * 2**(s+1), equal to the Fraction
-    expression above.
+    The exact route of :func:`kstar_scan`: 3**k is a running product, and
+    a k whose 64-bit window test (:func:`_gap_bits_floor`) shows a positive
+    margin costs one multiplication by 3.  Every other k forms the exact
+    numerator gap * 2**s - E.  With ``margins`` every k takes the exact
+    route and appends its margin.
     """
-    if ell < 1:
-        raise ValueError("kstar_scan needs ell >= 1")
-    if k_max < 1:
-        raise ValueError("kstar_scan needs k_max >= 1")
-    margins: list[Fraction] | None = [] if collect_margins else None
-    p3 = 1
-    for k in range(1, k_max + 1):
+    for k in range(k0, k1):
         p3 *= 3
         s = 3 * (k >> 1) + ell
         top = p3.bit_length()
@@ -412,8 +390,143 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
         if margins is not None:
             margins.append(Fraction(numerator, p3 << (s + 1)))
         if numerator < 0:
-            return KStarReport(ell, k_max, k, critical_point(k), epsilon_bound(k, ell), margins)
-    return KStarReport(ell, k_max, None, None, None, margins)
+            return k
+    return None
+
+
+def _exact_scan(ell: int, k0: int, k1: int, margins: list | None = None) -> int | None:
+    """:func:`_window_scan` over [k0, k1), refused before any 3**k past ``_MAX_POWER_K``."""
+    if k1 - 1 > _MAX_POWER_K:
+        raise ValueError(f"kstar_scan would form 3**k up to k = {k1 - 1}, past k = 2**27")
+    return _window_scan(ell, k0, k1, 3 ** (k0 - 1), margins)
+
+
+def _intervals(k_max: int):
+    """The Stern-Brocot descent toward log2(3), as (k0, k1, c, d, bits) up to k1 > k_max.
+
+    a/b < log2(3) < c/d are neighbours (bc - ad = 1), from 1/1 and 2/1;
+    each step replaces one of them by the mediant (a+c)/(b+d), on the side
+    that :func:`log2_3_bounds` at ``bits`` certifies, and doubles ``bits``
+    while the bounds cannot tell.  The windows [k0, k1 = b + d) follow one
+    another from k0 = 1, and no step forms a power of 3.
+    """
+    bits = 64
+    a, b, c, d = 1, 1, 2, 1
+    k0 = 1
+    while True:
+        yield k0, b + d, c, d, bits
+        if b + d > k_max:
+            return
+        k0, p, q = b + d, a + c, b + d
+        while True:
+            lo, hi = log2_3_bounds(bits)
+            if p << bits < q * lo:
+                a, b = p, q
+                break
+            if p << bits > q * hi:
+                c, d = p, q
+                break
+            bits *= 2
+
+
+def _cleared(ell: int, k1: int, c: int, d: int, bits: int) -> bool:
+    """True when every k < k1 has t_d >= 2**(top_k - s_k + 5); see :func:`kstar_scan`.
+
+    t_d = c - d log2(3) is above room / 2**bits, room = c 2**bits - d hi,
+    so at least 2**(len(room) - 1 - bits).  top_k is at most
+    floor(k hi / 2**bits) + 1, and only k = k1 - 1 and k1 - 2 are read.
+    """
+    hi = log2_3_bounds(bits)[1]
+    room = (c << bits) - d * hi
+    if room <= 0:
+        return False
+    limit = room.bit_length() - bits - 6
+    return all(((k * hi) >> bits) + 1 - 3 * (k >> 1) - ell <= limit for k in (k1 - 1, k1 - 2) if k)
+
+
+def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KStarReport:
+    """Find the first k where the error bound can reach past the critical point.
+
+    For each k the scan compares 1/2 + epsilon_bound(k, ell) against the
+    critical point c_k = 2**mu / 3**k exactly.  While the sum stays at or
+    below c_k, no orbit of a length-ell start can close up in k steps; the
+    first strict reversal is k*, returned with its critical point and bound.
+    If no reversal occurs by k_max the report says every k was excluded.
+
+    **The exact test.**  With n = k // 2 and s = 3n + ell, multiplying the
+    margin c_k - 1/2 - epsilon_bound(k, ell) by 3**k * 2**(s+1) turns
+    ``margin < 0`` into
+
+        gap * 2**s < E,  gap = 2**(mu+1) - 3**k,
+        E = 14 * 9**n * (9**n - 8**n)              for even k,
+        E = 3**k * (15 * (9**n - 8**n) + 8**n)      for odd k,
+
+    where 2**(mu+1) = 2**top, top the bit length of 3**k.  9**n is 3**k at
+    even k and 3**k // 3 at odd k, and 8**n is 1 << 3n.  Both forms are
+    below 16 * 3**(2k) < 2**(2 top + 4): E = 14 * 3**k * (3**k - 8**n) at
+    even k and 3**k * (5 * 3**k - 14 * 8**n) at odd k.  So a margin is
+    positive wherever gap * 2**s >= 2**(2 top + 4).  :func:`_window_scan`
+    walks a window of k on a running 3**k: it reads a lower bound on the
+    gap's bit length b from 3**k's top 64 bits (:func:`_gap_bits_floor`),
+    skips the k when b + s > 2 top + 4 (then gap * 2**s >= 2**(b + s - 1)),
+    and otherwise forms the exact numerator gap * 2**s - E, whose sign
+    decides.  k* always comes from that numerator.
+
+    **Whole windows cleared at once.**  Write L = log2(3) and t_k =
+    top - k L = ceil(k L) - k L, in (0, 1) since L is irrational.
+
+    * The t/2 bound.  gap = 2**top (1 - 2**-t_k), and 1 - 2**-t is concave
+      in t, 0 at t = 0 and 1/2 at t = 1, so it is at least t/2 on [0, 1]
+      and gap >= 2**(top-1) t_k.  Hence t_k >= 2**(top - s + 5) gives
+      gap * 2**s >= 2**(2 top + 4): a positive margin.
+    * The interval lemma.  Let a/b < L < c/d with bc - ad = 1, t_d = c - d L.
+      Every 1 <= k < b + d has t_k >= t_d.  Take p = ceil(k L).  The pairs
+      (b, a) and (d, c) form a basis of the integer lattice (determinant
+      bc - ad = 1), so (k, p) = x (b, a) + y (d, c) with integers
+      x = ck - dp and y = bp - ak.  p/k > L > a/b gives y >= 1; if also
+      x >= 1, then k = xb + yd >= b + d.  So x <= 0, and
+      t_k = p - k L = -x (b L - a) + y (c - d L) >= t_d, as b L - a > 0.
+    * Two k's suffice.  top_(k+2) - top_k is 3 or 4 (2 L = 3.17) and
+      s_(k+2) - s_k = 3, so top - s never falls over a step of 2 in k,
+      and its largest value on [k0, k1) is taken at k1 - 1 or k1 - 2.
+    * The rounding.  :func:`log2_3_bounds` gives lo <= 2**P L <= hi.  So
+      t_d >= (c 2**P - d hi) / 2**P (hi rounds L up, which lowers t_d's
+      bound), top_k <= floor(k hi / 2**P) + 1 (hi rounds top up), and a
+      mediant is taken as below L only when it is below lo / 2**P, and as
+      above L only when it is above hi / 2**P.  Where the bounds cannot
+      place a mediant, P doubles.  Each comparison is of bit lengths and small integers
+      (:func:`_cleared`); none shifts by s, which may be 10**12.
+
+    So the scan descends the Stern-Brocot pairs of L (:func:`_intervals`)
+    and clears the window [k0, b + d) whole when t_d's bound reaches
+    2**(top_k - s_k + 5) at k = b + d - 1 and b + d - 2.  Only a window
+    it cannot clear is walked by :func:`_window_scan`, from 3**(k0 - 1);
+    at ell 500 that is one window of 665 k's.  The descent stops once
+    b + d > k_max.  A walk that would form 3**k past k = 2**27 (2**28
+    bits) is refused with ValueError first.
+
+    ``collect_margins`` walks every k of [1, k_max] by the exact route
+    and returns each margin as the numerator over 3**k * 2**(s+1), equal
+    to the Fraction expression above.
+    """
+    if ell < 1:
+        raise ValueError("kstar_scan needs ell >= 1")
+    if k_max < 1:
+        raise ValueError("kstar_scan needs k_max >= 1")
+    margins: list[Fraction] | None = None
+    k = None
+    if collect_margins:
+        margins = []
+        k = _exact_scan(ell, 1, k_max + 1, margins)
+    else:
+        for k0, k1, c, d, bits in _intervals(k_max):
+            if not _cleared(ell, k1, c, d, bits):
+                k = _exact_scan(ell, k0, min(k1, k_max + 1))
+                if k is not None:
+                    break
+    if k is None:
+        return KStarReport(ell, k_max, None, None, None, margins)
+    return KStarReport(ell, k_max, k, critical_point(k), epsilon_bound(k, ell), margins)
 
 
 @dataclass

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from .analysis import (
     AuditSummary,
@@ -136,9 +135,15 @@ def cmd_raster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fraction_margin(k: int, ell: int) -> Fraction:
-    """c_k - 1/2 - epsilon_bound(k, ell) by the Fraction route, not the scan's."""
-    return critical_point(k) - Fraction(1, 2) - epsilon_bound(k, ell)
+def _margin_numerator(k: int, ell: int) -> int:
+    """c - 1/2 - e times 2 c.den e.den: the margin's sign by the Fraction route, not the scan's.
+
+    c = critical_point(k) and e = epsilon_bound(k, ell).  The numerator is
+    cross-multiplied, so no sum is reduced by a gcd.
+    """
+    c, e = critical_point(k), epsilon_bound(k, ell)
+    return (c.numerator * 2 * e.denominator - c.denominator * e.denominator
+            - 2 * c.denominator * e.numerator)
 
 
 def cmd_kstar(args: argparse.Namespace) -> int:
@@ -153,9 +158,9 @@ def cmd_kstar(args: argparse.Namespace) -> int:
     print(f"eps = {to_decimal(report.epsilon, 6)}")
     # k* must be a reversal and k* - 1 (if any) must not be
     witness = None
-    if k_star > 1 and _fraction_margin(k_star - 1, args.ell) < 0:
+    if k_star > 1 and _margin_numerator(k_star - 1, args.ell) < 0:
         witness = f"k = {k_star - 1} already has a negative margin"
-    elif _fraction_margin(k_star, args.ell) >= 0:
+    elif _margin_numerator(k_star, args.ell) >= 0:
         witness = f"k = {k_star} has a nonnegative margin"
     print(f"exact margin check for k < {k_star}: {'pass' if witness is None else 'FAIL'}")
     if witness is not None:

@@ -45,6 +45,7 @@ __all__ = [
     "embed",
     "family_member",
     "is_predecessor",
+    "log2_3_bounds",
     "mu",
     "orbit_extents",
     "reduced_step",
@@ -295,6 +296,56 @@ def mu(k: int) -> int:
     if k < 1:
         raise ValueError("mu needs k >= 1")
     return (3**k).bit_length() - 1
+
+
+def _log2_digits(bits: int, work: int, up: bool) -> int:
+    """The first ``bits`` binary digits of log2(3/2), from 3/2 squared in fixed point.
+
+    x holds a number in [1, 2) with ``work`` fraction bits.  Each step
+    squares it, and a square of 2 or more gives the digit 1 and is halved.
+    Exactly, that reads one more digit of log2 x per step.  The lower track
+    (``up`` false) floors the square and the halving, so x only ever falls
+    below its exact value; the upper track ceils both, so x only rises.
+    With D_i the digits read so far and x_i the state, the invariant is
+    D_i + log2 x_i <= 2**i log2(3/2) on the lower track and >= on the upper
+    one: a square doubles both sides, a halving takes 1 from log2 x and
+    adds it to the digit, and rounding moves log2 x the track's way.  Each
+    x stays in [1, 2): a floored square of 1 or more is 1 or more, and a
+    ceiled square of a fixed-point x < 2 is below 4.  So after ``bits``
+    steps the lower track's D satisfies D <= 2**bits log2(3/2), and the
+    upper one's 2**bits log2(3/2) < D + 1.
+    """
+    x = 3 << (work - 1)
+    two = 2 << work
+    digits = 0
+    for _ in range(bits):
+        x = -(-(x * x) >> work) if up else (x * x) >> work
+        digits <<= 1
+        if x >= two:
+            digits |= 1
+            x = (x + up) >> 1
+    return digits
+
+
+@cache
+def log2_3_bounds(bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits log2(3) <= hi = lo + 1, certified without a float.
+
+    log2(3) = 1 + log2(3/2), and :func:`_log2_digits` reads 2**bits
+    log2(3/2) from below on its floored track and from above on its ceiled
+    one, at 2 bits + 64 fraction bits.  When both tracks read the same
+    digits D, lo = 2**bits + D and hi = lo + 1 bound 2**bits log2(3); since
+    log2(3) is irrational, lo is then its floor.  Where the tracks differ
+    the working precision doubles until they agree.  Cached; nothing is
+    built at import.
+    """
+    if bits < 1:
+        raise ValueError("log2_3_bounds needs bits >= 1")
+    work = 2 * bits + 64
+    while (digits := _log2_digits(bits, work, False)) != _log2_digits(bits, work, True):
+        work *= 2
+    lo = (1 << bits) + digits
+    return lo, lo + 1
 
 
 def critical_point(k: int) -> Fraction:

@@ -16,7 +16,9 @@ from collatzbin.analysis import (
     DELTA_TABLE,
     Branch,
     MapKind,
+    _cleared,
     _gap_bits_floor,
+    _intervals,
     audit_length_deltas,
     epsilon_bound,
     family_orbit_probe,
@@ -26,7 +28,15 @@ from collatzbin.analysis import (
 )
 from collatzbin.exact import GROUND_STATE, BinaryFraction, to_decimal, two_adic_valuation
 from collatzbin.harness import derive_seed, sample_fraction
-from collatzbin.maps import Family, binary_step, critical_point, embed, is_predecessor, reduced_step
+from collatzbin.maps import (
+    Family,
+    binary_step,
+    critical_point,
+    embed,
+    is_predecessor,
+    log2_3_bounds,
+    reduced_step,
+)
 from test_verify import brute_stopping_time
 
 odd_integers = st.integers(min_value=0, max_value=2**40).map(lambda m: 2 * m + 1)
@@ -57,6 +67,29 @@ def running_products_kstar(ell: int, k_max: int) -> int | None:
         if (gap << s) < factor * cofactor:
             return k
     return None
+
+
+def window_loop_kstar(ell: int, k_max: int) -> int | None:
+    """k* by the walk over every k on a running 3**k, skipping k by a 64-bit window test."""
+    p3 = 1
+    for k in range(1, k_max + 1):
+        p3 *= 3
+        s = 3 * (k >> 1) + ell
+        top = p3.bit_length()
+        if _gap_bits_floor(p3, top) + s > 2 * top + 4:
+            continue
+        odd = k & 1
+        p9, p8 = (p3 // 3 if odd else p3), 1 << (s - ell)
+        factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
+        if (((1 << top) - p3) << s) < factor * cofactor:
+            return k
+    return None
+
+
+def t_at_least(k: int, c: int, d: int) -> bool:
+    """ceil(k log2 3) - k log2 3 >= c - d log2 3, exactly: 2**(top - c) against 3**(k - d)."""
+    x, y = (3**k).bit_length() - c, k - d
+    return (1 << max(x, 0)) * 3 ** max(-y, 0) >= (1 << max(-x, 0)) * 3 ** max(y, 0)
 
 
 class TestRunTrajectory:
@@ -427,6 +460,51 @@ class TestKStarScan:
             assert report.critical == critical_point(k_star)
             assert report.epsilon == epsilon_bound(k_star, ell)
 
+    @pytest.mark.parametrize("ell", [*range(1, 70), *range(100, 1001, 50)])
+    def test_interval_scan_matches_the_window_loop(self, ell):
+        # the reference walks every k on one running 3**k; the scan walks
+        # only the Stern-Brocot windows it cannot clear
+        k_star = window_loop_kstar(ell, 20000)
+        assert k_star is not None
+        report = kstar_scan(ell, 20000)
+        assert report.k_star == k_star
+        assert report.critical == critical_point(k_star)
+        assert report.epsilon == epsilon_bound(k_star, ell)
+
+    def test_windows_tile_the_horizons_in_stern_brocot_order(self):
+        intervals = list(_intervals(3000))
+        assert intervals[0][:4] == (1, 2, 2, 1)
+        assert [k0 for k0, *_ in intervals[1:]] == [k1 for _, k1, *_ in intervals[:-1]]
+        assert intervals[-1][1] > 3000 >= intervals[-2][1]
+        # every convergent denominator up to 665 closes a window
+        ends = {k1 for _, k1, *_ in intervals}
+        assert {2, 5, 12, 41, 53, 306, 665} <= ends
+
+    def test_no_horizon_before_a_window_end_comes_closer_than_d(self):
+        # the interval lemma, exact: every k < b + d has t_k >= t_d
+        intervals = [w for w in _intervals(3000) if w[1] <= 3000]
+        assert len(intervals) >= 20
+        for _, k1, c, d, _ in intervals:
+            for k in range(1, k1):
+                assert t_at_least(k, c, d), (k, c, d)
+
+    def test_a_cleared_window_clears_each_of_its_horizons(self):
+        # the two-k test must imply the test at every k of the window, with
+        # the exact top; the t/2 bound then makes each margin positive
+        tops = [(3**k).bit_length() for k in range(3001)]
+        outcomes = set()
+        for ell in range(1, 121):
+            for k0, k1, c, d, bits in _intervals(3000):
+                outcomes.add(cleared := _cleared(ell, k1, c, d, bits))
+                if not cleared:
+                    continue
+                room = (c << bits) - d * log2_3_bounds(bits)[1]
+                assert room > 0
+                for k in range(k0, min(k1, 3001)):
+                    need = tops[k] - (3 * (k >> 1) + ell) + 5
+                    assert need <= room.bit_length() - 1 - bits, (ell, k0, k1, k)
+        assert outcomes == {False, True}
+
     @given(st.one_of(
         st.integers(min_value=1, max_value=2**64),
         st.integers(min_value=1, max_value=2**3000),
@@ -455,6 +533,14 @@ class TestKStarScan:
             tracemalloc.stop()
         assert report.excluded_all
         assert peak < 2**20
+
+    def test_a_power_past_its_limit_is_refused_before_it_is_formed(self):
+        # k* near 1.2 * 10**11 is reached in a few hundred descent steps, and
+        # its window would need a 3**k of about 2 * 10**11 bits
+        with pytest.raises(ValueError, match=r"3\*\*k up to k = \d+"):
+            kstar_scan(10**10, 10**12)
+        with pytest.raises(ValueError, match=r"up to k = 134217729"):
+            kstar_scan(10, 2**27 + 1, collect_margins=True)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -173,18 +173,34 @@ class TestScansAndAudits:
         from collatzbin import cli
 
         true_scan = cli.kstar_scan
-        for shift, witness in ((1, "k = 5 already has a negative margin"),
-                               (-1, "k = 4 has a nonnegative margin")):
-            def shifted_scan(ell, k_max, shift=shift):
-                report = true_scan(ell, k_max)
-                report.k_star += shift
-                return report
+        for ell, k_star in ((4, 5), (500, 5773)):
+            for shift, witness in ((1, f"k = {k_star} already has a negative margin"),
+                                   (-1, f"k = {k_star - 1} has a nonnegative margin")):
+                def shifted_scan(ell, k_max, shift=shift):
+                    report = true_scan(ell, k_max)
+                    report.k_star += shift
+                    return report
 
-            monkeypatch.setattr(cli, "kstar_scan", shifted_scan)
-            code, out, err = run_cli(capsys, "kstar", "--ell", "4")
-            assert code == 1
-            assert f"exact margin check for k < {5 + shift}: FAIL" in out
-            assert witness in err
+                monkeypatch.setattr(cli, "kstar_scan", shifted_scan)
+                code, out, err = run_cli(capsys, "kstar", "--ell", str(ell), "--k-max", "10000")
+                assert code == 1
+                assert f"exact margin check for k < {k_star + shift}: FAIL" in out
+                assert witness in err
+
+    def test_kstar_refuses_a_huge_power_in_bounded_memory(self):
+        # the descent reaches k* near 1.2 * 10**11 at once; its window's
+        # 3**k would take about 25 GiB, so the scan refuses it first
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from collatzbin.cli import main\n"
+            "sys.exit(main(['kstar', '--ell', str(10**10), '--k-max', str(10**12)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: kstar_scan would form 3**k up to k = ")
 
     def test_kstar_at_k_one_checks_only_k_one(self, capsys):
         code, out, _ = run_cli(capsys, "kstar", "--ell", "1")

@@ -27,6 +27,7 @@ from collatzbin.maps import (
     embed,
     family_member,
     is_predecessor,
+    log2_3_bounds,
     mu,
     orbit_extents,
     reduced_step,
@@ -398,6 +399,61 @@ class TestCircleMap:
             circle_iterate(Fraction(1, 2), 0)
         with pytest.raises(ValueError):
             circle_iterate(Fraction(1, 4), 3)
+
+
+# denominators of the convergents of log2(3) up to 15601
+CONVERGENT_DENOMINATORS = (1, 2, 5, 12, 41, 53, 306, 665, 15601)
+
+
+class TestLog2Bounds:
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_small_precisions_give_the_exact_floor(self, bits):
+        # 2**bits log2(3) = log2(3**(2**bits)), whose floor is a bit length minus 1
+        lo, hi = log2_3_bounds(bits)
+        assert lo == (3 ** (1 << bits)).bit_length() - 1
+        assert hi == lo + 1
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_floor_of_k_log2_3_is_mu(self, bits):
+        lo, hi = log2_3_bounds(bits)
+        assert hi == lo + 1
+        for k in range(1, 5001):
+            assert (k * lo) >> bits == mu(k), k
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_convergents_fall_on_the_side_of_their_powers(self, bits):
+        lo, hi = log2_3_bounds(bits)
+        for q in CONVERGENT_DENOMINATORS:
+            for p in (mu(q), mu(q) + 1):
+                # p/q < log2(3) exactly when 2**p < 3**q; the bounds must say the same
+                below, above = p << bits < q * lo, p << bits > q * hi
+                assert below != above, (p, q)
+                assert below == ((1 << p) < 3**q), (p, q)
+
+    @pytest.mark.parametrize("bits", range(1, 11))
+    def test_each_track_is_certified_at_any_working_precision(self, bits):
+        # a coarse fixed point makes the tracks differ, but each must stay on its side
+        power = 3 ** (1 << bits)
+        for work in range(1, 49):
+            low = (1 << bits) + maps._log2_digits(bits, work, False)
+            high = (1 << bits) + maps._log2_digits(bits, work, True) + 1
+            assert 1 << low <= power < 1 << high, work
+
+    def test_built_on_first_use_and_cached(self):
+        code = (
+            "import collatzbin, collatzbin.cli\n"
+            "from collatzbin import analysis, maps\n"
+            "assert maps.log2_3_bounds.cache_info().currsize == 0\n"
+            "analysis.kstar_scan(500, 10000)\n"
+            "analysis.kstar_scan(60, 1000)\n"
+            "assert maps.log2_3_bounds.cache_info().misses == 1\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            log2_3_bounds(0)
 
 
 class TestFamilies:
