@@ -346,59 +346,49 @@ class KStarReport:
         return self.k_star is None
 
 
-def _gap_bits_floor(p: int, top: int) -> int:
-    """A lower bound on (2**top - p).bit_length() for p >= 1 of ``top`` bits, read from 64 of them.
-
-    Past 64 bits, p = W 2**(top-64) + r with W = p >> (top - 64), its top
-    64 bits, and 0 <= r < 2**(top-64).  Then 2**top - p =
-    (2**64 - W) 2**(top-64) - r > g 2**(top-64), g = 2**64 - W - 1, so the
-    gap has at least top - 64 + g.bit_length() bits when g > 0.  When
-    top <= 64, or when g = 0 (an all-ones window bounds the gap only by 1),
-    the gap is small and its bit length is taken exactly.
-    """
-    if top > 64:
-        g = 0xFFFF_FFFF_FFFF_FFFF - (p >> (top - 64))
-        if g:
-            return top - 64 + g.bit_length()
-    return ((1 << top) - p).bit_length()
-
-
 # the exact route forms 3**k only up to this k, where 3**k has under 2**28
 # bits (32 MiB): k log2(3) < 2**27 * 1.585 < 2**28
 _MAX_POWER_K = 1 << 27
 
+# collected margins may hold at most this many bits (512 MiB) in all
+_MAX_MARGIN_BITS = 1 << 32
 
-def _window_scan(ell: int, k0: int, k1: int, p3: int, margins: list | None = None) -> int | None:
-    """The first k in [k0, k1) with a negative margin, or None; p3 is 3**(k0 - 1).
 
-    The exact route of :func:`kstar_scan`: 3**k is a running product, and
-    a k whose 64-bit window test (:func:`_gap_bits_floor`) shows a positive
-    margin costs one multiplication by 3.  Every other k forms the exact
-    numerator gap * 2**s - E.  With ``margins`` every k takes the exact
-    route and appends its margin.
+def _margin(ell: int, k: int) -> tuple[int, int]:
+    """k's margin as (gap * 2**s - E, 3**k * 2**(s+1)), from one 3**k; see :func:`kstar_scan`."""
+    p3 = 3**k
+    s = 3 * (k >> 1) + ell
+    top = p3.bit_length()
+    odd = k & 1
+    p9, p8 = (p3 // 3 if odd else p3), 1 << (s - ell)
+    factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
+    return (((1 << top) - p3) << s) - factor * cofactor, p3 << (s + 1)
+
+
+def _window_scan(ell: int, k0: int, k1: int, bits: int, margins: list | None = None) -> int | None:
+    """The first k in [k0, k1) with a negative margin, or None.
+
+    A k that :func:`_clears` at c = floor(k lo / 2**bits) + 1, d = k is
+    skipped; every other k takes the exact route (:func:`_margin`).  With
+    ``margins`` every k takes the exact route and appends its margin.
+    Refused with ValueError before any 3**k past ``_MAX_POWER_K``, and
+    then, with ``margins``, before any margin past ``_MAX_MARGIN_BITS``.
     """
+    if k1 - 1 > _MAX_POWER_K:
+        raise ValueError(f"kstar_scan would form 3**k up to k = {k1 - 1}, past k = 2**27")
+    size = (k1 - k0) * (2 * ell + 4 * (k1 - 1))
+    if margins is not None and size > _MAX_MARGIN_BITS:
+        raise ValueError(f"kstar_scan would collect margins of about {size} bits, past 2**32")
+    lo = log2_3_bounds(bits)[0]
     for k in range(k0, k1):
-        p3 *= 3
-        s = 3 * (k >> 1) + ell
-        top = p3.bit_length()
-        if margins is None and _gap_bits_floor(p3, top) + s > 2 * top + 4:
+        if margins is None and _clears(ell, k, ((k * lo) >> bits) + 1, k, bits):
             continue
-        odd = k & 1
-        p9, p8 = (p3 // 3 if odd else p3), 1 << (s - ell)
-        factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
-        numerator = (((1 << top) - p3) << s) - factor * cofactor
+        numerator, denominator = _margin(ell, k)
         if margins is not None:
-            margins.append(Fraction(numerator, p3 << (s + 1)))
+            margins.append(Fraction(numerator, denominator))
         if numerator < 0:
             return k
     return None
-
-
-def _exact_scan(ell: int, k0: int, k1: int, margins: list | None = None) -> int | None:
-    """:func:`_window_scan` over [k0, k1), refused before any 3**k past ``_MAX_POWER_K``."""
-    if k1 - 1 > _MAX_POWER_K:
-        raise ValueError(f"kstar_scan would form 3**k up to k = {k1 - 1}, past k = 2**27")
-    return _window_scan(ell, k0, k1, 3 ** (k0 - 1), margins)
 
 
 def _intervals(k_max: int):
@@ -429,19 +419,16 @@ def _intervals(k_max: int):
             bits *= 2
 
 
-def _cleared(ell: int, k1: int, c: int, d: int, bits: int) -> bool:
-    """True when every k < k1 has t_d >= 2**(top_k - s_k + 5); see :func:`kstar_scan`.
+def _clears(ell: int, k: int, c: int, d: int, bits: int) -> bool:
+    """True when t_k >= c - d log2(3) makes k's margin positive; see :func:`kstar_scan`.
 
-    t_d = c - d log2(3) is above room / 2**bits, room = c 2**bits - d hi,
-    so at least 2**(len(room) - 1 - bits).  top_k is at most
-    floor(k hi / 2**bits) + 1, and only k = k1 - 1 and k1 - 2 are read.
+    c - d log2(3) is above room / 2**bits, room = c 2**bits - d hi, so at
+    least 2**(len(room) - 1 - bits), and top_k is at most
+    floor(k hi / 2**bits) + 1: the test is top_k - s_k + 5 <= len(room) - 1 - bits.
     """
     hi = log2_3_bounds(bits)[1]
     room = (c << bits) - d * hi
-    if room <= 0:
-        return False
-    limit = room.bit_length() - bits - 6
-    return all(((k * hi) >> bits) + 1 - 3 * (k >> 1) - ell <= limit for k in (k1 - 1, k1 - 2) if k)
+    return room > 0 and ((k * hi) >> bits) + 1 - 3 * (k >> 1) - ell <= room.bit_length() - bits - 6
 
 
 def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KStarReport:
@@ -465,49 +452,53 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     even k and 3**k // 3 at odd k, and 8**n is 1 << 3n.  Both forms are
     below 16 * 3**(2k) < 2**(2 top + 4): E = 14 * 3**k * (3**k - 8**n) at
     even k and 3**k * (5 * 3**k - 14 * 8**n) at odd k.  So a margin is
-    positive wherever gap * 2**s >= 2**(2 top + 4).  :func:`_window_scan`
-    walks a window of k on a running 3**k: it reads a lower bound on the
-    gap's bit length b from 3**k's top 64 bits (:func:`_gap_bits_floor`),
-    skips the k when b + s > 2 top + 4 (then gap * 2**s >= 2**(b + s - 1)),
-    and otherwise forms the exact numerator gap * 2**s - E, whose sign
-    decides.  k* always comes from that numerator.
+    positive wherever gap * 2**s >= 2**(2 top + 4).  The exact route
+    (:func:`_margin`) forms 3**k and the numerator gap * 2**s - E, whose
+    sign decides; k* always comes from that numerator.
 
-    **Whole windows cleared at once.**  Write L = log2(3) and t_k =
+    **One bound on log2(3) skips the rest.**  Write L = log2(3) and t_k =
     top - k L = ceil(k L) - k L, in (0, 1) since L is irrational.
 
     * The t/2 bound.  gap = 2**top (1 - 2**-t_k), and 1 - 2**-t is concave
       in t, 0 at t = 0 and 1/2 at t = 1, so it is at least t/2 on [0, 1]
       and gap >= 2**(top-1) t_k.  Hence t_k >= 2**(top - s + 5) gives
       gap * 2**s >= 2**(2 top + 4): a positive margin.
-    * The interval lemma.  Let a/b < L < c/d with bc - ad = 1, t_d = c - d L.
+    * The rule.  For integers c, d with t_k >= c - d L, the margin at k is
+      positive when (c - d L) 2**P reaches 2**(top_k - s_k + 5 + P).
+      :func:`log2_3_bounds` gives lo <= 2**P L <= hi, so c - d L >=
+      room / 2**P with room = c 2**P - d hi (hi rounds L up, which lowers
+      the bound), and top_k <= floor(k hi / 2**P) + 1 (hi rounds top up).
+      So :func:`_clears` compares bit lengths and small integers; it never
+      shifts by s, which may be 10**12.
+    * Whole windows.  Let a/b < L < c/d with bc - ad = 1, t_d = c - d L.
       Every 1 <= k < b + d has t_k >= t_d.  Take p = ceil(k L).  The pairs
       (b, a) and (d, c) form a basis of the integer lattice (determinant
       bc - ad = 1), so (k, p) = x (b, a) + y (d, c) with integers
       x = ck - dp and y = bp - ak.  p/k > L > a/b gives y >= 1; if also
       x >= 1, then k = xb + yd >= b + d.  So x <= 0, and
       t_k = p - k L = -x (b L - a) + y (c - d L) >= t_d, as b L - a > 0.
-    * Two k's suffice.  top_(k+2) - top_k is 3 or 4 (2 L = 3.17) and
-      s_(k+2) - s_k = 3, so top - s never falls over a step of 2 in k,
-      and its largest value on [k0, k1) is taken at k1 - 1 or k1 - 2.
-    * The rounding.  :func:`log2_3_bounds` gives lo <= 2**P L <= hi.  So
-      t_d >= (c 2**P - d hi) / 2**P (hi rounds L up, which lowers t_d's
-      bound), top_k <= floor(k hi / 2**P) + 1 (hi rounds top up), and a
-      mediant is taken as below L only when it is below lo / 2**P, and as
-      above L only when it is above hi / 2**P.  Where the bounds cannot
-      place a mediant, P doubles.  Each comparison is of bit lengths and small integers
-      (:func:`_cleared`); none shifts by s, which may be 10**12.
+      top_(k+2) - top_k is 3 or 4 (2 L = 3.17) and s_(k+2) - s_k = 3, so
+      top - s never falls over a step of 2 in k, and its largest value on
+      [k0, b + d) is taken at k = b + d - 1 or b + d - 2.  The rule with
+      (c, d) at those two k's clears the window whole.
+    * Single k's.  c = floor(k lo / 2**P) + 1 and d = k: as lo <= 2**P L,
+      c <= floor(k L) + 1 = top_k, so t_k = top_k - k L >= c - k L.
 
-    So the scan descends the Stern-Brocot pairs of L (:func:`_intervals`)
-    and clears the window [k0, b + d) whole when t_d's bound reaches
-    2**(top_k - s_k + 5) at k = b + d - 1 and b + d - 2.  Only a window
-    it cannot clear is walked by :func:`_window_scan`, from 3**(k0 - 1);
-    at ell 500 that is one window of 665 k's.  The descent stops once
-    b + d > k_max.  A walk that would form 3**k past k = 2**27 (2**28
-    bits) is refused with ValueError first.
+    So the scan descends the Stern-Brocot pairs of L (:func:`_intervals`),
+    where a mediant is taken as below L only when it is below lo / 2**P,
+    as above L only when it is above hi / 2**P, and P doubles where the
+    bounds cannot place it.  It clears each window it can whole, and
+    :func:`_window_scan` tries the rule at each k of any other window;
+    only a k the rule cannot clear takes the exact route.  At ell 500
+    and 5000 that is a handful of k's.  The descent stops once b + d >
+    k_max.  A window reaching past k = 2**27, where 3**k would pass 2**28
+    bits, is refused with ValueError first.
 
     ``collect_margins`` walks every k of [1, k_max] by the exact route
     and returns each margin as the numerator over 3**k * 2**(s+1), equal
-    to the Fraction expression above.
+    to the Fraction expression above.  The margins of k <= k_max hold
+    under k_max (2 ell + 4 k_max) bits; past 2**32 of those the call is
+    refused with ValueError before any is formed, after the 3**k check.
     """
     if ell < 1:
         raise ValueError("kstar_scan needs ell >= 1")
@@ -517,11 +508,11 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     k = None
     if collect_margins:
         margins = []
-        k = _exact_scan(ell, 1, k_max + 1, margins)
+        k = _window_scan(ell, 1, k_max + 1, 64, margins)
     else:
         for k0, k1, c, d, bits in _intervals(k_max):
-            if not _cleared(ell, k1, c, d, bits):
-                k = _exact_scan(ell, k0, min(k1, k_max + 1))
+            if not all(_clears(ell, k, c, d, bits) for k in (k1 - 1, k1 - 2) if k):
+                k = _window_scan(ell, k0, min(k1, k_max + 1), bits)
                 if k is not None:
                     break
     if k is None:

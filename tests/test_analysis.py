@@ -4,6 +4,8 @@ exclusion scan, and the family probes.
 Wherever a closed form or a memoized computation is under test, a plain
 brute-force route computes the same quantity independently."""
 
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from collatzbin import analysis
 from collatzbin.analysis import (
     DELTA_TABLE,
     Branch,
     MapKind,
-    _cleared,
-    _gap_bits_floor,
+    _clears,
     _intervals,
     audit_length_deltas,
     epsilon_bound,
@@ -69,6 +71,23 @@ def running_products_kstar(ell: int, k_max: int) -> int | None:
     return None
 
 
+def gap_bits_floor(p: int, top: int) -> int:
+    """A lower bound on (2**top - p).bit_length() for p >= 1 of ``top`` bits, read from 64 of them.
+
+    Past 64 bits, p = W 2**(top-64) + r with W = p >> (top - 64), its top
+    64 bits, and 0 <= r < 2**(top-64).  Then 2**top - p =
+    (2**64 - W) 2**(top-64) - r > g 2**(top-64), g = 2**64 - W - 1, so the
+    gap has at least top - 64 + g.bit_length() bits when g > 0.  When
+    top <= 64, or when g = 0 (an all-ones window bounds the gap only by 1),
+    the gap is small and its bit length is taken exactly.
+    """
+    if top > 64:
+        g = 0xFFFF_FFFF_FFFF_FFFF - (p >> (top - 64))
+        if g:
+            return top - 64 + g.bit_length()
+    return ((1 << top) - p).bit_length()
+
+
 def window_loop_kstar(ell: int, k_max: int) -> int | None:
     """k* by the walk over every k on a running 3**k, skipping k by a 64-bit window test."""
     p3 = 1
@@ -76,7 +95,7 @@ def window_loop_kstar(ell: int, k_max: int) -> int | None:
         p3 *= 3
         s = 3 * (k >> 1) + ell
         top = p3.bit_length()
-        if _gap_bits_floor(p3, top) + s > 2 * top + 4:
+        if gap_bits_floor(p3, top) + s > 2 * top + 4:
             continue
         odd = k & 1
         p9, p8 = (p3 // 3 if odd else p3), 1 << (s - ell)
@@ -495,7 +514,8 @@ class TestKStarScan:
         outcomes = set()
         for ell in range(1, 121):
             for k0, k1, c, d, bits in _intervals(3000):
-                outcomes.add(cleared := _cleared(ell, k1, c, d, bits))
+                cleared = all(_clears(ell, k, c, d, bits) for k in (k1 - 1, k1 - 2) if k)
+                outcomes.add(cleared)
                 if not cleared:
                     continue
                 room = (c << bits) - d * log2_3_bounds(bits)[1]
@@ -504,6 +524,43 @@ class TestKStarScan:
                     need = tops[k] - (3 * (k >> 1) + ell) + 5
                     assert need <= room.bit_length() - 1 - bits, (ell, k0, k1, k)
         assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("bits", [12, 64])
+    def test_the_per_k_rule_clears_only_horizons_with_room(self, bits):
+        # the single-k rule, c = floor(k lo / 2**bits) + 1 and d = k, must imply
+        # the test with the exact top; at 12 bits the rounding of lo and hi shows
+        lo, hi = log2_3_bounds(bits)
+        hi256 = log2_3_bounds(256)[1]
+        horizons = []
+        for k in range(1, 3001):
+            top = (3**k).bit_length()
+            c = ((k * lo) >> bits) + 1
+            room = (c << bits) - k * hi
+            # t_k >= t256 / 2**256, and room / 2**bits never passes that bound
+            t256 = (top << 256) - k * hi256
+            assert room << 256 <= t256 << bits, k
+            horizons.append((k, top, c, room, t256))
+        outcomes = set()
+        for ell in range(1, 121):
+            for k, top, c, room, t256 in horizons:
+                outcomes.add(cleared := _clears(ell, k, c, k, bits))
+                if not cleared:
+                    continue
+                assert room > 0, (ell, k)
+                need = top - (3 * (k >> 1) + ell) + 5
+                assert need <= room.bit_length() - 1 - bits, (ell, k)
+                assert t256 >> (256 + need) > 0, (ell, k)
+        assert outcomes == {False, True}
+
+    def test_the_walk_forms_a_power_of_3_only_where_the_rule_fails(self, monkeypatch):
+        formed = []
+        margin = analysis._margin
+        monkeypatch.setattr(analysis, "_margin", lambda ell, k: formed.append(k) or margin(ell, k))
+        assert kstar_scan(500, 10000).k_star == 5773
+        assert formed == [5761, 5773]
+        formed.clear()
+        assert kstar_scan(5000, 100000).k_star == 58720
+        assert formed == [58720]
 
     @given(st.one_of(
         st.integers(min_value=1, max_value=2**64),
@@ -521,7 +578,7 @@ class TestKStarScan:
         top = p.bit_length()
         exact = ((1 << top) - p).bit_length()
         # a lower bound, and at most one bit short of the gap
-        assert exact - 1 <= _gap_bits_floor(p, top) <= exact
+        assert exact - 1 <= gap_bits_floor(p, top) <= exact
 
     def test_a_huge_length_skips_every_horizon_in_bounded_memory(self):
         # a gap shifted by s >= 10**12 bits would take over 100 GiB
@@ -541,6 +598,28 @@ class TestKStarScan:
             kstar_scan(10**10, 10**12)
         with pytest.raises(ValueError, match=r"up to k = 134217729"):
             kstar_scan(10, 2**27 + 1, collect_margins=True)
+
+    def test_collected_margins_past_their_bound_are_refused(self):
+        # k_max (2 ell + 4 k_max) passes 2**32 first at k_max = 32768 for ell 1
+        assert kstar_scan(1, 32767, collect_margins=True).margins == [fraction_margin(1, 1)]
+        with pytest.raises(ValueError, match=r"collect margins of about 4295032832 bits"):
+            kstar_scan(1, 32768, collect_margins=True)
+
+    def test_collected_margins_of_a_huge_length_are_refused_in_bounded_memory(self):
+        # the first margin alone at ell 10**12 would take about 125 GB
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from collatzbin.analysis import kstar_scan\n"
+            "try:\n"
+            "    kstar_scan(10**12, 100, collect_margins=True)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("kstar_scan would collect margins of about ")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

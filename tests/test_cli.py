@@ -213,6 +213,22 @@ class TestScansAndAudits:
         assert code == 0
         assert "every horizon excluded" in out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("--ell", "60"),
+         "ell = 60\nk* = 600\nc = 0.507858\neps = 0.013460\n"
+         "exact margin check for k < 600: pass\n"),
+        (("--ell", "60", "--k-max", "50"),
+         "ell = 60\nno reversal up to k = 50: every horizon excluded\n"),
+        (("--ell", "500", "--k-max", "10000"),
+         "ell = 500\nk* = 5773\nc = 0.503995\neps = 0.009688\n"
+         "exact margin check for k < 5773: pass\n"),
+        (("--ell", "5000", "--k-max", "100000"),
+         "ell = 5000\nk* = 58720\nc = 0.500678\neps = 0.003413\n"
+         "exact margin check for k < 58720: pass\n"),
+    ])
+    def test_kstar_keeps_its_exact_output(self, capsys, argv, expected):
+        assert run_cli(capsys, "kstar", *argv) == (0, expected, "")
+
     def test_verify(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--ell", "10")
         assert code == 0
