@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from .exact import BinaryFraction
@@ -308,6 +309,20 @@ def audit_length_deltas(samples: int, ell: int, seed: int = 0) -> AuditSummary:
     return summary
 
 
+def _epsilon_pair(k: int, ell: int, p3: int) -> tuple[int, int]:
+    """epsilon_bound(k, ell) as an unreduced (numerator, denominator), from p3 = 3**k.
+
+    With n = k // 2, 9**n is 3**k at even k and 3**k // 3 at odd k, and
+    8**n is 1 << 3n: the bound is 7 (9**n - 8**n) / (8**n 2**ell) at even k
+    and (15 (9**n - 8**n) + 8**n) / (2 8**n 2**ell) at odd k.
+    """
+    n, odd = divmod(k, 2)
+    p9, p8 = (p3 // 3 if odd else p3), 1 << 3 * n
+    if odd:
+        return 15 * (p9 - p8) + p8, p8 << (ell + 1)
+    return 7 * (p9 - p8), p8 << ell
+
+
 def epsilon_bound(k: int, ell: int) -> Fraction:
     """Worst-case gap between k interval-map steps and k circle-map steps.
 
@@ -321,29 +336,33 @@ def epsilon_bound(k: int, ell: int) -> Fraction:
         raise ValueError("epsilon_bound needs k >= 1")
     if ell < 1:
         raise ValueError("epsilon_bound needs ell >= 1")
-    n, odd = divmod(k, 2)
-    growth = Fraction(9, 8) ** n - 1
-    if odd:
-        coefficient = Fraction(15, 2) * growth + Fraction(1, 2)
-    else:
-        coefficient = 7 * growth
-    return coefficient / (1 << ell)
+    return Fraction(*_epsilon_pair(k, ell, 3**k))
 
 
 @dataclass
 class KStarReport:
-    """Outcome of the exclusion-horizon scan at one digit length."""
+    """Outcome of the exclusion-horizon scan at one digit length.
+
+    ``critical`` and ``epsilon`` are c_k* and epsilon_bound(k*, ell), or
+    None when no k was a reversal; each is formed when first read.
+    """
 
     ell: int
     k_max: int
     k_star: int | None
-    critical: Fraction | None
-    epsilon: Fraction | None
-    margins: list[Fraction] | None = None
+    margins: list[Fraction] | None = field(default=None, repr=False)
 
     @property
     def excluded_all(self) -> bool:
         return self.k_star is None
+
+    @cached_property
+    def critical(self) -> Fraction | None:
+        return None if self.k_star is None else critical_point(self.k_star)
+
+    @cached_property
+    def epsilon(self) -> Fraction | None:
+        return None if self.k_star is None else epsilon_bound(self.k_star, self.ell)
 
 
 # the exact route forms 3**k only up to this k, where 3**k has under 2**28
@@ -437,8 +456,9 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     For each k the scan compares 1/2 + epsilon_bound(k, ell) against the
     critical point c_k = 2**mu / 3**k exactly.  While the sum stays at or
     below c_k, no orbit of a length-ell start can close up in k steps; the
-    first strict reversal is k*, returned with its critical point and bound.
-    If no reversal occurs by k_max the report says every k was excluded.
+    first strict reversal is k*.  The report forms its critical point and
+    bound only when they are read, and says every k was excluded if no
+    reversal occurs by k_max.
 
     **The exact test.**  With n = k // 2 and s = 3n + ell, multiplying the
     margin c_k - 1/2 - epsilon_bound(k, ell) by 3**k * 2**(s+1) turns
@@ -515,9 +535,7 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
                 k = _window_scan(ell, k0, min(k1, k_max + 1), bits)
                 if k is not None:
                     break
-    if k is None:
-        return KStarReport(ell, k_max, None, None, None, margins)
-    return KStarReport(ell, k_max, k, critical_point(k), epsilon_bound(k, ell), margins)
+    return KStarReport(ell, k_max, k, margins)
 
 
 @dataclass

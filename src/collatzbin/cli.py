@@ -22,15 +22,15 @@ import sys
 from .analysis import (
     AuditSummary,
     MapKind,
+    _epsilon_pair,
     audit_length_deltas,
-    epsilon_bound,
     family_orbit_probe,
     kstar_scan,
     run_trajectory,
 )
-from .exact import BinaryFraction, to_decimal
+from .exact import BinaryFraction, _truncated
 from .harness import ExperimentConfig, run_table, write_csv
-from .maps import STEP_CAP, Family, critical_point
+from .maps import STEP_CAP, Family, _critical_pair
 from .raster import orbit_rows, render_pbm
 from .verify import DivergenceError, verify_range
 
@@ -135,15 +135,14 @@ def cmd_raster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _margin_numerator(k: int, ell: int) -> int:
-    """c - 1/2 - e times 2 c.den e.den: the margin's sign by the Fraction route, not the scan's.
+def _margin_numerator(k: int, ell: int, p3: int) -> int:
+    """c - 1/2 - e times 2 c.den e.den: the margin's sign from c and e, not the scan's numerator.
 
-    c = critical_point(k) and e = epsilon_bound(k, ell).  The numerator is
-    cross-multiplied, so no sum is reduced by a gcd.
+    c = critical_point(k) and e = epsilon_bound(k, ell), as the unreduced
+    pairs of p3 = 3**k; cross-multiplied, so no gcd is taken.
     """
-    c, e = critical_point(k), epsilon_bound(k, ell)
-    return (c.numerator * 2 * e.denominator - c.denominator * e.denominator
-            - 2 * c.denominator * e.numerator)
+    (cn, cd), (en, ed) = _critical_pair(p3), _epsilon_pair(k, ell, p3)
+    return 2 * cn * ed - cd * ed - 2 * cd * en
 
 
 def cmd_kstar(args: argparse.Namespace) -> int:
@@ -153,14 +152,15 @@ def cmd_kstar(args: argparse.Namespace) -> int:
         print(f"no reversal up to k = {report.k_max}: every horizon excluded")
         return EXIT_OK
     k_star = report.k_star
+    p3 = 3**k_star
     print(f"k* = {k_star}")
-    print(f"c = {to_decimal(report.critical, 6)}")
-    print(f"eps = {to_decimal(report.epsilon, 6)}")
+    print(f"c = {_truncated(*_critical_pair(p3), 6)}")
+    print(f"eps = {_truncated(*_epsilon_pair(k_star, args.ell, p3), 6)}")
     # k* must be a reversal and k* - 1 (if any) must not be
     witness = None
-    if k_star > 1 and _margin_numerator(k_star - 1, args.ell) < 0:
+    if k_star > 1 and _margin_numerator(k_star - 1, args.ell, p3 // 3) < 0:
         witness = f"k = {k_star - 1} already has a negative margin"
-    elif _margin_numerator(k_star, args.ell) >= 0:
+    elif _margin_numerator(k_star, args.ell, p3) >= 0:
         witness = f"k = {k_star} has a nonnegative margin"
     print(f"exact margin check for k < {k_star}: {'pass' if witness is None else 'FAIL'}")
     if witness is not None:
@@ -236,41 +236,34 @@ def cmd_families(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="collatzbin",
-        description="Exact-arithmetic Collatz dynamics on binary fractions in [1/2, 1).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trajectory", help="list one orbit with its length profile")
+def _trajectory_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--start", type=_start, required=True,
                    help="integer, or bits:<digits> for the binary map")
     p.add_argument("--map", choices=[m.value for m in MapKind], default=MapKind.BINARY.value,
                    help="binary interval map, reduced integer map, or classic map")
     p.add_argument("--max-steps", type=_int, default=STEP_CAP)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("raster", help="render a binary-map orbit as a PBM bit image")
+
+def _raster_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--start", type=_start, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-steps", type=_int, default=STEP_CAP)
-    p.set_defaults(func=cmd_raster)
 
-    p = sub.add_parser("kstar", help="scan for the first non-excluded period horizon")
+
+def _kstar_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=_int, required=True)
     p.add_argument("--k-max", type=_int, default=1000)
-    p.set_defaults(func=cmd_kstar)
 
-    p = sub.add_parser("verify", help="exhaustively verify all odd starts below 2^ell")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=_int, required=True)
     p.add_argument("--workers", type=_int, default=1)
     p.add_argument("--step-cap", type=_int, default=STEP_CAP)
-    p.set_defaults(func=cmd_verify)
 
+
+def _table1_arguments(p: argparse.ArgumentParser) -> None:
     table = ExperimentConfig()
-    p = sub.add_parser("table1", help="random-orbit worst-case table, CSV output")
     p.add_argument("--lengths", type=_ints, default=table.lengths)
     p.add_argument("--samples", type=_int, default=table.samples)
     p.add_argument("--runs", type=_int, default=table.runs)
@@ -278,26 +271,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-cap", type=_int, default=table.step_cap)
     p.add_argument("--workers", type=_int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("audit", help="randomized audit of the head/tail length table")
+
+def _audit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=_ints, required=True, help="comma-separated digit lengths")
     p.add_argument("--samples", type=_int, default=100000)
     p.add_argument("--seed", type=_int, default=0)
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("families", help="probe the 111000-block start families")
+
+def _families_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=[f.name.lower() for f in Family], required=True)
     p.add_argument("--k-max", type=_int, default=100)
     p.add_argument("--step-cap", type=_int, default=STEP_CAP)
-    p.set_defaults(func=cmd_families)
 
+
+# each subcommand, in help order: its help text, its handler and the adder of its arguments
+_COMMANDS = {
+    "trajectory": ("list one orbit with its length profile", cmd_trajectory,
+                   _trajectory_arguments),
+    "raster": ("render a binary-map orbit as a PBM bit image", cmd_raster, _raster_arguments),
+    "kstar": ("scan for the first non-excluded period horizon", cmd_kstar, _kstar_arguments),
+    "verify": ("exhaustively verify all odd starts below 2^ell", cmd_verify, _verify_arguments),
+    "table1": ("random-orbit worst-case table, CSV output", cmd_table1, _table1_arguments),
+    "audit": ("randomized audit of the head/tail length table", cmd_audit, _audit_arguments),
+    "families": ("probe the 111000-block start families", cmd_families, _families_arguments),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser with only the subcommand that argv starts with, or with all of them.
+
+    A run needs only its own command's parser; without a command name first
+    (none, -h, a misspelt name) the top-level usage and help list every one.
+    """
+    parser = _Parser(
+        prog="collatzbin",
+        description="Exact-arithmetic Collatz dynamics on binary fractions in [1/2, 1).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, handler, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
         return args.func(args)
     except DivergenceError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)

@@ -124,10 +124,15 @@ def to_decimal(r: Fraction, digits: int) -> str:
     predictable.  Truncation keeps reported constants safe to compare by
     string prefix.
     """
+    return _truncated(r.numerator, r.denominator, digits)
+
+
+def _truncated(numerator: int, denominator: int, digits: int) -> str:
+    """:func:`to_decimal` of numerator / denominator (denominator > 0), with no gcd taken."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if r < 0 or r >= 10:
-        raise ValueError(f"value out of range [0, 10): {r}")
-    whole, rest = divmod(r.numerator, r.denominator)
-    frac = rest * 10**digits // r.denominator
+    if not 0 <= numerator < 10 * denominator:
+        raise ValueError(f"value out of range [0, 10): {Fraction(numerator, denominator)}")
+    whole, rest = divmod(numerator, denominator)
+    frac = rest * 10**digits // denominator
     return f"{whole}.{frac:0{digits}d}"

@@ -348,12 +348,16 @@ def log2_3_bounds(bits: int) -> tuple[int, int]:
     return lo, lo + 1
 
 
+def _critical_pair(p3: int) -> tuple[int, int]:
+    """c_k = 2**mu(k) / 3**k as the pair (2**mu(k), 3**k), from p3 = 3**k."""
+    return 1 << (p3.bit_length() - 1), p3
+
+
 def critical_point(k: int) -> Fraction:
     """The point 2**mu(k) / 3**k in (1/2, 1) where the k-fold circle map folds."""
     if k < 1:
         raise ValueError("critical_point needs k >= 1")
-    p = 3**k
-    return Fraction(1 << (p.bit_length() - 1), p)
+    return Fraction(*_critical_pair(3**k))
 
 
 def circle_iterate(y: Fraction | int, k: int) -> Fraction:

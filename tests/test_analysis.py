@@ -20,6 +20,7 @@ from collatzbin.analysis import (
     Branch,
     MapKind,
     _clears,
+    _epsilon_pair,
     _intervals,
     audit_length_deltas,
     epsilon_bound,
@@ -32,6 +33,7 @@ from collatzbin.exact import GROUND_STATE, BinaryFraction, to_decimal, two_adic_
 from collatzbin.harness import derive_seed, sample_fraction
 from collatzbin.maps import (
     Family,
+    _critical_pair,
     binary_step,
     critical_point,
     embed,
@@ -396,6 +398,42 @@ def epsilon_recurrence(k: int, ell: int) -> Fraction:
     return e
 
 
+def epsilon_recurrences(k_max: int, ell: int) -> list[Fraction]:
+    """epsilon_recurrence(k, ell) at k = 0..k_max, two arms at a time.
+
+    The arm pattern of k + 2 is that of k followed by a quarter and a halve,
+    so each value follows from the one two places before it.
+    """
+    unit = Fraction(1, 1 << ell)
+    values = [Fraction(0), unit / 2]
+    for k in range(2, k_max + 1):
+        values.append((3 * ((3 * values[k - 2] + unit) / 4) + unit) / 2)
+    return values
+
+
+class TestIntegerForms:
+    @pytest.mark.parametrize("ell", [1, 6, 60, 500])
+    def test_the_pairs_equal_their_fractions(self, ell):
+        recurrence = epsilon_recurrences(2000, ell)
+        assert recurrence[:201] == [Fraction(0)] + [epsilon_recurrence(k, ell)
+                                                    for k in range(1, 201)]
+        for k in range(1, 2001):
+            p3 = 3**k
+            cn, cd = _critical_pair(p3)
+            # 2**mu is the one power of 2 in (3**k / 2, 3**k)
+            assert cd == p3 and cn & (cn - 1) == 0 and cn < cd < 2 * cn, k
+            assert Fraction(cn, cd) == critical_point(k), k
+            assert Fraction(*_epsilon_pair(k, ell, p3)) == recurrence[k], (ell, k)
+
+
+def epsilon_growth(k: int, ell: int) -> Fraction:
+    """The closed form in Fraction algebra: 7g or (15/2)g + 1/2, over 2**ell, g = (9/8)**(k//2) - 1."""
+    n, odd = divmod(k, 2)
+    growth = Fraction(9, 8) ** n - 1
+    coefficient = Fraction(15, 2) * growth + Fraction(1, 2) if odd else 7 * growth
+    return coefficient / (1 << ell)
+
+
 class TestEpsilonBound:
     def test_base_cases(self):
         assert epsilon_bound(1, 6) == Fraction(1, 2**7)
@@ -407,6 +445,11 @@ class TestEpsilonBound:
         for ell in (6, 60):
             for k in range(1, 201):
                 assert epsilon_bound(k, ell) == epsilon_recurrence(k, ell)
+
+    def test_matches_the_growth_expression(self):
+        for ell in (1, 6, 60, 500):
+            for k in range(1, 1001):
+                assert epsilon_bound(k, ell) == epsilon_growth(k, ell), (ell, k)
 
     def test_increasing_in_k(self):
         prev = epsilon_bound(1, 60)
@@ -620,6 +663,22 @@ class TestKStarScan:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("kstar_scan would collect margins of about ")
+
+    def test_the_report_forms_its_fractions_only_when_read(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(analysis, "critical_point", lambda k: read.append(k) or k)
+        report = kstar_scan(500, 10000)
+        assert (report.k_star, read) == (5773, [])
+        assert report.critical == report.critical == 5773
+        assert read == [5773]
+        assert kstar_scan(60, 100).critical is None
+
+    def test_a_report_of_a_long_scan_has_a_repr(self):
+        # Fractions of k* = 58720 pass Python's 4300-digit limit for integer strings
+        report = kstar_scan(5000, 100000)
+        assert repr(report) == "KStarReport(ell=5000, k_max=100000, k_star=58720)"
+        assert repr(kstar_scan(60, 1000, collect_margins=True)) == (
+            "KStarReport(ell=60, k_max=1000, k_star=600)")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

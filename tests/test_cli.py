@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +188,16 @@ class TestScansAndAudits:
                 assert code == 1
                 assert f"exact margin check for k < {k_star + shift}: FAIL" in out
                 assert witness in err
+
+    @pytest.mark.parametrize("ell", [1, 6, 60, 500])
+    def test_kstar_check_signs_match_the_fraction_margins(self, ell):
+        from test_analysis import fraction_margin
+
+        from collatzbin.cli import _margin_numerator
+
+        for k in range(1, 2001):
+            numerator, margin = _margin_numerator(k, ell, 3**k), fraction_margin(k, ell)
+            assert (numerator > 0) - (numerator < 0) == (margin > 0) - (margin < 0), (ell, k)
 
     def test_kstar_refuses_a_huge_power_in_bounded_memory(self):
         # the descent reaches k* near 1.2 * 10**11 at once; its window's
@@ -403,6 +415,9 @@ USAGE_ROUTES = {
     "two signs on --ell": ("kstar", "--ell", "+-" + "7" * 4400),
     "huge --ell with separators": ("kstar", "--ell", "_".join(["7777"] * 1100)),
     "value past the digit limit": ("trajectory", "--start", "bits:1" + "01" * 7150),
+    "misspelt subcommand": ("kstr",),
+    "option before the subcommand": ("--ell", "5", "kstar"),
+    "misspelt subcommand with help": ("kstr", "-h"),
 }
 
 
@@ -435,6 +450,66 @@ def test_a_usage_error_is_one_short_line(capsys, argv):
 def test_a_usage_error_names_its_reason(capsys, route, phrase):
     _, _, err = run_cli(capsys, *USAGE_ROUTES[route])
     assert phrase in err
+
+
+# [exit code, stdout, stderr] of every usage route and of each -h, as the CLI printed them
+# when the parser built all seven subcommands on every run
+SURFACE = json.loads(Path(__file__).with_name("cli_surface.json").read_text(encoding="utf-8"))
+SURFACE_ROUTES = {
+    **{name: (USAGE_ROUTES[name], printed) for name, printed in SURFACE["errors"].items()},
+    **{argv: (tuple(argv.split()), printed) for argv, printed in SURFACE["help"].items()},
+}
+
+
+def run_surface(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # -h exits after printing the help
+        code = exc.code
+    captured = capsys.readouterr()
+    return [code, captured.out, captured.err]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="recorded with Python 3.11's argparse; other versions word"
+                           " some of its messages differently")
+@pytest.mark.parametrize("route", SURFACE_ROUTES)
+def test_the_cli_surface_is_byte_identical(capsys, monkeypatch, route):
+    argv, printed = SURFACE_ROUTES[route]
+    assert run_surface(capsys, monkeypatch, argv) == printed
+
+
+@pytest.mark.parametrize("route", SURFACE_ROUTES)
+def test_one_subparser_prints_what_all_seven_print(capsys, monkeypatch, route):
+    from collatzbin import cli
+
+    argv = SURFACE_ROUTES[route][0]
+    alone = run_surface(capsys, monkeypatch, argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda _: build([]))  # no command named: all seven
+    assert alone == run_surface(capsys, monkeypatch, argv)
+
+
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["kstar", "--ell", "60"]) == 0
+    assert added == ["kstar"]
+    added.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    commands = ["trajectory", "raster", "kstar", "verify", "table1", "audit", "families"]
+    assert added == commands
+    help_text = capsys.readouterr().out
+    assert all(f"\n    {name} " in help_text for name in commands)
 
 
 def test_help_still_exits_zero(capsys):
