@@ -11,12 +11,10 @@ start families.  The exhaustive convergence checks live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from fractions import Fraction
 
-from .exact import BinaryFraction
+from .exact import BinaryFraction, _Record
 from .harness import MAX_SAMPLE_LENGTH, sample_numerators
 from .maps import (
     STEP_CAP,
@@ -58,8 +56,7 @@ class MapKind(Enum):
     COLLATZ = "c"
 
 
-@dataclass
-class TrajectoryRecord:
+class TrajectoryRecord(_Record):
     """A finite orbit as the integers it visits; the rest is derived from them.
 
     ``states`` are the numerators n of the iterates n / 2**len(n) for map b,
@@ -179,8 +176,7 @@ DELTA_TABLE: dict[tuple[str, str], tuple[int | None, int]] = {
 }
 
 
-@dataclass
-class HeadTailReport:
+class HeadTailReport(_Record):
     """Classification of one point against the head/tail length table."""
 
     y: BinaryFraction
@@ -227,8 +223,7 @@ def head_tail_classify(y: BinaryFraction) -> HeadTailReport:
 _WITNESS_CHARS = 1 << 20
 
 
-@dataclass
-class AuditSummary:
+class AuditSummary(_Record):
     """Result of a randomized audit of the head/tail table at one length.
 
     ``violation_count`` counts every violation; ``violations`` holds their
@@ -240,11 +235,12 @@ class AuditSummary:
     ell: int
     samples: int
     seed: int
-    cell_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
+    cell_counts: dict[tuple[str, str], int] = {}
+    violations: list[str] = []
     violation_count: int = 0
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.ell < 6:
             raise ValueError("audit needs ell >= 6")
         if self.ell > MAX_SAMPLE_LENGTH:
@@ -336,21 +332,23 @@ def epsilon_bound(k: int, ell: int) -> Fraction:
         raise ValueError("epsilon_bound needs k >= 1")
     if ell < 1:
         raise ValueError("epsilon_bound needs ell >= 1")
+    from fractions import Fraction
+
     return Fraction(*_epsilon_pair(k, ell, 3**k))
 
 
-@dataclass
-class KStarReport:
+class KStarReport(_Record, hide=("margins",)):
     """Outcome of the exclusion-horizon scan at one digit length.
 
     ``critical`` and ``epsilon`` are c_k* and epsilon_bound(k*, ell), or
-    None when no k was a reversal; each is formed when first read.
+    None when no k was a reversal; each is formed when first read.  The
+    ``repr`` leaves out ``margins``.
     """
 
     ell: int
     k_max: int
     k_star: int | None
-    margins: list[Fraction] | None = field(default=None, repr=False)
+    margins: list[Fraction] | None = None
 
     @property
     def excluded_all(self) -> bool:
@@ -396,8 +394,10 @@ def _window_scan(ell: int, k0: int, k1: int, bits: int, margins: list | None = N
     if k1 - 1 > _MAX_POWER_K:
         raise ValueError(f"kstar_scan would form 3**k up to k = {k1 - 1}, past k = 2**27")
     size = (k1 - k0) * (2 * ell + 4 * (k1 - 1))
-    if margins is not None and size > _MAX_MARGIN_BITS:
-        raise ValueError(f"kstar_scan would collect margins of about {size} bits, past 2**32")
+    if margins is not None:
+        if size > _MAX_MARGIN_BITS:
+            raise ValueError(f"kstar_scan would collect margins of about {size} bits, past 2**32")
+        from fractions import Fraction
     lo = log2_3_bounds(bits)[0]
     for k in range(k0, k1):
         if margins is None and _clears(ell, k, ((k * lo) >> bits) + 1, k, bits):
@@ -538,15 +538,14 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     return KStarReport(ell, k_max, k, margins)
 
 
-@dataclass
-class FamilyProbe:
+class FamilyProbe(_Record):
     """Stopping times across one structured start family."""
 
     kind: Family
     k_max: int
     step_cap: int
-    stopping_times: dict[int, int] = field(default_factory=dict)
-    unresolved: list[int] = field(default_factory=list)
+    stopping_times: dict[int, int] = {}
+    unresolved: list[int] = []
 
     @property
     def ok(self) -> bool:

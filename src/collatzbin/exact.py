@@ -3,12 +3,12 @@
 Every odd integer embeds into [1/2, 1) as a terminating binary fraction
 whose expansion starts and ends with a 1 bit.  The pair (numerator, length)
 pins that value down exactly, so the whole package can run on plain integer
-arithmetic.  No floats anywhere; rational values use fractions.Fraction.
+arithmetic.  No floats anywhere; rational values use fractions.Fraction,
+imported only by the functions that build one, so that importing the
+package (and the CLI) loads neither ``fractions`` nor ``decimal``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 __all__ = [
     "BinaryFraction",
@@ -17,6 +17,58 @@ __all__ = [
     "to_decimal",
     "two_adic_valuation",
 ]
+
+
+class _Record:
+    """A plain record class: its fields are the names its class body annotates, in order.
+
+    The package's result and configuration records derive from it, in place
+    of ``dataclasses``, whose import and class decoration cost every CLI
+    process several milliseconds.  ``__init__`` takes the fields by position
+    or keyword; a field with a class attribute defaults to it, and an empty
+    dict or list default is copied, so each instance gets its own.  The
+    ``repr`` has the dataclasses format, ``Name(field=value!r, ...)``,
+    without the fields named in the class keyword ``hide``.  Two records are
+    equal when they are of one class and all their fields are equal, and a
+    record is not hashable.
+    """
+
+    def __init_subclass__(cls, hide: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._names = frozenset(cls._fields)
+        cls._shown = tuple(name for name in cls._fields if name not in hide)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if args:
+            named = len(kwargs)
+            kwargs.update(zip(cls._fields, args))
+            if len(args) > len(cls._fields) or len(kwargs) < named + len(args):
+                raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} fields, "
+                                "each at most once, by position or keyword")
+        if kwargs.keys() != cls._names:
+            for name in cls._fields:
+                if name not in kwargs:
+                    if name not in cls._defaults:
+                        raise TypeError(f"{cls.__name__}() is missing the field {name!r}")
+                    default = cls._defaults[name]
+                    kwargs[name] = default.copy() if isinstance(default, (dict, list)) else default
+            if len(kwargs) > len(cls._fields):
+                unknown = min(kwargs.keys() - cls._names)
+                raise TypeError(f"{cls.__name__}() has no field {unknown!r}")
+        self.__dict__ = kwargs
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return [getattr(self, n) for n in self._fields] == [getattr(other, n) for n in self._fields]
+
 
 def two_adic_valuation(n: int) -> int:
     """Return the largest v such that 2**v divides n.
@@ -84,6 +136,8 @@ class BinaryFraction:
     @property
     def value(self) -> Fraction:
         """The exact rational value n / 2**ell."""
+        from fractions import Fraction
+
         return Fraction(self._num, 1 << self._ell)
 
     def __eq__(self, other: object) -> bool:
@@ -132,6 +186,8 @@ def _truncated(numerator: int, denominator: int, digits: int) -> str:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if not 0 <= numerator < 10 * denominator:
+        from fractions import Fraction
+
         raise ValueError(f"value out of range [0, 10): {Fraction(numerator, denominator)}")
     whole, rest = divmod(numerator, denominator)
     frac = rest * 10**digits // denominator

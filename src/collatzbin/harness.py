@@ -30,11 +30,10 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 from contextlib import closing
-from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import repeat
 
-from .exact import BinaryFraction
+from .exact import BinaryFraction, _Record
 from .maps import STEP_CAP, _end_table, _jump_table, orbit_extents
 
 __all__ = [
@@ -196,8 +195,7 @@ def sample_numerators(ell: int, master_seed: int, run: int, count: int) -> Itera
         yield from _draw(ell, seeds, n, mask, hi, lo, firsts, unpack)
 
 
-@dataclass
-class CellSummary:
+class CellSummary(_Record):
     """Worst-case orbit statistics for one (length, samples, runs) cell.
 
     The field order is the CSV column order.
@@ -213,10 +211,10 @@ class CellSummary:
     capped_count: int
 
     def csv_row(self) -> str:
-        return ",".join(str(getattr(self, f.name)) for f in fields(self))
+        return ",".join(str(getattr(self, name)) for name in self._fields)
 
 
-CSV_HEADER = ",".join(f.name for f in fields(CellSummary))
+CSV_HEADER = ",".join(CellSummary._fields)
 
 
 def pool_size(workers: int) -> int:
@@ -322,8 +320,7 @@ def fan_out(fn, items: range, workers: int) -> list:
         return parts.map([(part,) for part in split(items, parts.n)])
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Configuration for a multi-length experiment table, checked on construction."""
 
     lengths: tuple[int, ...] = (50, 100)
@@ -332,7 +329,8 @@ class ExperimentConfig:
     master_seed: int = 20250815
     step_cap: int = STEP_CAP
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not self.lengths or not all(3 <= ell <= MAX_SAMPLE_LENGTH for ell in self.lengths):
             raise ValueError(
                 "lengths must be nonempty with every entry from 3 to"
@@ -342,12 +340,11 @@ class ExperimentConfig:
             raise ValueError("samples, runs, and step_cap must be >= 1")
 
 
-@dataclass
-class ExperimentSummary:
+class ExperimentSummary(_Record):
     """One CellSummary per configured length, in configuration order."""
 
     config: ExperimentConfig
-    cells: list[CellSummary] = field(default_factory=list)
+    cells: list[CellSummary] = []
 
     def to_csv(self) -> str:
         rows = [CSV_HEADER] + [cell.csv_row() for cell in self.cells]

@@ -26,7 +26,6 @@ Three layers, all exact:
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 
 from .exact import BinaryFraction, two_adic_valuation
@@ -55,7 +54,6 @@ __all__ = [
 STEP_CAP = 10**6
 # orbit_extents jumps this many steps of T at a time through a 2**K-entry table
 _JUMP_BITS = 10
-_TWO_THIRDS = Fraction(2, 3)
 
 
 class Branch(Enum):
@@ -285,10 +283,12 @@ def binary_step(y: BinaryFraction) -> BinaryFraction:
 
 def circle_step(y: Fraction | int) -> Fraction:
     """One step of the comparison circle map: 3y/2 on [1/2, 2/3), 3y/4 on [2/3, 1)."""
+    from fractions import Fraction
+
     y = Fraction(y)
     if not Fraction(1, 2) <= y < 1:
         raise ValueError(f"circle_step is defined on [1/2, 1), got {y}")
-    return 3 * y / 2 if y < _TWO_THIRDS else 3 * y / 4
+    return 3 * y / 2 if y < Fraction(2, 3) else 3 * y / 4
 
 
 def mu(k: int) -> int:
@@ -357,6 +357,8 @@ def critical_point(k: int) -> Fraction:
     """The point 2**mu(k) / 3**k in (1/2, 1) where the k-fold circle map folds."""
     if k < 1:
         raise ValueError("critical_point needs k >= 1")
+    from fractions import Fraction
+
     return Fraction(*_critical_pair(3**k))
 
 
@@ -367,6 +369,8 @@ def circle_iterate(y: Fraction | int, k: int) -> Fraction:
     halving at or above it; agrees with composing :func:`circle_step` k
     times.
     """
+    from fractions import Fraction
+
     y = Fraction(y)
     if not Fraction(1, 2) <= y < 1:
         raise ValueError(f"circle_iterate is defined on [1/2, 1), got {y}")
@@ -378,6 +382,8 @@ def circle_iterate(y: Fraction | int, k: int) -> Fraction:
 
 def circle_preimage(y: Fraction | int) -> Fraction:
     """Inverse of :func:`circle_step`: 2y/3 on [3/4, 1), 4y/3 on [1/2, 3/4)."""
+    from fractions import Fraction
+
     y = Fraction(y)
     if not Fraction(1, 2) <= y < 1:
         raise ValueError(f"circle_preimage is defined on [1/2, 1), got {y}")

@@ -14,12 +14,11 @@ import sys
 from array import array
 from collections.abc import Iterator
 from contextlib import closing
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
 
 from . import maps
+from .exact import _Record
 from .harness import Parts, pool_size
 
 __all__ = ["DivergenceError", "RangeVerification", "verify_range"]
@@ -37,8 +36,7 @@ class DivergenceError(Exception):
         return f"orbit of {self.start} exceeded the step cap of {self.step_cap}"
 
 
-@dataclass
-class RangeVerification:
+class RangeVerification(_Record):
     """Exhaustive convergence summary for all odd starts below 2**ell."""
 
     ell: int
@@ -54,13 +52,17 @@ class RangeVerification:
 # a state at or above 2**K (see _walk)
 _MEMO_BITS = 25
 # the memo fill copies a residue class as one slice when each start's stop
-# time follows from an iterate at most this share of it (see _FillTree)
-_FILL_RATIO = Fraction(27, 32)
+# time follows from an iterate at most this share of it, the pair (p, q) for
+# the ratio p/q (see _FillTree)
+_FILL_RATIO = (27, 32)
 # a fill block takes the tree's classes down to the depth where one still
 # holds this many of its starts (see _fill_depth); 8 and 32 were no faster
 _CLASS_STARTS = 16
 # the most starts of a class copied in one slice, so no slice is large
 _PIECE = 1 << 12
+# the parts share an open residue's starts in runs of this many per part;
+# which part takes a run's first start turns from run to run (see _fill_block)
+_RUN = 1 << 11
 
 
 def _walk(
@@ -166,11 +168,12 @@ class _FillTree:
     here, once per run (see :func:`verify_range`); ``fields`` holds the b,
     m, c and offset of every class, one array each, in order of depth m,
     ``ends[M]`` counts the classes of depth at most M, and ``opens[M]``
-    holds the residues open at M.
+    holds the residues open at M.  ``ratio`` is an integer pair (p, q) that
+    stands for p/q, so the tree tests 3**c q <= p 2**j in integers.
     """
 
-    def __init__(self, ratio: Fraction, depth: int) -> None:
-        self.ratio = ratio
+    def __init__(self, ratio: tuple[int, int], depth: int) -> None:
+        self.ratio = p, q = ratio
         # int32 holds every residue and offset of a tree less than 32 levels deep
         self.fields = tuple(array("i") for _ in range(4))
         self.ends = [0, 0]
@@ -182,7 +185,7 @@ class _FillTree:
             opens, next_values, next_odds = array("i"), array("q"), array("b")
             for b, v, c in zip(self.opens[m], values, odds):
                 power = 3**c
-                resolves = power * ratio.denominator <= ratio.numerator << m
+                resolves = power * q <= p << m
                 # T^m(b + 2**m) = T^m(b) + 3**c: the two children differ in that parity only
                 for child, w in ((b, v), (b | 1 << m, v + power)):
                     if m == 2 and child == 5:
@@ -256,17 +259,20 @@ def _fill_block(
     """Fill part ``part`` of ``parts`` of one block [lo, hi) of :func:`_fill_memo`.
 
     The block's classes are those of ``tree`` of depth at most ``depth``,
-    and the part copies every ``parts``-th of them, from the ``part``-th,
-    in pieces of at most ``_PIECE`` starts; of every residue still open at
-    ``depth`` it walks every ``parts``-th start in the block, from the
-    ``part``-th, down below lo by :func:`_walk`, so the first block's one
-    residue is shared too.  A class with c > 0 adds c to its source piece
-    in one packed add (:func:`_add_lanes`).  Every entry read lies below
-    lo, so the fill has checked it to be in [0, ``below``], ``below`` the
-    largest entry below lo; a piece whose largest sum, taken only when it
-    passes ``below``, passes 0x7FFF raises OverflowError before it is
-    stored, as ``array("h")`` does.  A class with no start in the block is
-    skipped.  The part writes only the entries of its own starts in
+    and the part copies every ``parts``-th of them, from the ``part``-th, in
+    pieces of at most ``_PIECE`` starts.  The starts of every residue still
+    open at ``depth`` are cut into runs of ``parts * _RUN`` consecutive
+    ones, from lo, and in run w the part walks every ``parts``-th start from
+    the ((part + w) mod ``parts``)-th, down below lo by :func:`_walk`.  So
+    the first block's one residue is shared too, and in the last round, one
+    residue at depth 1, each part walks starts of every size, and as many
+    1 mod 4, which fall faster, as 3 mod 4.  A class with c > 0 adds c to
+    its source piece in one packed add (:func:`_add_lanes`).  Every entry
+    read lies below lo, so the fill has checked it to be in [0, ``below``],
+    ``below`` the largest entry below lo; a piece whose largest sum, taken
+    only when it passes ``below``, passes 0x7FFF raises OverflowError before
+    it is stored, as ``array("h")`` does.  A class with no start in the
+    block is skipped.  The part writes only the entries of its own starts in
     [lo, hi) and reads only entries below lo, so the parts of a block can
     run at once on one shared memo.
 
@@ -297,27 +303,32 @@ def _fill_block(
                     found.append((0, top, *_found(ys, top, 2 * x + 1, 2 * step, step_cap)))
             memo[x : x + n * step : step] = ys
         count += end - first
-    mask = (1 << depth) - 1
-    head, period = lo + part * (mask + 1), parts * (mask + 1)
-    starts = chain.from_iterable(range(head + (b - lo & mask), hi, period) for b in opens)
+    mask, period, span = (1 << depth) - 1, parts << depth, parts * _RUN << depth
+    # each run: where it starts and ends, and how far past a residue's first start this part starts
+    runs = ((at, min(at + span, hi), (part + w) % parts << depth)
+            for w, at in enumerate(range(lo, hi, span)))
+    starts = chain.from_iterable(range(at + (b - at & mask) + skip, end, period)
+                                 for at, end, skip in runs for b in opens)
     walks, *walked = _walk(memo, starts, lo, step_cap)
     return _merge([(count + walks, *walked), *found])
 
 
-def _blocks(top: int, ratio: Fraction) -> Iterator[tuple[int, int, int]]:
+def _blocks(top: int, ratio: tuple[int, int]) -> Iterator[tuple[int, int, int]]:
     """The fill blocks (lo, hi, depth) of :func:`_fill_memo` at ``ratio``, from 2**K up to ``top``.
 
-    The first is [2**K, 2**K a0) at depth 1, a0 the smallest a with
-    floor(a / ratio) > a, and K = ``maps._JUMP_BITS``.  Each next block
-    [lo, hi) starts at the last one's end: with h = floor(lo / ratio),
-    its depth is M = ``_fill_depth(lo, h)``, and hi is h rounded down to a
-    multiple of 2**M.  Every hi is cut at ``top``, and the last block ends
-    there.
+    ``ratio`` is the pair (p, q) of :class:`_FillTree`, for rho = p/q < 1.
+    The first block is [2**K, 2**K a0) at depth 1, a0 = ceil(p / (q - p)),
+    the smallest a with floor(a / rho) > a, and K = ``maps._JUMP_BITS``.
+    Each next block [lo, hi) starts at the last one's end: with
+    h = floor(lo / rho) = floor(lo q / p), its depth is
+    M = ``_fill_depth(lo, h)``, and hi is h rounded down to a multiple of
+    2**M.  Every hi is cut at ``top``, and the last block ends there.
     """
-    lo, hi, depth = 1 << maps._JUMP_BITS, -(-ratio // (1 - ratio)) << maps._JUMP_BITS, 1
+    p, q = ratio
+    lo, hi, depth = 1 << maps._JUMP_BITS, -(-p // (q - p)) << maps._JUMP_BITS, 1
     while lo < top:
         yield lo, min(hi, top), depth
-        lo, h = hi, hi // ratio
+        lo, h = hi, hi * q // p
         depth = _fill_depth(lo, h)
         hi = h >> depth << depth
 

@@ -7,7 +7,6 @@ brute-force route computes the same quantity independently."""
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from collatzbin import analysis
 from collatzbin.analysis import (
     DELTA_TABLE,
     Branch,
+    HeadTailReport,
     MapKind,
     _clears,
     _epsilon_pair,
@@ -213,8 +213,8 @@ class TestHeadTailTable:
         assert (rep.head, rep.tail) == ("h4", "t4")
         assert (rep.predicted_min, rep.predicted_max) == (1, 1)
         assert rep.observed_delta == 1
-        assert not replace(rep, observed_delta=0).within_bounds()
-        assert not replace(rep, observed_delta=2).within_bounds()
+        assert not HeadTailReport(**{**vars(rep), "observed_delta": 0}).within_bounds()
+        assert not HeadTailReport(**{**vars(rep), "observed_delta": 2}).within_bounds()
 
         rep = head_tail_classify(bf("100001"))
         assert (rep.head, rep.tail) == ("h1", "t1")

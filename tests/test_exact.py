@@ -1,5 +1,8 @@
-"""Tests for the exact-arithmetic layer: normal form, comparison, decimals."""
+"""Tests for the exact-arithmetic layer: normal form, comparison, decimals,
+and the plain record class that the package's results derive from."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +10,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collatzbin import (
+    AuditSummary,
+    Branch,
+    CellSummary,
+    ExperimentConfig,
+    ExperimentSummary,
+    Family,
+    FamilyProbe,
+    HeadTailReport,
+    KStarReport,
+    MapKind,
+    RangeVerification,
+    TrajectoryRecord,
+    audit_length_deltas,
+    family_orbit_probe,
+    head_tail_classify,
+    kstar_scan,
+    run_table,
+    run_trajectory,
+    verify_range,
+)
 from collatzbin.exact import (
     GROUND_STATE,
     BinaryFraction,
@@ -144,3 +168,106 @@ class TestTwoAdicValuation:
             two_adic_valuation(0)
         with pytest.raises(ValueError):
             two_adic_valuation(-8)
+
+
+# each record built by its constructor and by the library, with the repr the
+# dataclass version of the record gave; KStarReport's leaves out its margins
+RECORD_REPRS = [
+    (lambda: RangeVerification(22, 2097152, 222, 3732423),
+     'RangeVerification(ell=22, verified_count=2097152, max_stopping_time=222, worst_start=3732423)'),
+    (lambda: verify_range(12),
+     'RangeVerification(ell=12, verified_count=2048, max_stopping_time=87, worst_start=3711)'),
+    (lambda: CellSummary(50, 500, 10, 13, 463, 20250815, 'splitmix64', 0),
+     "CellSummary(length=50, samples=500, runs=10, max_length_delta=13, max_stop_time=463, seed=20250815, rng_id='splitmix64', capped_count=0)"),
+    (lambda: ExperimentConfig(),
+     'ExperimentConfig(lengths=(50, 100), samples=500, runs=10, master_seed=20250815, step_cap=1000000)'),
+    (lambda: ExperimentConfig(lengths=(3,), samples=1, runs=2, master_seed=7, step_cap=150),
+     'ExperimentConfig(lengths=(3,), samples=1, runs=2, master_seed=7, step_cap=150)'),
+    (lambda: ExperimentSummary(ExperimentConfig((30,), 2, 1)),
+     'ExperimentSummary(config=ExperimentConfig(lengths=(30,), samples=2, runs=1, master_seed=20250815, step_cap=1000000), cells=[])'),
+    (lambda: run_table(ExperimentConfig((30, 64), 20, 2, step_cap=150)),
+     "ExperimentSummary(config=ExperimentConfig(lengths=(30, 64), samples=20, runs=2, master_seed=20250815, step_cap=150), cells=[CellSummary(length=30, samples=20, runs=2, max_length_delta=6, max_stop_time=127, seed=20250815, rng_id='splitmix64', capped_count=0), CellSummary(length=64, samples=20, runs=2, max_length_delta=6, max_stop_time=150, seed=20250815, rng_id='splitmix64', capped_count=15)])"),
+    (lambda: HeadTailReport(BinaryFraction(89, 7), 'h3', 't3', Branch.LOW, None, -1, -3),
+     "HeadTailReport(y=BinaryFraction(89, 7), head='h3', tail='t3', branch=<Branch.LOW: 'low'>, predicted_min=None, predicted_max=-1, observed_delta=-3)"),
+    (lambda: head_tail_classify(BinaryFraction.from_bits('1110011')),
+     "HeadTailReport(y=BinaryFraction(115, 7), head='h4', tail='t2', branch=<Branch.HIGH: 'high'>, predicted_min=1, predicted_max=1, observed_delta=1)"),
+    (lambda: AuditSummary(16, 1000, 0),
+     'AuditSummary(ell=16, samples=1000, seed=0, cell_counts={}, violations=[], violation_count=0)'),
+    (lambda: audit_length_deltas(20, 8, seed=3),
+     "AuditSummary(ell=8, samples=20, seed=3, cell_counts={('h2', 't2'): 1, ('h3', 't4'): 1, ('h4', 't1'): 2, ('h4', 't3'): 3, ('h2', 't3'): 1, ('h4', 't2'): 4, ('h3', 't1'): 2, ('h2', 't4'): 2, ('h2', 't1'): 1, ('h1', 't4'): 1, ('h1', 't2'): 2}, violations=[], violation_count=0)"),
+    (lambda: AuditSummary(6, 2, 1, {('h1', 't1'): 2}, ['100001: delta 9'], 1),
+     "AuditSummary(ell=6, samples=2, seed=1, cell_counts={('h1', 't1'): 2}, violations=['100001: delta 9'], violation_count=1)"),
+    (lambda: KStarReport(60, 1000, 600),
+     'KStarReport(ell=60, k_max=1000, k_star=600)'),
+    (lambda: kstar_scan(60, 50, collect_margins=True),
+     'KStarReport(ell=60, k_max=50, k_star=None)'),
+    (lambda: KStarReport(7, 9, None, [Fraction(1, 3)]),
+     'KStarReport(ell=7, k_max=9, k_star=None)'),
+    (lambda: FamilyProbe(Family.BETA, 4, 100),
+     "FamilyProbe(kind=<Family.BETA: '11'>, k_max=4, step_cap=100, stopping_times={}, unresolved=[])"),
+    (lambda: family_orbit_probe(Family.GAMMA, 3),
+     "FamilyProbe(kind=<Family.GAMMA: '111'>, k_max=3, step_cap=1000000, stopping_times={1: 12, 2: 34, 3: 58}, unresolved=[])"),
+    (lambda: FamilyProbe(Family.ALPHA, 2, 5, {1: 2}, [2]),
+     "FamilyProbe(kind=<Family.ALPHA: '1'>, k_max=2, step_cap=5, stopping_times={1: 2}, unresolved=[2])"),
+    (lambda: TrajectoryRecord(MapKind.REDUCED, [7, 11, 17], None),
+     "TrajectoryRecord(map_kind=<MapKind.REDUCED: 'r'>, states=[7, 11, 17], stopping_time=None)"),
+    (lambda: run_trajectory(5, MapKind.COLLATZ),
+     "TrajectoryRecord(map_kind=<MapKind.COLLATZ: 'c'>, states=[5, 16, 8, 4, 2, 1], stopping_time=5)"),
+    (lambda: run_trajectory(BinaryFraction(11, 4)),
+     "TrajectoryRecord(map_kind=<MapKind.BINARY: 'b'>, states=[11, 17, 13, 5, 1], stopping_time=4)"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("build, expected", RECORD_REPRS, ids=[
+        f"{i}-{r[: r.index('(')]}" for i, (_, r) in enumerate(RECORD_REPRS)])
+    def test_a_record_keeps_its_repr_and_compares_by_its_fields(self, build, expected):
+        record = build()
+        assert repr(record) == expected
+        assert record == build() and not record != build()
+        assert pickle.loads(pickle.dumps(record)) == record
+        for name in record._fields:
+            changed = copy.copy(record)
+            setattr(changed, name, "changed")
+            assert changed != record and record != changed
+        assert record != tuple(getattr(record, name) for name in record._fields)
+        with pytest.raises(TypeError):
+            hash(record)
+
+    def test_fields_come_in_their_declared_order(self):
+        # the CSV columns are CellSummary's fields, in order
+        assert CellSummary._fields == ("length", "samples", "runs", "max_length_delta",
+                                       "max_stop_time", "seed", "rng_id", "capped_count")
+        cell = CellSummary(50, 500, 10, 13, 463, 20250815, "splitmix64", 0)
+        assert cell.csv_row() == "50,500,10,13,463,20250815,splitmix64,0"
+        assert KStarReport._fields == ("ell", "k_max", "k_star", "margins")
+        report = kstar_scan(60, 30, collect_margins=True)
+        assert len(report.margins) == 30
+        assert "margins" not in repr(report)
+
+    def test_an_empty_container_default_is_built_for_each_record(self):
+        first, second = AuditSummary(16, 10, 0), AuditSummary(16, 10, 0)
+        first.violations.append("w")
+        first.cell_counts[("h1", "t1")] = 1
+        assert (second.violations, second.cell_counts) == ([], {})
+        assert (AuditSummary.violations, AuditSummary.cell_counts) == ([], {})
+        probe = FamilyProbe(Family.ALPHA, 2, 5)
+        probe.unresolved.append(2)
+        probe.stopping_times[1] = 2
+        assert FamilyProbe(Family.ALPHA, 2, 5) == FamilyProbe(Family.ALPHA, 2, 5, {}, [])
+        summary = ExperimentSummary(ExperimentConfig())
+        summary.cells.append(None)
+        assert ExperimentSummary(ExperimentConfig()).cells == []
+
+    def test_a_record_refuses_arguments_its_fields_do_not_take(self):
+        for build in (
+            lambda: RangeVerification(22, 1, 2),  # one field missing
+            lambda: RangeVerification(22, 1, 2, 3, 4),  # one too many
+            lambda: RangeVerification(22, 1, 2, 3, ell=22),  # ell twice
+            lambda: RangeVerification(22, 1, 2, worst=3),  # no such field
+            lambda: KStarReport(60, 1000, critical=None),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        assert RangeVerification(worst_start=3, ell=22, max_stopping_time=2,
+                                 verified_count=1) == RangeVerification(22, 1, 2, 3)

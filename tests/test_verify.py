@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from array import array
@@ -303,7 +304,7 @@ class TestVerifyRange:
 
         jump_bits(bits)
         stops = brute_stops(15)
-        tree = verify._FillTree(Fraction(27, 32), 16)
+        tree = verify._FillTree((27, 32), 16)
         for top in (1 << 15, (1 << 15) - 2002, 6146):
             memo = array("h", [-1]) * (1 << 14)
             parts = Parts(partial(verify._fill_block, memo, tree), 1)
@@ -348,7 +349,7 @@ class TestVerifyRange:
         monkeypatch.setattr(verify, "_PIECE", 5)
         threads = thread_parts(parts)
         stops = brute_stops(15)
-        tree = verify._FillTree(Fraction(27, 32), 16)
+        tree = verify._FillTree((27, 32), 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -387,7 +388,7 @@ class TestVerifyRange:
                         if top <= 0x7FFF:
                             assert added == array("h", sums)
 
-    @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
+    @pytest.mark.parametrize("rho", [(27, 32), (3, 4)])
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
     def test_the_tree_partitions_the_odd_residues_by_its_rule(self, jump_bits, bits, rho):
         # at every depth M, the classes of depth at most M (each standing
@@ -398,7 +399,7 @@ class TestVerifyRange:
         from collatzbin import verify
 
         jump_bits(bits)
-        tree = brute_tree(16, rho)
+        tree = brute_tree(16, Fraction(*rho))
         fill_tree = verify._FillTree(rho, 16)
         for depth in range(3, 17):
             classes, opens = fill_tree.level(depth)
@@ -425,7 +426,7 @@ class TestVerifyRange:
 
         jump_bits(bits)
         stops = brute_stops(15)
-        classes, _ = verify._FillTree(Fraction(27, 32), 16).level(16)
+        classes, _ = verify._FillTree((27, 32), 16).level(16)
         checked = 0
         for b, m, c, stride, offset in classes:
             for a in range(1, ((1 << 15) - b + (1 << m) - 1) >> m):
@@ -448,7 +449,7 @@ class TestVerifyRange:
                     depth += 1
                 assert verify._fill_depth(lo, lo + width) == depth
 
-    @pytest.mark.parametrize("rho", [Fraction(27, 32), Fraction(3, 4)])
+    @pytest.mark.parametrize("rho", [(27, 32), (3, 4)])
     @pytest.mark.parametrize("bits", [10, 3, 4, 6])
     def test_every_class_read_of_every_block_lies_below_it(self, jump_bits, bits, rho):
         # the blocks up to 2**25 follow the documented rule; for each class
@@ -458,7 +459,7 @@ class TestVerifyRange:
 
         jump_bits(bits)
         blocks = list(verify._blocks(1 << 25, rho))
-        assert blocks == list(brute_fill_blocks(1 << 25, rho))[1:]
+        assert blocks == list(brute_fill_blocks(1 << 25, Fraction(*rho)))[1:]
         tree = verify._FillTree(rho, max(depth for _, _, depth in blocks))
         for lo, hi, depth in blocks:
             assert 2 << depth <= lo
@@ -530,6 +531,41 @@ class TestVerifyRange:
         assert sum(counts) == (hi - lo) >> 1
         assert max(counts) - min(counts) <= 1
         assert memo[lo >> 1 :].tolist() == [stops[x] for x in range(lo | 1, hi, 2)]
+
+    def test_each_part_walks_both_halves_of_the_last_round(self, monkeypatch, thread_parts):
+        # above a memo of 2**14 the last round has one open residue at depth
+        # 1; taking every second start from its own, part 0 of 2 would walk
+        # only the starts 1 mod 4, which fall faster, and part 1 only those
+        # 3 mod 4.  Its runs of 2 * 2**11 starts give their first start to
+        # each part in turn, so each part walks as many starts 1 mod 4 as
+        # 3 mod 4, to within one run, and the two parts walk every start once
+        from collatzbin import verify
+
+        monkeypatch.setattr(verify, "_MEMO_BITS", 14)
+        thread_parts(2)
+        fill_block, walk = verify._fill_block, verify._walk
+        local, shares = threading.local(), {}
+
+        def fill(memo, tree, lo, hi, depth, below, part, *rest):
+            local.part = part if lo == 1 << 14 else None
+            return fill_block(memo, tree, lo, hi, depth, below, part, *rest)
+
+        def walked(memo, starts, *rest):
+            starts = list(starts)
+            if local.part is not None:
+                shares[local.part] = starts
+            return walk(memo, starts, *rest)
+
+        monkeypatch.setattr(verify, "_fill_block", fill)
+        monkeypatch.setattr(verify, "_walk", walked)
+        result = verify_range(17, workers=2)
+        assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
+            1 << 16, 130, 106239)
+        assert sorted(shares) == [0, 1]
+        assert sorted(shares[0] + shares[1]) == list(range((1 << 14) + 1, 1 << 17, 2))
+        for starts in shares.values():
+            ones = sum(x % 4 == 1 for x in starts)
+            assert abs(ones - (len(starts) - ones)) <= 1 << 11  # a part's share of one run
 
     def test_a_block_left_short_is_named(self, monkeypatch):
         # a part that writes one entry too few in its block raises, naming it
@@ -719,7 +755,7 @@ class TestVerifyRange:
             best, min(x for x, s in stops.items() if s == best))
         deepest = max(depth for _, _, depth in list(brute_fill_blocks(1 << 16))[1:])
         [tree] = built
-        assert (tree.ratio, len(tree.opens) - 1) == (Fraction(27, 32), deepest)
+        assert (tree.ratio, len(tree.opens) - 1) == ((27, 32), deepest)
         assert given == [tree]
         assert len(used) > 2 and all(t is tree for t in used)
         tree.level(deepest)
@@ -817,10 +853,19 @@ class TestVerifyRange:
             time.sleep(0.05)
 
     def test_the_shared_memo_is_not_imported_with_the_cli(self):
-        # a run loads the memo's module when it runs, at one worker as at two
+        # a run loads the memo's module when it runs, at one worker as at two.
+        # Neither importing the CLI nor running the benchmark's commands loads
+        # dataclasses, inspect, fractions or decimal: their import would cost
+        # every command's start.  The interpreter runs with -S, as site may
+        # load modules of its own, and finds the package where this one did
+        import collatzbin
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(collatzbin.__file__)))
         for workers in (1, 2):
             code = (
-                "import sys, collatzbin.cli\n"
+                "import contextlib, io, sys, collatzbin.cli\n"
+                "unused = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+                "assert not [m for m in unused if m in sys.modules], sys.modules.keys()\n"
                 "assert 'multiprocessing.heap' not in sys.modules\n"
                 "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules\n"
                 "assert 'json' not in sys.modules\n"
@@ -829,8 +874,17 @@ class TestVerifyRange:
                 "harness.os.cpu_count = lambda: 2\n"
                 f"verify.verify_range(12, workers={workers})\n"
                 "assert 'multiprocessing.heap' in sys.modules\n"
+                "for argv in (['kstar', '--ell', '60'],\n"
+                "             ['audit', '--ell', '16', '--samples', '1000'],\n"
+                "             ['table1', '--lengths', '50', '--samples', '20', '--runs', '2',\n"
+                "              '--workers', '1'],\n"
+                "             ['verify', '--ell', '16', '--workers', '1']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert collatzbin.cli.main(argv) == 0, argv\n"
+                "    assert not [m for m in unused if m in sys.modules], argv\n"
             )
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                                  text=True, env=env)
             assert proc.returncode == 0, proc.stderr
 
     def test_fill_tables_are_built_on_first_use(self):
