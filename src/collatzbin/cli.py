@@ -16,7 +16,9 @@ main() returns the code; only -h exits, with 0, after help.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401 - argparse's gettext imports it in a command's run unless it is here
 import re
+import shutil  # noqa: F401 - likewise for argparse's HelpFormatter, where site has not loaded it
 import sys
 
 from .analysis import (

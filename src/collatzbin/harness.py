@@ -6,7 +6,9 @@ identical across platforms and across worker counts: every sample is a pure
 function of its coordinates, and cell statistics are maxima and sums, which
 merge in any order.  :func:`fan_out` gives each worker one contiguous slice,
 as one job of :class:`Parts`, the package's one process fan-out, which
-range verification uses too.
+range verification uses too.  Only a fan-out of n > 1 parts starts a child,
+and only it loads ``multiprocessing``: a run at one worker, and every
+command that never fans out, is spared that import at its start.
 
 The sampler runs splitmix64 on many states at once.  Each state sits in its
 own 128-bit lane of one Python int, and one round of big-int operations
@@ -25,7 +27,6 @@ memory stays flat at any sample count.
 
 from __future__ import annotations
 
-import multiprocessing.connection
 import os
 import struct
 from collections.abc import Iterable, Iterator
@@ -235,6 +236,8 @@ def _part_loop(fn, end) -> None:
     The child waits on its pipe and on its parent's sentinel at once, so it
     ends when its parent does, even by a signal.
     """
+    import multiprocessing.connection  # runs only in a child; a forked one has it from its parent
+
     while end in multiprocessing.connection.wait([end, multiprocessing.parent_process().sentinel]):
         end.send(fn(*end.recv()))
 
@@ -251,7 +254,8 @@ class Parts:
     it, so the pipe reads as closed as soon as the child ends, by an error
     or a signal.  :meth:`map` sends each child its job, runs job 0 here
     meanwhile, and waits for the children's results; :meth:`close` ends and
-    reaps every child.  With n = 1 no child starts, and nothing is pickled.
+    reaps every child.  With n = 1 no child starts, nothing is pickled and
+    ``multiprocessing`` is not imported; with n > 1 it is imported here.
     No part waits on a lock that another part holds, so no part's end can
     leave the others waiting, as a ``multiprocessing.Barrier`` would: one of
     its parties killed while it waits leaves every later wait, and even
@@ -262,6 +266,8 @@ class Parts:
         self.fn, self.n = fn, n
         self.links, self.children = [], []
         _jump_table(), _end_table()  # built before any fork, so that no child builds its own
+        if n > 1:  # only a run that starts a child pays for this import
+            import multiprocessing
         try:
             for _ in range(n - 1):
                 link, end = multiprocessing.Pipe()

@@ -5,9 +5,10 @@ ground state, with the largest stopping time and its smallest start.  Stop
 times are memoized in one int16 memo, filled block by block from the
 parity-vector classes of Terras's block identity; the starts the classes do
 not resolve, and those above the memo, are walked by the orbit kernel's jump
-table.  The memo is one shared buffer at any worker count: this process
-and n - 1 children, the n parts of :class:`harness.Parts`, fill every block
-in n parts of it, in lockstep.
+table.  The memo is one mmap at any worker count: this process and n - 1
+children, the n parts of :class:`harness.Parts`, fill every block in n
+parts of it, in lockstep.  At one part it is an anonymous mmap, and only
+with children a ``multiprocessing`` arena that they share.
 """
 
 import sys
@@ -429,23 +430,32 @@ def _fill_memo(
     return total, best, worst
 
 
-def _shared_memo(bound: int) -> tuple[object, memoryview]:
-    """(arena, memo): an empty memo of the odd values below ``bound`` in shared memory.
+def _shared_memo(bound: int, shared: bool) -> tuple[object, memoryview]:
+    """(buffer, memo): an empty memo of the odd values below ``bound``, an mmap of ``bound`` bytes.
 
-    ``arena`` is one mmap of ``bound`` bytes that the children of
-    :class:`harness.Parts` inherit or reopen; ``memo`` is its int16 view, as in
+    With ``shared`` the buffer is a ``multiprocessing.heap.Arena``, which the
+    children of :class:`harness.Parts` inherit or, under the spawn and
+    forkserver start methods, reopen; otherwise it is an anonymous mmap that
+    only this process maps.  ``memo`` is the mmap's int16 view, as in
     :func:`_walk` once :func:`_fill_memo` has stored memo[0] = 0 with the
     rest of the end table.  It is filled with -1 a piece at a time.
     """
-    # imported here, not with the module, so that only a run that fills a memo loads it
-    from multiprocessing.heap import Arena
+    # imported here, not with the module, so that only a run that fills a memo
+    # loads them, and only one with children loads multiprocessing
+    if shared:
+        from multiprocessing.heap import Arena
 
-    arena = Arena(bound)
-    memo = memoryview(arena.buffer).cast("h")
+        buffer = Arena(bound)
+        mapped = buffer.buffer
+    else:
+        import mmap
+
+        buffer = mapped = mmap.mmap(-1, bound)
+    memo = memoryview(mapped).cast("h")
     unknown = array("h", [-1]) * min(len(memo), 1 << 15)
     for at in range(0, len(memo), len(unknown)):
         memo[at : at + len(unknown)] = unknown
-    return arena, memo
+    return buffer, memo
 
 
 def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> RangeVerification:
@@ -471,10 +481,14 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     memo, and not stored.
 
     The tree is built once per run, as deep as the deepest block, before
-    any child starts.  The memo is one shared buffer at any worker count,
-    and its blocks are filled by one ``harness.Parts`` of n parts, n the
-    worker count clamped to the CPU count, or 1 at ell <= 10, where the end
-    table holds every start and there is no block to split.  This process
+    any child starts.  The memo is one mmap at any worker count, and its
+    blocks are filled by one ``harness.Parts`` of n parts, n the worker
+    count clamped to the CPU count, or 1 at ell <= 10, where the end table
+    holds every start and there is no block to split.  At n = 1 the memo
+    is an anonymous mmap that this process fills in place, and the run
+    loads no ``multiprocessing``; at n > 1 it is a
+    ``multiprocessing.heap.Arena``, which the children inherit or, under
+    the spawn and forkserver start methods, reopen.  This process
     and n - 1 child processes fill every block in lockstep: this process
     sends each child its part of the block and fills part 0 meanwhile, and
     the next block starts once every part has reported.  Inside the memo
@@ -505,8 +519,10 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     tree = _FillTree(_FILL_RATIO, max((d for _, _, d in _blocks(bound, _FILL_RATIO)), default=1))
     if ell <= maps._JUMP_BITS:
         n = 1
-    arena, memo = _shared_memo(bound)
-    with closing(Parts(partial(_fill_arena, arena, tree), n)) as parts:
+    buffer, memo = _shared_memo(bound, n > 1)
+    # one part fills its own view; children reach the memo through its arena, which pickles
+    fill = partial(_fill_arena, buffer, tree) if n > 1 else partial(_fill_block, memo, tree)
+    with closing(Parts(fill, n)) as parts:
         count, best, worst = _fill_memo(memo, 1 << ell, step_cap, tree, parts)
     return RangeVerification(ell=ell, verified_count=count, max_stopping_time=best,
                              worst_start=worst)

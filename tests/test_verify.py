@@ -15,6 +15,7 @@ import tracemalloc
 from array import array
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product
 from math import floor
 
 import pytest
@@ -110,11 +111,12 @@ def brute_tree(depth: int, rho: Fraction) -> dict[int, tuple | None]:
 
 
 def kept_memos(monkeypatch) -> list:
-    """The (arena, memo) of every ``verify_range`` run from now on, kept past the run."""
+    """The (buffer, memo) of every ``verify_range`` run from now on, kept past the run."""
     from collatzbin import verify
 
     kept, share = [], verify._shared_memo
-    monkeypatch.setattr(verify, "_shared_memo", lambda bound: kept.append(share(bound)) or kept[-1])
+    monkeypatch.setattr(verify, "_shared_memo",
+                        lambda bound, shared: kept.append(share(bound, shared)) or kept[-1])
     return kept
 
 
@@ -191,7 +193,7 @@ class TestVerifyRange:
     def test_memo_stays_bounded_at_the_largest_length(self, monkeypatch):
         # the fill is stopped at once; the 2**24-entry int16 memo is 32 MiB,
         # where 2**33 entries would be 16 GiB.  The memo is an mmap, which
-        # tracemalloc does not see, so its size is taken from its arena, and
+        # tracemalloc does not see, so its size is taken from the mmap, and
         # the traced peak bounds the run's Python allocations
         from collatzbin import verify
 
@@ -213,7 +215,7 @@ class TestVerifyRange:
         finally:
             tracemalloc.stop()
         assert sizes == [1 << 24]
-        assert [arena.size for arena, _ in memos] == [1 << 25]
+        assert [len(buffer) for buffer, _ in memos] == [1 << 25]
         assert peak < 40 * 2**20
         x = 2**33 + 1
         memo = array("h", [-1]) * (1 << 24)
@@ -342,7 +344,9 @@ class TestVerifyRange:
         # every block split into parts, each a thread of its own on one
         # shared memo, switching every microsecond, so a part that read an
         # entry of its own block or lost a write would show; every class
-        # slice is cut into pieces of 5 starts and a shorter tail
+        # slice is cut into pieces of 5 starts and a shorter tail.  The memo
+        # is filled through its arena, as children fill it, and in place in
+        # an anonymous mmap, as one part fills it
         from collatzbin import verify
 
         jump_bits(bits)
@@ -353,9 +357,11 @@ class TestVerifyRange:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for top in (1 << 15, (1 << 15) - 2002, 6146):
-                arena, memo = verify._shared_memo(1 << 15)
-                fill = threads(partial(verify._fill_arena, arena, tree), parts)
+            for top, shared in product((1 << 15, (1 << 15) - 2002, 6146), (True, False)):
+                buffer, memo = verify._shared_memo(1 << 15, shared)
+                fn = (partial(verify._fill_arena, buffer, tree) if shared
+                      else partial(verify._fill_block, memo, tree))
+                fill = threads(fn, parts)
                 assert verify._fill_memo(memo, top, 10**6, tree, fill) == (
                     top >> 1, *brute_fill_maximum(top))
                 assert memo[: top >> 1].tolist() == [stops[x] for x in range(1, top, 2)]
@@ -686,7 +692,7 @@ class TestVerifyRange:
         assert ((17647 - lo) >> depth) % 3 == 1
         assert [x for x in range(1, hi, 2) if stops[x] == 102] == [17647, 17673]
         assert max(stops[x] for x in range(1, hi, 2)) == 102
-        arena, memo = verify._shared_memo(1 << 15)
+        arena, memo = verify._shared_memo(1 << 15, True)
         parts = threads(partial(verify._fill_arena, arena, tree), 3)
         assert verify._fill_memo(memo, hi, 10**6, tree, parts) == (hi >> 1, 102, 17647)
         jump_bits(4)
@@ -852,40 +858,50 @@ class TestVerifyRange:
             assert time.monotonic() < deadline
             time.sleep(0.05)
 
-    def test_the_shared_memo_is_not_imported_with_the_cli(self):
-        # a run loads the memo's module when it runs, at one worker as at two.
-        # Neither importing the CLI nor running the benchmark's commands loads
-        # dataclasses, inspect, fractions or decimal: their import would cost
-        # every command's start.  The interpreter runs with -S, as site may
-        # load modules of its own, and finds the package where this one did
+    def test_the_shared_memo_is_not_imported_with_the_cli(self, tmp_path):
+        # only a run that starts a child loads multiprocessing: neither
+        # importing the CLI nor running each of its seven commands at one
+        # worker loads it, or socket and selectors under it, and a one-worker
+        # memo is an anonymous mmap, not an arena.  Neither loads
+        # dataclasses, inspect, fractions or decimal either: each import
+        # would cost every command's start.  The interpreter runs with -S, as
+        # site may load modules of its own, and finds the package where this
+        # one did
         import collatzbin
 
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(collatzbin.__file__)))
-        for workers in (1, 2):
-            code = (
-                "import contextlib, io, sys, collatzbin.cli\n"
-                "unused = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
-                "assert not [m for m in unused if m in sys.modules], sys.modules.keys()\n"
-                "assert 'multiprocessing.heap' not in sys.modules\n"
-                "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules\n"
-                "assert 'json' not in sys.modules\n"
-                "from collatzbin import harness, verify\n"
-                "assert 'multiprocessing.heap' not in sys.modules\n"
-                "harness.os.cpu_count = lambda: 2\n"
-                f"verify.verify_range(12, workers={workers})\n"
-                "assert 'multiprocessing.heap' in sys.modules\n"
-                "for argv in (['kstar', '--ell', '60'],\n"
-                "             ['audit', '--ell', '16', '--samples', '1000'],\n"
-                "             ['table1', '--lengths', '50', '--samples', '20', '--runs', '2',\n"
-                "              '--workers', '1'],\n"
-                "             ['verify', '--ell', '16', '--workers', '1']):\n"
-                "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                "        assert collatzbin.cli.main(argv) == 0, argv\n"
-                "    assert not [m for m in unused if m in sys.modules], argv\n"
-            )
-            proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                                  text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
+        code = (
+            "import contextlib, io, sys, collatzbin.cli\n"
+            "unused = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+            "def forking():\n"
+            "    return [m for m in sys.modules\n"
+            "            if m.startswith('multiprocessing') or m in ('socket', 'selectors')]\n"
+            "assert not [m for m in unused if m in sys.modules], sys.modules.keys()\n"
+            "assert not forking(), forking()\n"
+            "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules\n"
+            "assert 'json' not in sys.modules\n"
+            "from collatzbin import harness, verify\n"
+            "harness.os.cpu_count = lambda: 2\n"
+            "for argv in (['trajectory', '--start', '27'],\n"
+            f"             ['raster', '--start', '27', '--out', {str(tmp_path / 'r.pbm')!r}],\n"
+            "             ['kstar', '--ell', '60'],\n"
+            "             ['verify', '--ell', '16', '--workers', '1'],\n"
+            "             ['table1', '--lengths', '50', '--samples', '20', '--runs', '2',\n"
+            "              '--workers', '1'],\n"
+            "             ['audit', '--ell', '16', '--samples', '1000'],\n"
+            "             ['families', '--kind', 'gamma', '--k-max', '20']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert collatzbin.cli.main(argv) == 0, argv\n"
+            "    assert not [m for m in unused if m in sys.modules], argv\n"
+            "    assert not forking(), (argv, forking())\n"
+            "verify.verify_range(12, workers=1)\n"
+            "assert not forking(), forking()\n"
+            "verify.verify_range(12, workers=2)\n"
+            "assert 'multiprocessing.heap' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     def test_fill_tables_are_built_on_first_use(self):
         code = (
