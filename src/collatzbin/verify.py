@@ -13,7 +13,7 @@ with children a ``multiprocessing`` arena that they share.
 
 import sys
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import closing
 from functools import partial
 from itertools import chain, repeat
@@ -430,32 +430,36 @@ def _fill_memo(
     return total, best, worst
 
 
-def _shared_memo(bound: int, shared: bool) -> tuple[object, memoryview]:
-    """(buffer, memo): an empty memo of the odd values below ``bound``, an mmap of ``bound`` bytes.
+def _shared_memo(bound: int, tree: _FillTree, n: int) -> tuple[memoryview, Callable]:
+    """(memo, fill): an empty memo of the odd values below ``bound``, and the fill of its blocks.
 
-    With ``shared`` the buffer is a ``multiprocessing.heap.Arena``, which the
-    children of :class:`harness.Parts` inherit or, under the spawn and
-    forkserver start methods, reopen; otherwise it is an anonymous mmap that
-    only this process maps.  ``memo`` is the mmap's int16 view, as in
+    The memo is the int16 view of an mmap of ``bound`` bytes, as in
     :func:`_walk` once :func:`_fill_memo` has stored memo[0] = 0 with the
-    rest of the end table.  It is filled with -1 a piece at a time.
+    rest of the end table, and is filled with -1 a piece at a time.
+    ``fill`` is :func:`_fill_block` on the memo by the classes of ``tree``,
+    for the n parts of :class:`harness.Parts`.  At n > 1 the mmap is a
+    ``multiprocessing.heap.Arena`` and ``fill`` reaches it through the
+    arena, which the children inherit or, under the spawn and forkserver
+    start methods, reopen, as it pickles; at n = 1 it is an anonymous mmap
+    that only this process maps, and ``fill`` writes its view in place.
     """
     # imported here, not with the module, so that only a run that fills a memo
     # loads them, and only one with children loads multiprocessing
-    if shared:
+    if n > 1:
         from multiprocessing.heap import Arena
 
-        buffer = Arena(bound)
-        mapped = buffer.buffer
+        arena = Arena(bound)
+        memo = memoryview(arena.buffer).cast("h")
+        fill = partial(_fill_arena, arena, tree)
     else:
         import mmap
 
-        buffer = mapped = mmap.mmap(-1, bound)
-    memo = memoryview(mapped).cast("h")
+        memo = memoryview(mmap.mmap(-1, bound)).cast("h")
+        fill = partial(_fill_block, memo, tree)
     unknown = array("h", [-1]) * min(len(memo), 1 << 15)
     for at in range(0, len(memo), len(unknown)):
         memo[at : at + len(unknown)] = unknown
-    return buffer, memo
+    return memo, fill
 
 
 def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> RangeVerification:
@@ -519,9 +523,7 @@ def verify_range(ell: int, workers: int = 1, step_cap: int = maps.STEP_CAP) -> R
     tree = _FillTree(_FILL_RATIO, max((d for _, _, d in _blocks(bound, _FILL_RATIO)), default=1))
     if ell <= maps._JUMP_BITS:
         n = 1
-    buffer, memo = _shared_memo(bound, n > 1)
-    # one part fills its own view; children reach the memo through its arena, which pickles
-    fill = partial(_fill_arena, buffer, tree) if n > 1 else partial(_fill_block, memo, tree)
+    memo, fill = _shared_memo(bound, tree, n)
     with closing(Parts(fill, n)) as parts:
         count, best, worst = _fill_memo(memo, 1 << ell, step_cap, tree, parts)
     return RangeVerification(ell=ell, verified_count=count, max_stopping_time=best,

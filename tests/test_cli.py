@@ -512,29 +512,6 @@ def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
     assert all(f"\n    {name} " in help_text for name in commands)
 
 
-def test_a_command_imports_nothing_in_its_run():
-    # argparse imports locale and shutil on a parser's first use unless the
-    # CLI has: inside the run, that took `kstar --ell 500` from about 2 ms
-    # to 3 ms, and to 6 ms under -S.  The interpreter runs with -S, as site
-    # may load them itself, and finds the package where this one did
-    import os
-
-    import collatzbin
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(collatzbin.__file__)))
-    code = (
-        "import contextlib, io, sys, collatzbin.cli\n"
-        "for argv in (['kstar', '--ell', '60'], ['audit', '--ell', '16', '--samples', '1000']):\n"
-        "    loaded = set(sys.modules)\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert collatzbin.cli.main(argv) == 0, argv\n"
-        "    assert sys.modules.keys() <= loaded, (argv, sorted(sys.modules.keys() - loaded))\n"
-    )
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kstar", "-h"])

@@ -111,12 +111,12 @@ def brute_tree(depth: int, rho: Fraction) -> dict[int, tuple | None]:
 
 
 def kept_memos(monkeypatch) -> list:
-    """The (buffer, memo) of every ``verify_range`` run from now on, kept past the run."""
+    """The (memo, fill) of every ``verify_range`` run from now on, kept past the run."""
     from collatzbin import verify
 
     kept, share = [], verify._shared_memo
     monkeypatch.setattr(verify, "_shared_memo",
-                        lambda bound, shared: kept.append(share(bound, shared)) or kept[-1])
+                        lambda bound, tree, n: kept.append(share(bound, tree, n)) or kept[-1])
     return kept
 
 
@@ -215,7 +215,7 @@ class TestVerifyRange:
         finally:
             tracemalloc.stop()
         assert sizes == [1 << 24]
-        assert [len(buffer) for buffer, _ in memos] == [1 << 25]
+        assert [memo.nbytes for memo, _ in memos] == [1 << 25]
         assert peak < 40 * 2**20
         x = 2**33 + 1
         memo = array("h", [-1]) * (1 << 24)
@@ -240,7 +240,7 @@ class TestVerifyRange:
             result = verify_range(22, workers=workers)
             assert (result.verified_count, result.max_stopping_time, result.worst_start) == (
                 1 << 21, 222, 3732423)
-        [(_, one), (_, two)] = memos
+        [(one, _), (two, _)] = memos
         assert one.tobytes() == two.tobytes()
         bound = len(one) << 1
         wrong = []
@@ -357,10 +357,8 @@ class TestVerifyRange:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for top, shared in product((1 << 15, (1 << 15) - 2002, 6146), (True, False)):
-                buffer, memo = verify._shared_memo(1 << 15, shared)
-                fn = (partial(verify._fill_arena, buffer, tree) if shared
-                      else partial(verify._fill_block, memo, tree))
+            for top, n in product((1 << 15, (1 << 15) - 2002, 6146), (2, 1)):
+                memo, fn = verify._shared_memo(1 << 15, tree, n)
                 fill = threads(fn, parts)
                 assert verify._fill_memo(memo, top, 10**6, tree, fill) == (
                     top >> 1, *brute_fill_maximum(top))
@@ -692,8 +690,8 @@ class TestVerifyRange:
         assert ((17647 - lo) >> depth) % 3 == 1
         assert [x for x in range(1, hi, 2) if stops[x] == 102] == [17647, 17673]
         assert max(stops[x] for x in range(1, hi, 2)) == 102
-        arena, memo = verify._shared_memo(1 << 15, True)
-        parts = threads(partial(verify._fill_arena, arena, tree), 3)
+        memo, fill = verify._shared_memo(1 << 15, tree, 3)
+        parts = threads(fill, 3)
         assert verify._fill_memo(memo, hi, 10**6, tree, parts) == (hi >> 1, 102, 17647)
         jump_bits(4)
         monkeypatch.setattr(verify, "_MEMO_BITS", 4)
@@ -864,9 +862,12 @@ class TestVerifyRange:
         # worker loads it, or socket and selectors under it, and a one-worker
         # memo is an anonymous mmap, not an arena.  Neither loads
         # dataclasses, inspect, fractions or decimal either: each import
-        # would cost every command's start.  The interpreter runs with -S, as
-        # site may load modules of its own, and finds the package where this
-        # one did
+        # would cost every command's start.  kstar, the first command run,
+        # and audit import nothing in their run: argparse imports locale and
+        # shutil on a parser's first use unless the CLI has, and inside the
+        # run that took `kstar --ell 500` from about 2 ms to 3 ms, and to 6 ms
+        # under -S.  The interpreter runs with -S, as site may load modules
+        # of its own, and finds the package where this one did
         import collatzbin
 
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(collatzbin.__file__)))
@@ -882,22 +883,26 @@ class TestVerifyRange:
             "assert 'json' not in sys.modules\n"
             "from collatzbin import harness, verify\n"
             "harness.os.cpu_count = lambda: 2\n"
-            "for argv in (['trajectory', '--start', '27'],\n"
+            "for argv in (['kstar', '--ell', '60'],\n"
+            "             ['audit', '--ell', '16', '--samples', '1000'],\n"
+            "             ['trajectory', '--start', '27'],\n"
             f"             ['raster', '--start', '27', '--out', {str(tmp_path / 'r.pbm')!r}],\n"
-            "             ['kstar', '--ell', '60'],\n"
             "             ['verify', '--ell', '16', '--workers', '1'],\n"
             "             ['table1', '--lengths', '50', '--samples', '20', '--runs', '2',\n"
             "              '--workers', '1'],\n"
-            "             ['audit', '--ell', '16', '--samples', '1000'],\n"
             "             ['families', '--kind', 'gamma', '--k-max', '20']):\n"
+            "    loaded = set(sys.modules)\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert collatzbin.cli.main(argv) == 0, argv\n"
+            "    if argv[0] in ('kstar', 'audit'):\n"
+            "        assert sys.modules.keys() <= loaded, (argv, sorted(sys.modules.keys() - loaded))\n"
             "    assert not [m for m in unused if m in sys.modules], argv\n"
             "    assert not forking(), (argv, forking())\n"
             "verify.verify_range(12, workers=1)\n"
             "assert not forking(), forking()\n"
             "verify.verify_range(12, workers=2)\n"
             "assert 'multiprocessing.heap' in sys.modules\n"
+            "assert not [m for m in unused if m in sys.modules], sys.modules.keys()\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=env)
