@@ -156,6 +156,15 @@ class TestRaster:
         assert (code, out) == (2, "")
         assert "16777216 cells" in err
 
+    def test_a_huge_start_is_refused_in_bounded_memory(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "huge.pbm"
+        pin = {"argv": ["raster", "--start", "bits:" + "1" * 20000, "--out", str(out_path)],
+               "limited": True}
+        assert run_pinned(capsys, monkeypatch, pin) == [
+            2, "", "usage error: orbit listing passes 16777216 cells (states x largest bit length)"
+                   " at step 819, 20480 bits wide\n"]
+        assert not out_path.exists()
+
     def test_unwritable_path_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "raster", "--start", "5", "--out", str(tmp_path / "no" / "x.pbm")
@@ -165,12 +174,6 @@ class TestRaster:
 
 
 class TestScansAndAudits:
-    def test_kstar_small_length(self, capsys):
-        code, out, _ = run_cli(capsys, "kstar", "--ell", "4")
-        assert code == 0
-        assert "k* = 5" in out
-        assert "exact margin check for k < 5: pass" in out
-
     def test_kstar_margin_check_fails_on_a_wrong_k_star(self, capsys, monkeypatch):
         from collatzbin import cli
 
@@ -199,111 +202,9 @@ class TestScansAndAudits:
             numerator, margin = _margin_numerator(k, ell, 3**k), fraction_margin(k, ell)
             assert (numerator > 0) - (numerator < 0) == (margin > 0) - (margin < 0), (ell, k)
 
-    def test_kstar_refuses_a_huge_power_in_bounded_memory(self):
-        # the descent reaches k* near 1.2 * 10**11 at once; its window's
-        # 3**k would take about 25 GiB, so the scan refuses it first
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from collatzbin.cli import main\n"
-            "sys.exit(main(['kstar', '--ell', str(10**10), '--k-max', str(10**12)]))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("usage error: kstar_scan would form 3**k up to k = ")
-
-    def test_kstar_at_k_one_checks_only_k_one(self, capsys):
-        code, out, _ = run_cli(capsys, "kstar", "--ell", "1")
-        assert code == 0
-        assert "k* = 1" in out
-        assert "exact margin check for k < 1: pass" in out
-
-    def test_kstar_without_reversal(self, capsys):
-        code, out, _ = run_cli(capsys, "kstar", "--ell", "60", "--k-max", "50")
-        assert code == 0
-        assert "every horizon excluded" in out
-
-    @pytest.mark.parametrize("argv, expected", [
-        (("--ell", "60"),
-         "ell = 60\nk* = 600\nc = 0.507858\neps = 0.013460\n"
-         "exact margin check for k < 600: pass\n"),
-        (("--ell", "60", "--k-max", "50"),
-         "ell = 60\nno reversal up to k = 50: every horizon excluded\n"),
-        (("--ell", "500", "--k-max", "10000"),
-         "ell = 500\nk* = 5773\nc = 0.503995\neps = 0.009688\n"
-         "exact margin check for k < 5773: pass\n"),
-        (("--ell", "5000", "--k-max", "100000"),
-         "ell = 5000\nk* = 58720\nc = 0.500678\neps = 0.003413\n"
-         "exact margin check for k < 58720: pass\n"),
-    ])
-    def test_kstar_keeps_its_exact_output(self, capsys, argv, expected):
-        assert run_cli(capsys, "kstar", *argv) == (0, expected, "")
-
-    def test_verify(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--ell", "10")
-        assert code == 0
-        assert "verified 512 odd starts below 2^10" in out
-        assert "max stopping time 65 at start 871" in out
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_worker_counts_below_one_are_usage_errors(self, capsys, workers):
-        code, _, err = run_cli(capsys, "verify", "--ell", "10", "--workers", workers)
-        assert code == 2
-        assert "workers must be >= 1" in err
-        code, _, err = run_cli(capsys, "table1", "--lengths", "8", "--samples", "5",
-                               "--runs", "1", "--workers", workers)
-        assert code == 2
-        assert "workers must be >= 1" in err
-
-    def test_verify_counterexample_exits_one(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--ell", "5", "--step-cap", "5")
-        assert code == 1
-        assert "counterexample: orbit of 9 exceeded the step cap of 5" in err
-
-    def test_audit(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "audit", "--ell", "16,20", "--samples", "2000", "--seed", "5"
-        )
-        assert code == 0
-        assert "ell=16: 2000 samples, 0 violations" in out
-        assert "ell=20: 2000 samples, 0 violations" in out
-
-    @pytest.mark.parametrize("lengths", ["16,5", "5,16"])
-    def test_audit_checks_every_length_before_any_work(self, capsys, lengths):
-        code, out, err = run_cli(capsys, "audit", "--ell", lengths, "--samples", "2000")
-        assert code == 2
-        assert out == ""
-        assert "audit needs ell >= 6" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("audit", "--ell", "16,1000000000000", "--samples", "1"),
-            ("table1", "--lengths", "50,1000000000000", "--samples", "1", "--runs", "1"),
-        ],
-    )
-    def test_a_huge_length_is_refused_before_any_output(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "MAX_SAMPLE_LENGTH" in err
-
-    def test_families_alpha(self, capsys):
-        code, out, _ = run_cli(capsys, "families", "--kind", "alpha", "--k-max", "50")
-        assert code == 0
-        assert "all 50 members stop in exactly 2 steps" in out
-
-    def test_families_alpha_violations_exit_one(self, capsys, monkeypatch):
+    def test_a_family_member_that_stops_late_exits_one(self, capsys, monkeypatch):
         from collatzbin import cli
 
-        code, out, err = run_cli(capsys, "families", "--kind", "alpha", "--k-max", "3",
-                                 "--step-cap", "1")
-        assert (code, out) == (1, "")
-        assert err.splitlines() == [
-            f"violation: alpha k={k} unresolved at step cap" for k in (1, 2, 3)
-        ]
         true_probe = cli.family_orbit_probe
 
         def slow_probe(kind, k_max, step_cap):
@@ -316,13 +217,6 @@ class TestScansAndAudits:
         assert (code, out) == (1, "")
         assert err == "violation: beta k=2 stopped in 3 steps, expected 2\n"
 
-    def test_families_gamma_with_cap(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "families", "--kind", "gamma", "--k-max", "5", "--step-cap", "3"
-        )
-        assert code == 0
-        assert "unresolved at step cap 3" in out
-
     def test_audit_with_a_wrong_step_exits_one(self, capsys, monkeypatch):
         from collatzbin import analysis
 
@@ -331,6 +225,14 @@ class TestScansAndAudits:
         assert code == 1
         assert "ell=16: 200 samples, 0 violations" not in out
         assert "violation: 1" in err
+
+    @pytest.mark.ci_only
+    def test_a_failing_audit_keeps_its_witnesses_in_bounded_memory(self, capsys, monkeypatch):
+        pin = {"argv": ["audit", "--ell", "1048576", "--samples", "2000"], "limited": True}
+        wrong_step = "from collatzbin import analysis\nanalysis.reduced_step = lambda n: n\n"
+        code, out, err = run_pinned(capsys, monkeypatch, pin, setup=wrong_step)
+        assert (code, out) == (1, "ell=1048576: 2000 samples, 2502 violations\n")
+        assert len(err.encode()) < 4 << 20
 
     def test_audit_prints_the_exact_count_and_the_witnesses_it_kept(self, capsys, monkeypatch):
         from collatzbin import analysis
@@ -345,19 +247,6 @@ class TestScansAndAudits:
             f"  violation: {summary.violations[0]}",
             f"  {summary.violation_count - 1} more violations, witnesses not kept",
         ]
-
-    @pytest.mark.parametrize("kind,step_cap", [("alpha", "-1"), ("gamma", "0")])
-    def test_families_step_cap_below_one_is_a_usage_error(self, capsys, kind, step_cap):
-        code, out, err = run_cli(capsys, "families", "--kind", kind, "--k-max", "3",
-                                 "--step-cap", step_cap)
-        assert code == 2
-        assert out == ""
-        assert "step_cap must be >= 1" in err
-
-    def test_families_gamma(self, capsys):
-        code, out, _ = run_cli(capsys, "families", "--kind", "gamma", "--k-max", "20")
-        assert code == 0
-        assert "20 of 20 members reached the ground state" in out
 
 
 class TestTable:
@@ -388,6 +277,86 @@ class TestTable:
         )
         assert code == 3
         assert "i/o error" in err
+
+
+# [exit code, stdout, stderr] of each pinned run of the CLI. No record holds text that argparse
+# words, as that differs between Python versions. Records marked ci_only take seconds, so
+# tier-1 leaves them to `python -m pytest -m ci_only`.
+PINS = json.loads(Path(__file__).with_name("cli_pins.json").read_text(encoding="utf-8"))["runs"]
+PINNED = {" ".join(pin["argv"]): pin for pin in PINS}
+
+# the address space of a limited run, as `ulimit -v 1048576` caps a shell's
+LIMIT = 1 << 30
+
+# a child that imports the CLI and then, if limited, caps its own address space
+CHILD_RUN = (
+    "import resource, sys\n"
+    "from collatzbin import cli, harness\n"
+    "{limit}"
+    "harness.os.cpu_count = lambda: 2\n"
+    "{setup}"
+    "sys.exit(cli.main({argv!r}))\n"
+)
+
+
+def run_pinned(capsys, monkeypatch, pin, setup=""):
+    """[exit code, stdout, stderr] of ``pin``'s argv on two CPUs, so two workers stay two parts.
+
+    A pin that is ``limited`` or has a ``timeout`` runs in a child, after the statements
+    ``setup``: under ``LIMIT`` if limited, and killed after ``timeout`` seconds if it has one,
+    which puts a note in place of the exit code. Any other runs in this process.
+    """
+    if pin.get("limited") or "timeout" in pin:
+        limit = f"resource.setrlimit(resource.RLIMIT_AS, ({LIMIT}, {LIMIT}))\n"
+        code = CHILD_RUN.format(limit=limit if pin.get("limited") else "", setup=setup,
+                                argv=pin["argv"])
+        timeout = pin.get("timeout")
+        try:
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired as killed:
+            return [f"killed after {timeout} s", killed.stdout, killed.stderr]
+        return [proc.returncode, proc.stdout, proc.stderr]
+    from collatzbin import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    return list(run_cli(capsys, *pin["argv"]))
+
+
+@pytest.mark.parametrize("pin", [
+    pytest.param(pin, id=argv, marks=[pytest.mark.ci_only] if pin.get("ci_only") else [])
+    for argv, pin in PINNED.items()
+])
+def test_a_pinned_run_prints_its_record(capsys, monkeypatch, pin):
+    assert run_pinned(capsys, monkeypatch, pin) == pin["printed"]
+
+
+def changed(argv, index, value):
+    """The record of ``argv`` with entry ``index`` of its printed triple set to ``value``."""
+    printed = list(PINNED[argv]["printed"])
+    printed[index] = value
+    return {**PINNED[argv], "printed": printed}
+
+
+@pytest.mark.parametrize("pin, limit", [
+    (changed("kstar --ell 60", 1, PINNED["kstar --ell 60"]["printed"][1].replace("600", "601", 1)),
+     LIMIT),
+    (changed("verify --ell 5 --step-cap 5", 0, 2), LIMIT),
+    # the imported CLI already holds about 19 MiB, so the audit's first 2^20-bit integer fails
+    (PINNED["audit --ell 1048576 --samples 2"], 1 << 20),
+    # no interpreter starts, let alone scans, in a hundredth of a second
+    ({**PINNED["kstar --ell 5000 --k-max 100000"], "timeout": 0.01}, LIMIT),
+], ids=["one stdout byte", "exit code", "memory limit", "time bound"])
+def test_a_run_that_differs_from_its_record_fails(capsys, monkeypatch, pin, limit):
+    monkeypatch.setattr(sys.modules[__name__], "LIMIT", limit)
+    with pytest.raises(AssertionError):
+        test_a_pinned_run_prints_its_record(capsys, monkeypatch, pin)
+
+
+def test_every_end_to_end_command_has_one_record_per_argv():
+    assert len(PINNED) == len(PINS)
+    commands = {pin["argv"][0] for pin in PINS}
+    assert commands >= {"verify", "table1", "audit", "kstar", "families"}
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
