@@ -382,12 +382,101 @@ def _margin(ell: int, k: int) -> tuple[int, int]:
     return (((1 << top) - p3) << s) - factor * cofactor, p3 << (s + 1)
 
 
+def _pow3_bracket(k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= 3**k <= hi * 2**e and hi <= 2**bits.
+
+    Two fixed-point powers of 3 by left-to-right binary powering, one
+    square per digit of k and a factor 3 per digit 1.  After each digit
+    both tracks are cut by one shift, what hi has past ``bits`` bits, and
+    share the exponent e.  The lower track floors the cut and the upper
+    one ceils it, which leaves hi at most 2**bits; squaring and tripling
+    keep either side of the true power, as both tracks are positive.  So
+    lo 2**e only falls below 3**j and hi 2**e only rises above it, as in
+    :func:`maps._log2_digits`.  A power of at most ``bits`` bits is never
+    cut: at bits >= len(3**k), lo = hi = 3**k and e = 0.
+    """
+    lo = hi = 1
+    e = 0
+    for digit in f"{k:b}":
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if digit == "1":
+            lo, hi = 3 * lo, 3 * hi
+        cut = hi.bit_length() - bits
+        if cut > 0:
+            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+    return lo, hi, e
+
+
+def _below(a: int, shift: int, b: int) -> bool:
+    """a * 2**shift < b for a >= 1, never shifting past b's length (shift may be 10**12)."""
+    return shift < b.bit_length() and (a << shift) < b
+
+
+def _bracket_sign(ell: int, k: int, bits: int) -> int:
+    """-1 if k's margin is negative, 1 if it is not, 0 if the bracket at ``bits`` cannot tell.
+
+    With 3**k = 2**top f, f in [1/2, 1), m = top - 3n and q bits of f,
+    ``gap * 2**s < E`` (see :func:`kstar_scan`) times 2**(2q + m) reads
+    L(F) < R(F) at F = 2**q f, where s - 3n = ell gives
+
+        L(F) = (2**q - F) 2**(ell + q),
+        R(F) = 14 F (F 2**m - 2**q)          at even k,
+        R(F) = F (5 F 2**m - 14 2**q)        at odd k.
+
+    :func:`_pow3_bracket` gives lo 2**e <= 3**k <= hi 2**e.  When lo and
+    hi have the same length q, top = q + e and lo <= F <= hi.  L falls as
+    F rises, and R rises on [2**(q-1), 2**q): its slope is
+    14 (2 F 2**m - 2**q) >= 0 at even k, and 10 F 2**m - 14 2**q >= 6 2**q
+    at odd k, where m >= 2 (top > k log2(3) > 1.58 k and 3n = 1.5 (k - 1)).
+    So L(lo) < R(lo) proves the margin negative, and L(hi) >= R(hi)
+    proves it nonnegative.  hi < 2**q, so 2**q - F >= 1, and
+    :func:`_below` compares the power of two by bit lengths.
+
+    Near a sign change L and R are of one size, and L is proportional to
+    2**q - F, so the bracket decides once its width is small against
+    2**q (1 - f), where 1 - f = 1 - 2**-t_k >= t_k / 2 (the t/2 bound of
+    :func:`kstar_scan`).  The squares double the tracks' rounding, to
+    about 2**(len(k) + 1) units, so ``bits`` must pass -log2(t_k) +
+    len(k) by a few bits.  For q_n <= k < q_(n+1), convergent
+    denominators of log2(3), t_k > 1 / ((a + 2) k), a the next partial
+    quotient: 64 bits decide every k the scans above reach.
+    """
+    lo, hi, e = _pow3_bracket(k, bits)
+    q = hi.bit_length()
+    if lo.bit_length() != q:
+        return 0
+    m = q + e - 3 * (k >> 1)
+
+    def right(f: int) -> int:
+        return f * (5 * (f << m) - (14 << q)) if k & 1 else 14 * f * ((f << m) - (1 << q))
+
+    if _below((1 << q) - lo, ell + q, right(lo)):
+        return -1
+    if not _below((1 << q) - hi, ell + q, right(hi)):
+        return 1
+    return 0
+
+
+# the bracket starts at this many bits and doubles while it is below k / 8 bits:
+# past that its two tracks cost about what 3**k does, and the exact route is taken
+_BRACKET_BITS = 64
+
+
+def _bracket_reads_positive(ell: int, k: int) -> bool:
+    """True when :func:`_bracket_sign` proves k's margin nonnegative below the cap."""
+    bits = _BRACKET_BITS
+    while not (sign := _bracket_sign(ell, k, bits)) and bits < k >> 3:
+        bits *= 2
+    return sign > 0
+
+
 def _window_scan(ell: int, k0: int, k1: int, bits: int, margins: list | None = None) -> int | None:
     """The first k in [k0, k1) with a negative margin, or None.
 
-    A k that :func:`_clears` at c = floor(k lo / 2**bits) + 1, d = k is
-    skipped; every other k takes the exact route (:func:`_margin`).  With
-    ``margins`` every k takes the exact route and appends its margin.
+    A k that :func:`_clears` at c = floor(k lo / 2**bits) + 1, d = k, or
+    that :func:`_bracket_reads_positive`, is skipped; every other k takes
+    the exact route (:func:`_margin`), so k* comes from its numerator.
+    With ``margins`` every k takes the exact route and appends its margin.
     Refused with ValueError before any 3**k past ``_MAX_POWER_K``, and
     then, with ``margins``, before any margin past ``_MAX_MARGIN_BITS``.
     """
@@ -400,7 +489,8 @@ def _window_scan(ell: int, k0: int, k1: int, bits: int, margins: list | None = N
         from fractions import Fraction
     lo = log2_3_bounds(bits)[0]
     for k in range(k0, k1):
-        if margins is None and _clears(ell, k, ((k * lo) >> bits) + 1, k, bits):
+        if margins is None and (_clears(ell, k, ((k * lo) >> bits) + 1, k, bits)
+                                or _bracket_reads_positive(ell, k)):
             continue
         numerator, denominator = _margin(ell, k)
         if margins is not None:
@@ -508,11 +598,13 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     where a mediant is taken as below L only when it is below lo / 2**P,
     as above L only when it is above hi / 2**P, and P doubles where the
     bounds cannot place it.  It clears each window it can whole, and
-    :func:`_window_scan` tries the rule at each k of any other window;
-    only a k the rule cannot clear takes the exact route.  At ell 500
-    and 5000 that is a handful of k's.  The descent stops once b + d >
-    k_max.  A window reaching past k = 2**27, where 3**k would pass 2**28
-    bits, is refused with ValueError first.
+    :func:`_window_scan` tries the rule at each k of any other window.
+    A k the rule cannot clear is signed by :func:`_bracket_sign`, from a
+    bracket of the top bits of 3**k, and only a k the bracket does not
+    prove nonnegative takes the exact route: at ell 500, 5000, 50000 and
+    200000, k* alone.  The descent stops once b + d > k_max.  A window
+    reaching past k = 2**27, where 3**k would pass 2**28 bits, is refused
+    with ValueError first.
 
     ``collect_margins`` walks every k of [1, k_max] by the exact route
     and returns each margin as the numerator over 3**k * 2**(s+1), equal

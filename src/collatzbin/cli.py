@@ -300,19 +300,27 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser with only the subcommand that argv starts with, or with all of them.
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one named command alone, as it stands under the full parser.
 
-    A run needs only its own command's parser; without a command name first
-    (none, -h, a misspelt name) the top-level usage and help list every one.
+    A run that names a command needs no other command's parser, nor the
+    top-level one: usage, help and errors read as the full parser's
+    sub-parser would print them.
     """
+    parser = _Parser(prog=f"collatzbin {name}")
+    _COMMANDS[name][2](parser)
+    parser.set_defaults(func=_COMMANDS[name][1])
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all seven commands, for a run that names none (none, -h, a misspelt one)."""
     parser = _Parser(
         prog="collatzbin",
         description="Exact-arithmetic Collatz dynamics on binary fractions in [1/2, 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS:
-        help_text, handler, add_arguments = _COMMANDS[name]
+    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -320,8 +328,12 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
+        if argv[:1] and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = _build_parser().parse_args(argv)
         return args.func(args)
     except DivergenceError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)

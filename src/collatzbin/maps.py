@@ -79,17 +79,12 @@ def collatz_step(x: int) -> int:
     return 3 * x + 1 if x % 2 else x // 2
 
 
-def _reduce(n: int) -> int:
-    """3n+1 with every factor of 2 stripped; n is not checked."""
-    t = 3 * n + 1
-    return t >> ((t & -t).bit_length() - 1)
-
-
 def reduced_step(x: int) -> int:
     """Odd-to-odd step: form 3x+1 and strip every factor of 2."""
     if x < 1 or x % 2 == 0:
         raise ValueError(f"reduced_step needs a positive odd integer, got {x}")
-    return _reduce(x)
+    t = 3 * x + 1
+    return t >> ((t & -t).bit_length() - 1)
 
 
 @cache
@@ -144,7 +139,7 @@ def _end_table() -> list[tuple[int, int]]:
         # reduced steps until the orbit falls below n, whose entry is known
         v, steps, longest = n, 0, n.bit_length()
         while v >= n:
-            v = _reduce(v)
+            v = reduced_step(v)
             steps += 1
             if v.bit_length() > longest:
                 longest = v.bit_length()
@@ -277,7 +272,7 @@ def binary_step(y: BinaryFraction) -> BinaryFraction:
     that the two forms agree.  They do because 3n+1 has ell+1 bits on the
     low arm, ell+2 on the high arm, and is 2**(ell+1) at a predecessor.
     """
-    m = _reduce(y.numerator)
+    m = reduced_step(y.numerator)
     return BinaryFraction(m, m.bit_length())
 
 

@@ -19,9 +19,11 @@ from collatzbin.analysis import (
     Branch,
     HeadTailReport,
     MapKind,
+    _bracket_sign,
     _clears,
     _epsilon_pair,
     _intervals,
+    _pow3_bracket,
     audit_length_deltas,
     epsilon_bound,
     family_orbit_probe,
@@ -105,6 +107,27 @@ def window_loop_kstar(ell: int, k_max: int) -> int | None:
         if (((1 << top) - p3) << s) < factor * cofactor:
             return k
     return None
+
+
+def exact_sign(ell: int, k: int, p3: int) -> int:
+    """-1 if k's margin is negative and 1 if not, from p3 = 3**k and the three products."""
+    n, odd = divmod(k, 2)
+    s = 3 * n + ell
+    p9, p8 = (p3 // 3 if odd else p3), 1 << 3 * n
+    factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
+    return -1 if (((1 << p3.bit_length()) - p3) << s) < factor * cofactor else 1
+
+
+def left_by_the_per_k_rule(ell: int, k_max: int) -> list[int]:
+    """The k <= k_max of every window the scan cannot clear whole that the per-k rule leaves."""
+    left = []
+    for k0, k1, c, d, bits in _intervals(k_max):
+        if all(_clears(ell, k, c, d, bits) for k in (k1 - 1, k1 - 2) if k):
+            continue
+        lo = log2_3_bounds(bits)[0]
+        left += [k for k in range(k0, min(k1, k_max + 1))
+                 if not _clears(ell, k, ((k * lo) >> bits) + 1, k, bits)]
+    return left
 
 
 def t_at_least(k: int, c: int, d: int) -> bool:
@@ -599,11 +622,73 @@ class TestKStarScan:
         formed = []
         margin = analysis._margin
         monkeypatch.setattr(analysis, "_margin", lambda ell, k: formed.append(k) or margin(ell, k))
+        # the bracket signs 5761, which the rule leaves at ell 500, without 3**k
         assert kstar_scan(500, 10000).k_star == 5773
-        assert formed == [5761, 5773]
+        assert formed == [5773]
         formed.clear()
         assert kstar_scan(5000, 100000).k_star == 58720
         assert formed == [58720]
+
+    @pytest.mark.ci_only
+    def test_a_long_walk_forms_a_power_of_3_at_k_star_alone(self, monkeypatch):
+        formed = []
+        margin = analysis._margin
+        monkeypatch.setattr(analysis, "_margin", lambda ell, k: formed.append(k) or margin(ell, k))
+        assert kstar_scan(50000, 700000).k_star == 588383
+        assert formed == [588383]
+
+    @pytest.mark.parametrize("bits", [4, 16, 64])
+    def test_the_power_bracket_holds_3_to_the_k(self, bits):
+        for k in range(1, 1001):
+            p3 = 3**k
+            lo, hi, e = _pow3_bracket(k, bits)
+            assert lo << e <= p3 <= hi << e, k
+            assert hi <= 1 << bits < 2 * p3 or (lo, hi, e) == (p3, p3, 0), k
+
+    def test_the_power_bracket_is_exact_from_the_length_of_3_to_the_k(self):
+        # a track of ``bits`` bits is never cut while the power fits, and then only
+        for k in range(1, 1001):
+            p3 = 3**k
+            top = p3.bit_length()
+            assert _pow3_bracket(k, top) == (p3, p3, 0), k
+            lo, hi, e = _pow3_bracket(k, top - 1)
+            assert (lo << e, hi << e) == (p3 - 1, p3 + 1), k
+
+    def test_the_bracket_signs_every_short_horizon_exactly(self):
+        for ell in range(1, 61):
+            for k in range(1, 1001):
+                sign = _bracket_sign(ell, k, 64)
+                assert sign == exact_sign(ell, k, 3**k), (ell, k)
+                assert analysis._bracket_reads_positive(ell, k) == (sign > 0)
+
+    @pytest.mark.parametrize("ell, k_max", [
+        (500, 10000),
+        (5000, 59000),
+        pytest.param(50000, 588450, marks=pytest.mark.ci_only),
+    ])
+    def test_the_bracket_signs_every_horizon_the_per_k_rule_leaves(self, ell, k_max):
+        left = left_by_the_per_k_rule(ell, k_max)
+        assert len(left) > 1 and kstar_scan(ell, k_max).k_star in left
+        p3, k3 = 1, 0
+        for k in left:
+            p3, k3 = p3 * 3 ** (k - k3), k
+            assert _bracket_sign(ell, k, 64) == exact_sign(ell, k, p3), (ell, k)
+
+    def test_an_undecided_bracket_takes_the_exact_route(self, monkeypatch):
+        # a bracket that never tells leaves every k the per-k rule leaves to 3**k
+        formed = []
+        margin = analysis._margin
+        monkeypatch.setattr(analysis, "_margin", lambda ell, k: formed.append(k) or margin(ell, k))
+        monkeypatch.setattr(analysis, "_bracket_sign", lambda ell, k, bits: 0)
+        assert kstar_scan(500, 10000).k_star == 5773
+        assert formed == [5761, 5773]
+        for ell in range(1, 61):
+            assert kstar_scan(ell, 1000).k_star == window_loop_kstar(ell, 1000), ell
+        # at 2 bits the bracket still tells some k's, and doubles to its cap for the rest
+        monkeypatch.undo()
+        monkeypatch.setattr(analysis, "_BRACKET_BITS", 2)
+        for ell in (1, 4, 60, 500):
+            assert kstar_scan(ell, 10000).k_star == window_loop_kstar(ell, 10000), ell
 
     @given(st.one_of(
         st.integers(min_value=1, max_value=2**64),

@@ -449,34 +449,100 @@ def test_the_cli_surface_is_byte_identical(capsys, monkeypatch, route):
     assert run_surface(capsys, monkeypatch, argv) == printed
 
 
-@pytest.mark.parametrize("route", SURFACE_ROUTES)
-def test_one_subparser_prints_what_all_seven_print(capsys, monkeypatch, route):
+def full_subparser(name):
+    """The sub-parser that the full seven-command parser holds for ``name``."""
     from collatzbin import cli
 
-    argv = SURFACE_ROUTES[route][0]
-    alone = run_surface(capsys, monkeypatch, argv)
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda _: build([]))  # no command named: all seven
-    assert alone == run_surface(capsys, monkeypatch, argv)
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def one_and_full(capsys, monkeypatch, argv):
+    """What argv prints through the CLI's one parser, and through the full parser's sub-parser."""
+    from collatzbin import cli
+
+    one = run_surface(capsys, monkeypatch, argv)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_command_parser", full_subparser)
+        return one, run_surface(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("route", SURFACE_ROUTES)
+def test_one_subparser_prints_what_all_seven_print(capsys, monkeypatch, route):
+    one, full = one_and_full(capsys, monkeypatch, SURFACE_ROUTES[route][0])
+    assert one == full
+
+
+def wrong_prog(name):
+    from collatzbin import cli
+
+    parser = cli._command_parser(name)
+    parser.prog = f"collatzbin-{name}"
+    return parser
+
+
+class ArgumentRecorder:
+    """Stands in for a parser, to record the arguments that a command's adder adds."""
+
+    def __init__(self):
+        self.added = []
+
+    def add_argument(self, *args, **kwargs):
+        self.added.append((args, kwargs))
+
+
+def one_argument_dropped(name):
+    """The command's parser without the last argument its adder adds."""
+    from collatzbin import cli
+
+    recorder = ArgumentRecorder()
+    cli._COMMANDS[name][2](recorder)
+    parser = cli._Parser(prog=f"collatzbin {name}")
+    for args, kwargs in recorder.added[:-1]:
+        parser.add_argument(*args, **kwargs)
+    parser.set_defaults(func=cli._COMMANDS[name][1])
+    return parser
+
+
+@pytest.mark.parametrize("broken", [wrong_prog, one_argument_dropped])
+def test_a_parser_unlike_the_full_ones_sub_parser_fails(capsys, monkeypatch, broken):
+    from collatzbin import cli
+
+    monkeypatch.setattr(cli, "_command_parser", broken)
+    differing = []
+    for route, (argv, _) in SURFACE_ROUTES.items():
+        try:
+            one, full = one_and_full(capsys, monkeypatch, argv)
+        except Exception:  # a handler that reads the dropped argument fails on the one parser
+            one, full = "raised", None
+        if one != full:
+            differing.append(route)
+    assert differing
 
 
 def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+    actions, added = [], []
+    init, add_parser = argparse._SubParsersAction.__init__, argparse._SubParsersAction.add_parser
+
+    def counted_init(self, *args, **kwargs):
+        actions.append(self)
+        init(self, *args, **kwargs)
 
     def counted(self, name, **kwargs):
         added.append(name)
         return add_parser(self, name, **kwargs)
 
+    monkeypatch.setattr(argparse._SubParsersAction, "__init__", counted_init)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert main(["kstar", "--ell", "60"]) == 0
-    assert added == ["kstar"]
-    added.clear()
+    for argv in (["kstar", "--ell", "60"], ["kstar", "--ell"], ["verify", "--ell", "4"]):
+        main(argv)
+    assert (actions, added) == ([], [])
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
     assert exc.value.code == 0
     commands = ["trajectory", "raster", "kstar", "verify", "table1", "audit", "families"]
-    assert added == commands
+    assert (len(actions), added) == (1, commands)
     help_text = capsys.readouterr().out
     assert all(f"\n    {name} " in help_text for name in commands)
 
