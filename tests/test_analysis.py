@@ -92,6 +92,15 @@ def gap_bits_floor(p: int, top: int) -> int:
     return ((1 << top) - p).bit_length()
 
 
+def exact_sign(ell: int, k: int, p3: int) -> int:
+    """-1 if k's margin is negative and 1 if not, from p3 = 3**k and the three products."""
+    n, odd = divmod(k, 2)
+    s = 3 * n + ell
+    p9, p8 = (p3 // 3 if odd else p3), 1 << 3 * n
+    factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
+    return -1 if (((1 << p3.bit_length()) - p3) << s) < factor * cofactor else 1
+
+
 def window_loop_kstar(ell: int, k_max: int) -> int | None:
     """k* by the walk over every k on a running 3**k, skipping k by a 64-bit window test."""
     p3 = 1
@@ -101,21 +110,9 @@ def window_loop_kstar(ell: int, k_max: int) -> int | None:
         top = p3.bit_length()
         if gap_bits_floor(p3, top) + s > 2 * top + 4:
             continue
-        odd = k & 1
-        p9, p8 = (p3 // 3 if odd else p3), 1 << (s - ell)
-        factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
-        if (((1 << top) - p3) << s) < factor * cofactor:
+        if exact_sign(ell, k, p3) < 0:
             return k
     return None
-
-
-def exact_sign(ell: int, k: int, p3: int) -> int:
-    """-1 if k's margin is negative and 1 if not, from p3 = 3**k and the three products."""
-    n, odd = divmod(k, 2)
-    s = 3 * n + ell
-    p9, p8 = (p3 // 3 if odd else p3), 1 << 3 * n
-    factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
-    return -1 if (((1 << p3.bit_length()) - p3) << s) < factor * cofactor else 1
 
 
 def left_by_the_per_k_rule(ell: int, k_max: int) -> list[int]:
@@ -643,6 +640,7 @@ class TestKStarScan:
             p3 = 3**k
             lo, hi, e = _pow3_bracket(k, bits)
             assert lo << e <= p3 <= hi << e, k
+            # cut tracks hold at most 2**bits; a power that fits is held exactly
             assert hi <= 1 << bits < 2 * p3 or (lo, hi, e) == (p3, p3, 0), k
 
     def test_the_power_bracket_is_exact_from_the_length_of_3_to_the_k(self):
