@@ -20,6 +20,7 @@ from .maps import (
     STEP_CAP,
     Branch,
     Family,
+    _critical_pair,
     binary_step,
     classify_branch,
     collatz_step,
@@ -363,23 +364,24 @@ class KStarReport(_Record, hide=("margins",)):
         return None if self.k_star is None else epsilon_bound(self.k_star, self.ell)
 
 
-# the exact route forms 3**k only up to this k, where 3**k has under 2**28
-# bits (32 MiB): k log2(3) < 2**27 * 1.585 < 2**28
+# the scan's bracket grows to at most 2 len(3**k) bits, and collected margins
+# form 3**k, only up to this k, where 3**k has under 2**28 bits (32 MiB):
+# k log2(3) < 2**27 * 1.585 < 2**28
 _MAX_POWER_K = 1 << 27
 
 # collected margins may hold at most this many bits (512 MiB) in all
 _MAX_MARGIN_BITS = 1 << 32
 
 
-def _margin(ell: int, k: int) -> tuple[int, int]:
-    """k's margin as (gap * 2**s - E, 3**k * 2**(s+1)), from one 3**k; see :func:`kstar_scan`."""
-    p3 = 3**k
-    s = 3 * (k >> 1) + ell
-    top = p3.bit_length()
-    odd = k & 1
-    p9, p8 = (p3 // 3 if odd else p3), 1 << (s - ell)
-    factor, cofactor = (p3, 15 * (p9 - p8) + p8) if odd else (14 * p9, p9 - p8)
-    return (((1 << top) - p3) << s) - factor * cofactor, p3 << (s + 1)
+def _margin(k: int, ell: int, p3: int) -> tuple[int, int]:
+    """c_k - 1/2 - epsilon_bound(k, ell) as an unreduced (numerator, denominator), from p3 = 3**k.
+
+    The definition cross-multiplied: c_k = cn / cd (:func:`maps._critical_pair`)
+    and the bound en / ed (:func:`_epsilon_pair`) give
+    (2 cn ed - cd ed - 2 cd en) / (2 cd ed), with no gcd taken.
+    """
+    (cn, cd), (en, ed) = _critical_pair(p3), _epsilon_pair(k, ell, p3)
+    return 2 * cn * ed - cd * ed - 2 * cd * en, 2 * cd * ed
 
 
 def _pow3_bracket(k: int, bits: int) -> tuple[int, int, int]:
@@ -439,7 +441,9 @@ def _bracket_sign(ell: int, k: int, bits: int) -> int:
     about 2**(len(k) + 1) units, so ``bits`` must pass -log2(t_k) +
     len(k) by a few bits.  For q_n <= k < q_(n+1), convergent
     denominators of log2(3), t_k > 1 / ((a + 2) k), a the next partial
-    quotient: 64 bits decide every k the scans above reach.
+    quotient: 64 bits decide every k the scans above reach.  From
+    bits = len(3**k) on, lo = hi = 3**k and e = 0, so L(F) < R(F) is the
+    exact test and the bracket always tells.
     """
     lo, hi, e = _pow3_bracket(k, bits)
     q = hi.bit_length()
@@ -457,45 +461,31 @@ def _bracket_sign(ell: int, k: int, bits: int) -> int:
     return 0
 
 
-# the bracket starts at this many bits and doubles while it is below k / 8 bits:
-# past that its two tracks cost about what 3**k does, and the exact route is taken
+# the bracket starts at this many bits and doubles until it tells, which it
+# does by len(3**k) bits at the latest, so it never passes 2 len(3**k) bits
 _BRACKET_BITS = 64
 
 
-def _bracket_reads_positive(ell: int, k: int) -> bool:
-    """True when :func:`_bracket_sign` proves k's margin nonnegative below the cap."""
+def _margin_sign(ell: int, k: int) -> int:
+    """-1 if k's margin is negative, 1 if not: :func:`_bracket_sign`, doubling its width."""
     bits = _BRACKET_BITS
-    while not (sign := _bracket_sign(ell, k, bits)) and bits < k >> 3:
+    while not (sign := _bracket_sign(ell, k, bits)):
         bits *= 2
-    return sign > 0
+    return sign
 
 
-def _window_scan(ell: int, k0: int, k1: int, bits: int, margins: list | None = None) -> int | None:
+def _window_scan(ell: int, k0: int, k1: int, bits: int) -> int | None:
     """The first k in [k0, k1) with a negative margin, or None.
 
-    A k that :func:`_clears` at c = floor(k lo / 2**bits) + 1, d = k, or
-    that :func:`_bracket_reads_positive`, is skipped; every other k takes
-    the exact route (:func:`_margin`), so k* comes from its numerator.
-    With ``margins`` every k takes the exact route and appends its margin.
-    Refused with ValueError before any 3**k past ``_MAX_POWER_K``, and
-    then, with ``margins``, before any margin past ``_MAX_MARGIN_BITS``.
+    A k that :func:`_clears` at c = floor(k lo / 2**bits) + 1, d = k is
+    skipped; every other k is signed by :func:`_margin_sign`.  Refused
+    with ValueError past ``_MAX_POWER_K``, before any k is tried.
     """
     if k1 - 1 > _MAX_POWER_K:
         raise ValueError(f"kstar_scan would form 3**k up to k = {k1 - 1}, past k = 2**27")
-    size = (k1 - k0) * (2 * ell + 4 * (k1 - 1))
-    if margins is not None:
-        if size > _MAX_MARGIN_BITS:
-            raise ValueError(f"kstar_scan would collect margins of about {size} bits, past 2**32")
-        from fractions import Fraction
     lo = log2_3_bounds(bits)[0]
     for k in range(k0, k1):
-        if margins is None and (_clears(ell, k, ((k * lo) >> bits) + 1, k, bits)
-                                or _bracket_reads_positive(ell, k)):
-            continue
-        numerator, denominator = _margin(ell, k)
-        if margins is not None:
-            margins.append(Fraction(numerator, denominator))
-        if numerator < 0:
+        if not _clears(ell, k, ((k * lo) >> bits) + 1, k, bits) and _margin_sign(ell, k) < 0:
             return k
     return None
 
@@ -562,9 +552,7 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     even k and 3**k // 3 at odd k, and 8**n is 1 << 3n.  Both forms are
     below 16 * 3**(2k) < 2**(2 top + 4): E = 14 * 3**k * (3**k - 8**n) at
     even k and 3**k * (5 * 3**k - 14 * 8**n) at odd k.  So a margin is
-    positive wherever gap * 2**s >= 2**(2 top + 4).  The exact route
-    (:func:`_margin`) forms 3**k and the numerator gap * 2**s - E, whose
-    sign decides; k* always comes from that numerator.
+    positive wherever gap * 2**s >= 2**(2 top + 4).
 
     **One bound on log2(3) skips the rest.**  Write L = log2(3) and t_k =
     top - k L = ceil(k L) - k L, in (0, 1) since L is irrational.
@@ -599,35 +587,43 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     as above L only when it is above hi / 2**P, and P doubles where the
     bounds cannot place it.  It clears each window it can whole, and
     :func:`_window_scan` tries the rule at each k of any other window.
-    A k the rule cannot clear is signed by :func:`_bracket_sign`, from a
-    bracket of the top bits of 3**k, and only a k the bracket does not
-    prove nonnegative takes the exact route: at ell 500, 5000, 50000 and
-    200000, k* alone.  The descent stops once b + d > k_max.  A window
-    reaching past k = 2**27, where 3**k would pass 2**28 bits, is refused
-    with ValueError first.
+    A k the rule cannot clear is signed by :func:`_margin_sign`, from a
+    bracket of the top bits of 3**k that widens until it tells; every
+    verdict it gives is a proof, so the scan forms no 3**k.  At ell 500,
+    5000, 50000 and 200000 every bracket tells at its first width.  The
+    descent stops once b + d > k_max.  A window reaching past k = 2**27,
+    where 3**k would pass 2**28 bits, is refused with ValueError first.
 
-    ``collect_margins`` walks every k of [1, k_max] by the exact route
-    and returns each margin as the numerator over 3**k * 2**(s+1), equal
-    to the Fraction expression above.  The margins of k <= k_max hold
-    under k_max (2 ell + 4 k_max) bits; past 2**32 of those the call is
-    refused with ValueError before any is formed, after the 3**k check.
+    ``collect_margins`` walks k = 1, 2, ... on a running 3**k up to k* (or
+    k_max), and returns each margin as a Fraction of :func:`_margin`.  The
+    margins of k <= k_max hold under k_max (2 ell + 4 k_max) bits.  Past
+    k = 2**27, and then past 2**32 bits of margins, the call is refused
+    with ValueError before any power is formed.
     """
     if ell < 1:
         raise ValueError("kstar_scan needs ell >= 1")
     if k_max < 1:
         raise ValueError("kstar_scan needs k_max >= 1")
-    margins: list[Fraction] | None = None
-    k = None
-    if collect_margins:
-        margins = []
-        k = _window_scan(ell, 1, k_max + 1, 64, margins)
-    else:
+    if not collect_margins:
         for k0, k1, c, d, bits in _intervals(k_max):
             if not all(_clears(ell, k, c, d, bits) for k in (k1 - 1, k1 - 2) if k):
                 k = _window_scan(ell, k0, min(k1, k_max + 1), bits)
                 if k is not None:
-                    break
-    return KStarReport(ell, k_max, k, margins)
+                    return KStarReport(ell, k_max, k)
+        return KStarReport(ell, k_max, None)
+    if k_max > _MAX_POWER_K:
+        raise ValueError(f"kstar_scan would form 3**k up to k = {k_max}, past k = 2**27")
+    if (size := k_max * (2 * ell + 4 * k_max)) > _MAX_MARGIN_BITS:
+        raise ValueError(f"kstar_scan would collect margins of about {size} bits, past 2**32")
+    from fractions import Fraction
+
+    margins, p3 = [], 1
+    for k in range(1, k_max + 1):
+        p3 *= 3
+        margins.append(Fraction(*_margin(k, ell, p3)))
+        if margins[-1] < 0:
+            return KStarReport(ell, k_max, k, margins)
+    return KStarReport(ell, k_max, None, margins)
 
 
 class FamilyProbe(_Record):

@@ -25,6 +25,7 @@ from .analysis import (
     AuditSummary,
     MapKind,
     _epsilon_pair,
+    _margin,
     audit_length_deltas,
     family_orbit_probe,
     kstar_scan,
@@ -137,16 +138,6 @@ def cmd_raster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _margin_numerator(k: int, ell: int, p3: int) -> int:
-    """c - 1/2 - e times 2 c.den e.den: the margin's sign from c and e, not the scan's numerator.
-
-    c = critical_point(k) and e = epsilon_bound(k, ell), as the unreduced
-    pairs of p3 = 3**k; cross-multiplied, so no gcd is taken.
-    """
-    (cn, cd), (en, ed) = _critical_pair(p3), _epsilon_pair(k, ell, p3)
-    return 2 * cn * ed - cd * ed - 2 * cd * en
-
-
 def cmd_kstar(args: argparse.Namespace) -> int:
     report = kstar_scan(args.ell, args.k_max)
     print(f"ell = {report.ell}")
@@ -160,9 +151,9 @@ def cmd_kstar(args: argparse.Namespace) -> int:
     print(f"eps = {_truncated(*_epsilon_pair(k_star, args.ell, p3), 6)}")
     # k* must be a reversal and k* - 1 (if any) must not be
     witness = None
-    if k_star > 1 and _margin_numerator(k_star - 1, args.ell, p3 // 3) < 0:
+    if k_star > 1 and _margin(k_star - 1, args.ell, p3 // 3)[0] < 0:
         witness = f"k = {k_star - 1} already has a negative margin"
-    elif _margin_numerator(k_star, args.ell, p3) >= 0:
+    elif _margin(k_star, args.ell, p3)[0] >= 0:
         witness = f"k = {k_star} has a nonnegative margin"
     print(f"exact margin check for k < {k_star}: {'pass' if witness is None else 'FAIL'}")
     if witness is not None:

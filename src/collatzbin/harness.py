@@ -4,11 +4,11 @@ Randomness comes from a small splitmix64 generator with per-sample seeds
 derived from (master seed, run index, sample index), so results are
 identical across platforms and across worker counts: every sample is a pure
 function of its coordinates, and cell statistics are maxima and sums, which
-merge in any order.  :func:`fan_out` gives each worker one contiguous slice,
-as one job of :class:`Parts`, the package's one process fan-out, which
-range verification uses too.  Only a fan-out of n > 1 parts starts a child,
-and only it loads ``multiprocessing``: a run at one worker, and every
-command that never fans out, is spared that import at its start.
+merge in any order.  :func:`run_table` gives each worker one contiguous
+slice of the table as one job of :class:`Parts`, the package's one process
+fan-out, which range verification uses too.  Only a fan-out of n > 1 parts
+starts a child, and only it loads ``multiprocessing``: a run at one worker,
+and every command that never fans out, is spared that import at its start.
 
 The sampler runs splitmix64 on many states at once.  Each state sits in its
 own 128-bit lane of one Python int, and one round of big-int operations
@@ -315,17 +315,6 @@ class Parts:
             link.close()
 
 
-def fan_out(fn, items: range, workers: int) -> list:
-    """fn of each of n contiguous slices of ``items``, in order.
-
-    n is :func:`pool_size` of ``workers``, clamped to ``len(items)``; each
-    slice is one job of one :class:`Parts`, so with n > 1 under the spawn
-    or forkserver start method ``fn`` must pickle.
-    """
-    with closing(Parts(fn, min(pool_size(workers), len(items)))) as parts:
-        return parts.map([(part,) for part in split(items, parts.n)])
-
-
 class ExperimentConfig(_Record):
     """Configuration for a multi-length experiment table, checked on construction."""
 
@@ -386,14 +375,18 @@ def _run_slice(pairs: range, config: ExperimentConfig) -> list[tuple[int, int, i
 def run_table(config: ExperimentConfig, workers: int = 1) -> ExperimentSummary:
     """Run every cell of the configured table; deterministic given the config.
 
-    One :func:`fan_out` over the (length, run) pairs, numbered run by run,
-    gives each worker about runs/workers runs of every length; their
+    The (length, run) pairs, numbered run by run, are cut by :func:`split`
+    into one contiguous slice per part of one :class:`Parts`: n parts, n
+    :func:`pool_size` of ``workers`` clamped to the pair count.  So each
+    worker takes about runs/workers runs of every length; their
     per-length triples merge by max, max and sum, so memory does not grow
     with ``runs``.  Capped orbits are counted in ``capped_count`` and kept
     out of the maxima.  Results do not depend on ``workers`` (>= 1).
     """
     pairs = range(config.runs * len(config.lengths))
-    results = fan_out(partial(_run_slice, config=config), pairs, workers)
+    n = min(pool_size(workers), len(pairs))
+    with closing(Parts(partial(_run_slice, config=config), n)) as fan:
+        results = fan.map([(part,) for part in split(pairs, n)])
     summary = ExperimentSummary(config=config)
     for ell, parts in zip(config.lengths, zip(*results)):
         summary.cells.append(

@@ -23,6 +23,7 @@ from collatzbin.analysis import (
     _clears,
     _epsilon_pair,
     _intervals,
+    _margin_sign,
     _pow3_bracket,
     audit_length_deltas,
     epsilon_bound,
@@ -615,24 +616,23 @@ class TestKStarScan:
                 assert t256 >> (256 + need) > 0, (ell, k)
         assert outcomes == {False, True}
 
-    def test_the_walk_forms_a_power_of_3_only_where_the_rule_fails(self, monkeypatch):
-        formed = []
-        margin = analysis._margin
-        monkeypatch.setattr(analysis, "_margin", lambda ell, k: formed.append(k) or margin(ell, k))
-        # the bracket signs 5761, which the rule leaves at ell 500, without 3**k
-        assert kstar_scan(500, 10000).k_star == 5773
-        assert formed == [5773]
-        formed.clear()
-        assert kstar_scan(5000, 100000).k_star == 58720
-        assert formed == [58720]
-
-    @pytest.mark.ci_only
-    def test_a_long_walk_forms_a_power_of_3_at_k_star_alone(self, monkeypatch):
-        formed = []
-        margin = analysis._margin
-        monkeypatch.setattr(analysis, "_margin", lambda ell, k: formed.append(k) or margin(ell, k))
-        assert kstar_scan(50000, 700000).k_star == 588383
-        assert formed == [588383]
+    @pytest.mark.parametrize("ell, k_max, k_star", [
+        (500, 10000, 5773),
+        (5000, 100000, 58720),
+        pytest.param(50000, 700000, 588383, marks=pytest.mark.ci_only),
+        pytest.param(200000, 3000000, 2353891, marks=pytest.mark.ci_only),
+    ])
+    def test_the_scan_forms_no_power_of_3_and_each_bracket_tells_at_once(self, monkeypatch, ell,
+                                                                         k_max, k_star):
+        formed, widths = [], []
+        margin, bracket_sign = analysis._margin, analysis._bracket_sign
+        monkeypatch.setattr(analysis, "_margin", lambda *a: formed.append(a[0]) or margin(*a))
+        monkeypatch.setattr(analysis, "_bracket_sign",
+                            lambda ell, k, bits: widths.append(bits) or bracket_sign(ell, k, bits))
+        assert kstar_scan(ell, k_max).k_star == k_star
+        assert formed == []
+        # at ell 500 the per-k rule leaves 5761 and 5773, each signed at 64 bits
+        assert set(widths) == {analysis._BRACKET_BITS}
 
     @pytest.mark.parametrize("bits", [4, 16, 64])
     def test_the_power_bracket_holds_3_to_the_k(self, bits):
@@ -655,9 +655,9 @@ class TestKStarScan:
     def test_the_bracket_signs_every_short_horizon_exactly(self):
         for ell in range(1, 61):
             for k in range(1, 1001):
-                sign = _bracket_sign(ell, k, 64)
-                assert sign == exact_sign(ell, k, 3**k), (ell, k)
-                assert analysis._bracket_reads_positive(ell, k) == (sign > 0)
+                p3 = 3**k
+                assert _bracket_sign(ell, k, 64) == exact_sign(ell, k, p3), (ell, k)
+                assert _margin_sign(ell, k) == exact_sign(ell, k, p3), (ell, k)
 
     @pytest.mark.parametrize("ell, k_max", [
         (500, 10000),
@@ -672,17 +672,26 @@ class TestKStarScan:
             p3, k3 = p3 * 3 ** (k - k3), k
             assert _bracket_sign(ell, k, 64) == exact_sign(ell, k, p3), (ell, k)
 
-    def test_an_undecided_bracket_takes_the_exact_route(self, monkeypatch):
-        # a bracket that never tells leaves every k the per-k rule leaves to 3**k
-        formed = []
-        margin = analysis._margin
-        monkeypatch.setattr(analysis, "_margin", lambda ell, k: formed.append(k) or margin(ell, k))
-        monkeypatch.setattr(analysis, "_bracket_sign", lambda ell, k, bits: 0)
+    def test_a_bracket_withheld_below_the_length_of_3_to_the_k_still_signs_exactly(self,
+                                                                                  monkeypatch):
+        # a bracket that tells nothing below len(3**k) bits makes the width double up to
+        # the exact test, which always tells, and never to 2 len(3**k) bits or past
+        widths = []
+        bracket_sign = analysis._bracket_sign
+
+        def withheld(ell, k, bits):
+            top = (3**k).bit_length()
+            widths.append((bits, top))
+            return bracket_sign(ell, k, bits) if bits >= top else 0
+
+        monkeypatch.setattr(analysis, "_bracket_sign", withheld)
         assert kstar_scan(500, 10000).k_star == 5773
-        assert formed == [5761, 5773]
         for ell in range(1, 61):
             assert kstar_scan(ell, 1000).k_star == window_loop_kstar(ell, 1000), ell
-        # at 2 bits the bracket still tells some k's, and doubles to its cap for the rest
+        assert any(bits > analysis._BRACKET_BITS for bits, _ in widths)
+        for bits, top in widths:
+            assert bits <= max(analysis._BRACKET_BITS, 2 * top), (bits, top)
+        # at 2 bits the bracket still tells some k's, and doubles for the rest
         monkeypatch.undo()
         monkeypatch.setattr(analysis, "_BRACKET_BITS", 2)
         for ell in (1, 4, 60, 500):

@@ -194,13 +194,17 @@ class TestScansAndAudits:
 
     @pytest.mark.parametrize("ell", [1, 6, 60, 500])
     def test_kstar_check_signs_match_the_fraction_margins(self, ell):
+        from fractions import Fraction
+
         from test_analysis import fraction_margin
 
-        from collatzbin.cli import _margin_numerator
+        from collatzbin.analysis import _margin
 
+        # the check's one formula, value for value against the Fraction definition
+        p3 = 1
         for k in range(1, 2001):
-            numerator, margin = _margin_numerator(k, ell, 3**k), fraction_margin(k, ell)
-            assert (numerator > 0) - (numerator < 0) == (margin > 0) - (margin < 0), (ell, k)
+            p3 *= 3
+            assert Fraction(*_margin(k, ell, p3)) == fraction_margin(k, ell), (ell, k)
 
     def test_a_family_member_that_stops_late_exits_one(self, capsys, monkeypatch):
         from collatzbin import cli
