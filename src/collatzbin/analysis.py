@@ -21,6 +21,7 @@ from .maps import (
     Branch,
     Family,
     _critical_pair,
+    _pow3_bracket,
     binary_step,
     classify_branch,
     collatz_step,
@@ -384,31 +385,6 @@ def _margin(k: int, ell: int, p3: int) -> tuple[int, int]:
     return 2 * cn * ed - cd * ed - 2 * cd * en, 2 * cd * ed
 
 
-def _pow3_bracket(k: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2**e <= 3**k <= hi * 2**e and hi <= 2**bits.
-
-    Two fixed-point powers of 3 by left-to-right binary powering, one
-    square per digit of k and a factor 3 per digit 1.  After each digit
-    both tracks are cut by one shift, what hi has past ``bits`` bits, and
-    share the exponent e.  The lower track floors the cut and the upper
-    one ceils it, which leaves hi at most 2**bits; squaring and tripling
-    keep either side of the true power, as both tracks are positive.  So
-    lo 2**e only falls below 3**j and hi 2**e only rises above it, as in
-    :func:`maps._log2_digits`.  A power of at most ``bits`` bits is never
-    cut: at bits >= len(3**k), lo = hi = 3**k and e = 0.
-    """
-    lo = hi = 1
-    e = 0
-    for digit in f"{k:b}":
-        lo, hi, e = lo * lo, hi * hi, 2 * e
-        if digit == "1":
-            lo, hi = 3 * lo, 3 * hi
-        cut = hi.bit_length() - bits
-        if cut > 0:
-            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
-    return lo, hi, e
-
-
 def _below(a: int, shift: int, b: int) -> bool:
     """a * 2**shift < b for a >= 1, never shifting past b's length (shift may be 10**12)."""
     return shift < b.bit_length() and (a << shift) < b
@@ -482,7 +458,7 @@ def _window_scan(ell: int, k0: int, k1: int, bits: int) -> int | None:
     with ValueError past ``_MAX_POWER_K``, before any k is tried.
     """
     if k1 - 1 > _MAX_POWER_K:
-        raise ValueError(f"kstar_scan would form 3**k up to k = {k1 - 1}, past k = 2**27")
+        raise ValueError(f"kstar_scan would bracket 3**k up to k = {k1 - 1}, past k = 2**27")
     lo = log2_3_bounds(bits)[0]
     for k in range(k0, k1):
         if not _clears(ell, k, ((k * lo) >> bits) + 1, k, bits) and _margin_sign(ell, k) < 0:
@@ -594,36 +570,38 @@ def kstar_scan(ell: int, k_max: int = 1000, collect_margins: bool = False) -> KS
     descent stops once b + d > k_max.  A window reaching past k = 2**27,
     where 3**k would pass 2**28 bits, is refused with ValueError first.
 
-    ``collect_margins`` walks k = 1, 2, ... on a running 3**k up to k* (or
-    k_max), and returns each margin as a Fraction of :func:`_margin`.  The
-    margins of k <= k_max hold under k_max (2 ell + 4 k_max) bits.  Past
-    k = 2**27, and then past 2**32 bits of margins, the call is refused
-    with ValueError before any power is formed.
+    ``collect_margins`` finds k* by the same scan, then walks k = 1, 2, ...
+    on a running 3**k up to k* (or k_max), and returns each margin as a
+    Fraction of :func:`_margin`.  The margins do not decide k*, so they
+    check the scan: the last is negative when k* is found, and every other
+    is nonnegative.  The margins of k <= k_max hold under
+    k_max (2 ell + 4 k_max) bits.  Past k = 2**27, and then past 2**32
+    bits of margins, the call is refused with ValueError before the scan.
     """
     if ell < 1:
         raise ValueError("kstar_scan needs ell >= 1")
     if k_max < 1:
         raise ValueError("kstar_scan needs k_max >= 1")
+    if collect_margins:
+        if k_max > _MAX_POWER_K:
+            raise ValueError(f"kstar_scan would form 3**k up to k = {k_max}, past k = 2**27")
+        if (size := k_max * (2 * ell + 4 * k_max)) > _MAX_MARGIN_BITS:
+            raise ValueError(f"kstar_scan would collect margins of about {size} bits, past 2**32")
+    k_star = None
+    for k0, k1, c, d, bits in _intervals(k_max):
+        if not all(_clears(ell, k, c, d, bits) for k in (k1 - 1, k1 - 2) if k):
+            k_star = _window_scan(ell, k0, min(k1, k_max + 1), bits)
+            if k_star is not None:
+                break
     if not collect_margins:
-        for k0, k1, c, d, bits in _intervals(k_max):
-            if not all(_clears(ell, k, c, d, bits) for k in (k1 - 1, k1 - 2) if k):
-                k = _window_scan(ell, k0, min(k1, k_max + 1), bits)
-                if k is not None:
-                    return KStarReport(ell, k_max, k)
-        return KStarReport(ell, k_max, None)
-    if k_max > _MAX_POWER_K:
-        raise ValueError(f"kstar_scan would form 3**k up to k = {k_max}, past k = 2**27")
-    if (size := k_max * (2 * ell + 4 * k_max)) > _MAX_MARGIN_BITS:
-        raise ValueError(f"kstar_scan would collect margins of about {size} bits, past 2**32")
+        return KStarReport(ell, k_max, k_star)
     from fractions import Fraction
 
     margins, p3 = [], 1
-    for k in range(1, k_max + 1):
+    for k in range(1, (k_star or k_max) + 1):
         p3 *= 3
         margins.append(Fraction(*_margin(k, ell, p3)))
-        if margins[-1] < 0:
-            return KStarReport(ell, k_max, k, margins)
-    return KStarReport(ell, k_max, None, margins)
+    return KStarReport(ell, k_max, k_star, margins)
 
 
 class FamilyProbe(_Record):

@@ -293,54 +293,52 @@ def mu(k: int) -> int:
     return (3**k).bit_length() - 1
 
 
-def _log2_digits(bits: int, work: int, up: bool) -> int:
-    """The first ``bits`` binary digits of log2(3/2), from 3/2 squared in fixed point.
+def _pow3_bracket(k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= 3**k <= hi * 2**e and hi <= 2**bits.
 
-    x holds a number in [1, 2) with ``work`` fraction bits.  Each step
-    squares it, and a square of 2 or more gives the digit 1 and is halved.
-    Exactly, that reads one more digit of log2 x per step.  The lower track
-    (``up`` false) floors the square and the halving, so x only ever falls
-    below its exact value; the upper track ceils both, so x only rises.
-    With D_i the digits read so far and x_i the state, the invariant is
-    D_i + log2 x_i <= 2**i log2(3/2) on the lower track and >= on the upper
-    one: a square doubles both sides, a halving takes 1 from log2 x and
-    adds it to the digit, and rounding moves log2 x the track's way.  Each
-    x stays in [1, 2): a floored square of 1 or more is 1 or more, and a
-    ceiled square of a fixed-point x < 2 is below 4.  So after ``bits``
-    steps the lower track's D satisfies D <= 2**bits log2(3/2), and the
-    upper one's 2**bits log2(3/2) < D + 1.
+    Two fixed-point powers of 3 by left-to-right binary powering, one
+    square per digit of k and a factor 3 per digit 1.  After each digit
+    both tracks are cut by one shift, what hi has past ``bits`` bits, and
+    share the exponent e.  The lower track floors the cut and the upper
+    one ceils it, which leaves hi at most 2**bits; squaring and tripling
+    keep either side of the true power, as both tracks are positive.  So
+    lo 2**e stays at or below the power of 3 read so far, and hi 2**e at
+    or above it.  A power of at most ``bits`` bits is never cut: at
+    bits >= len(3**k), lo = hi = 3**k and e = 0.
     """
-    x = 3 << (work - 1)
-    two = 2 << work
-    digits = 0
-    for _ in range(bits):
-        x = -(-(x * x) >> work) if up else (x * x) >> work
-        digits <<= 1
-        if x >= two:
-            digits |= 1
-            x = (x + up) >> 1
-    return digits
+    lo = hi = 1
+    e = 0
+    for digit in f"{k:b}":
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if digit == "1":
+            lo, hi = 3 * lo, 3 * hi
+        cut = hi.bit_length() - bits
+        if cut > 0:
+            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+    return lo, hi, e
 
 
 @cache
 def log2_3_bounds(bits: int) -> tuple[int, int]:
-    """Integers lo <= 2**bits log2(3) <= hi = lo + 1, certified without a float.
+    """Integers lo < 2**bits log2(3) < hi = lo + 1, certified without a float.
 
-    log2(3) = 1 + log2(3/2), and :func:`_log2_digits` reads 2**bits
-    log2(3/2) from below on its floored track and from above on its ceiled
-    one, at 2 bits + 64 fraction bits.  When both tracks read the same
-    digits D, lo = 2**bits + D and hi = lo + 1 bound 2**bits log2(3); since
-    log2(3) is irrational, lo is then its floor.  Where the tracks differ
-    the working precision doubles until they agree.  Cached; nothing is
-    built at import.
+    2**bits log2(3) = log2(3**N), N = 2**bits, so its floor is
+    len(3**N) - 1, read from :func:`_pow3_bracket` at 2 bits + 64 bits.
+    When the bracket's two tracks have one length q,
+    2**(e+q-1) <= 3**N < 2**(e+q), so the floor is e + q - 1, strictly
+    below 2**bits log2(3) as 3**N is no power of two.  Where the lengths
+    differ the width doubles; from len(3**N) bits on the bracket is exact.
+    Cached; nothing is built at import.
     """
     if bits < 1:
         raise ValueError("log2_3_bounds needs bits >= 1")
     work = 2 * bits + 64
-    while (digits := _log2_digits(bits, work, False)) != _log2_digits(bits, work, True):
+    while True:
+        lo, hi, e = _pow3_bracket(1 << bits, work)
+        if lo.bit_length() == hi.bit_length():
+            floor = e + hi.bit_length() - 1
+            return floor, floor + 1
         work *= 2
-    lo = (1 << bits) + digits
-    return lo, lo + 1
 
 
 def _critical_pair(p3: int) -> tuple[int, int]:

@@ -24,7 +24,6 @@ from collatzbin.analysis import (
     _epsilon_pair,
     _intervals,
     _margin_sign,
-    _pow3_bracket,
     audit_length_deltas,
     epsilon_bound,
     family_orbit_probe,
@@ -37,6 +36,7 @@ from collatzbin.harness import derive_seed, sample_fraction
 from collatzbin.maps import (
     Family,
     _critical_pair,
+    _pow3_bracket,
     binary_step,
     critical_point,
     embed,
@@ -512,11 +512,15 @@ class TestKStarScan:
         assert kstar_scan(4).k_star == 5
 
     def test_margins_follow_the_definition(self):
-        for ell, k_max in ((10, 50), (1, 5), (4, 20), (7, 100), (33, 400), (60, 1000)):
+        # the scan finds k*, and the margins up to it check that k*: the last is
+        # negative when k* is found, and every other is nonnegative
+        for ell, k_max in ((10, 50), (1, 5), (4, 20), (7, 100), (33, 400), (60, 1000), (60, 100)):
             report = kstar_scan(ell, k_max, collect_margins=True)
             assert len(report.margins) == (report.k_star or k_max)
             for k, margin in enumerate(report.margins, start=1):
                 assert margin == fraction_margin(k, ell), (ell, k)
+            assert all(m >= 0 for m in report.margins[:-1]), (ell, k_max)
+            assert (report.margins[-1] < 0) == (report.k_star is not None), (ell, k_max)
 
     @pytest.mark.parametrize("ell", [*range(1, 41), 60])
     def test_integer_scan_matches_the_fraction_loop(self, ell):

@@ -403,6 +403,8 @@ class TestCircleMap:
 
 # denominators of the convergents of log2(3) up to 15601
 CONVERGENT_DENOMINATORS = (1, 2, 5, 12, 41, 53, 306, 665, 15601)
+# floor(2**256 log2(3)); floor(2**P log2(3)) for P < 256 is its top P + 1 bits
+LOG2_3_FLOOR_256 = 0x195C01A39FBD6879FA00B120A068BADD124F3E6A3A259B0407BE5904D25FA41F7
 
 
 class TestLog2Bounds:
@@ -432,12 +434,44 @@ class TestLog2Bounds:
 
     @pytest.mark.parametrize("bits", range(1, 11))
     def test_each_track_is_certified_at_any_working_precision(self, bits):
-        # a coarse fixed point makes the tracks differ, but each must stay on its side
+        # a coarse width leaves the tracks of different lengths, but each must stay on its side
         power = 3 ** (1 << bits)
         for work in range(1, 49):
-            low = (1 << bits) + maps._log2_digits(bits, work, False)
-            high = (1 << bits) + maps._log2_digits(bits, work, True) + 1
-            assert 1 << low <= power < 1 << high, work
+            lo, hi, e = maps._pow3_bracket(1 << bits, work)
+            assert lo << e <= power <= hi << e, work
+
+    def test_a_withheld_bracket_doubles_its_width_to_the_exact_floor(self, monkeypatch):
+        # below its limit (len(3**k), or 1024 bits where 3**k is too long to form) the
+        # bracket's upper track is rounded up to a power of two: a true bound one bit
+        # longer than the lower track, which certifies no floor
+        widths = {}
+        pow3_bracket = maps._pow3_bracket
+
+        def limit(k):
+            return (3**k).bit_length() if k <= 1 << 12 else 1024
+
+        def withheld(k, bits):
+            tried = widths.setdefault(k, [])
+            assert not tried or bits > tried[-1], (k, tried)
+            tried.append(bits)
+            lo, hi, e = pow3_bracket(k, bits)
+            return (lo, 1 << hi.bit_length(), e) if bits < limit(k) else (lo, hi, e)
+
+        monkeypatch.setattr(maps, "_pow3_bracket", withheld)
+        log2_3_bounds.cache_clear()
+        try:
+            for bits in range(1, 13):
+                assert log2_3_bounds(bits)[0] == (3 ** (1 << bits)).bit_length() - 1, bits
+            for bits in (64, 128, 256):
+                assert log2_3_bounds(bits)[0] == LOG2_3_FLOOR_256 >> (256 - bits), bits
+        finally:
+            log2_3_bounds.cache_clear()
+        # from 2 bits + 64 the width doubles until it first reaches the limit
+        for bits in (*range(1, 13), 64, 128, 256):
+            expected = [2 * bits + 64]
+            while expected[-1] < limit(1 << bits):
+                expected.append(2 * expected[-1])
+            assert widths[1 << bits] == expected, bits
 
     def test_built_on_first_use_and_cached(self):
         code = (
